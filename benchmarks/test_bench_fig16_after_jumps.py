@@ -38,7 +38,7 @@ def solve_after(analyzed, blocked):
 def test_bench_conservative_blocking_is_safe(benchmark):
     analyzed = analyze_source(FIG16_SHAPE)
     problem, placement = benchmark(solve_after, analyzed, True)
-    report = check_placement(analyzed.ifg, problem, placement, max_paths=200)
+    report = check_placement(analyzed.ifg, problem, placement)
     assert not report.by_kind("balance"), str(report)
     assert not report.by_kind("sufficiency"), str(report)
 
@@ -90,5 +90,5 @@ def test_bench_optimistic_falls_back_when_unsafe(benchmark):
     )
     result = benchmark(generate_communication, source)
     report = check_placement(result.analyzed.ifg, result.write_problem,
-                             result.write_placement, max_paths=200)
+                             result.write_placement)
     assert not report.by_kind("balance"), str(report)

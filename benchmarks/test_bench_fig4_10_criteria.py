@@ -2,7 +2,7 @@
 
 Each figure contrasts a wrong/suboptimal placement (left) with the one
 GIVE-N-TAKE computes (right).  For every criterion we (a) verify the
-computed placement satisfies it via the path-replay checker and (b)
+computed placement satisfies it via the all-paths checker and (b)
 verify the checker *rejects* the figure's left-hand placement.
 """
 

@@ -62,7 +62,7 @@ def main():
     # (the paper's communication-style choice), and production for x(5)
     # stays inside the branch (safety: the else path never consumes it).
 
-    # 4. Verify the correctness criteria by replaying all bounded paths.
+    # 4. Verify the correctness criteria on every path.
     report = check_placement(analyzed.ifg, problem, placement, min_trips=1)
     print(f"\nchecker: {report.summary()}")
     assert report.ok(), "C1/C2/C3 must hold on >=1-trip paths"

@@ -27,7 +27,7 @@ Communication generation (the paper's driving application)::
 
 Validation and measurement::
 
-    from repro import check_placement          # C1/C2/C3/O1 path replay
+    from repro import check_placement          # C1/C2/C3/O1, all paths
     from repro import simulate, MachineModel   # message/latency simulator
 
 Overlap scheduling (EAGER/LAZY slack turned into makespan wins)::

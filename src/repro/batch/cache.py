@@ -36,9 +36,11 @@ import tempfile
 import time
 from collections import OrderedDict
 
-#: Bump when the pickled payload layout changes: fingerprints include it,
-#: so stale on-disk entries from older layouts simply miss.
-CACHE_SCHEMA = "repro-batch-cache/2"
+#: Bump when the pickled payload layout, or a verdict baked into it,
+#: changes: fingerprints include it, so stale on-disk entries simply miss
+#: (``/3``: prepared snapshots whose optimistic WRITE placement only a
+#: bounded path sample certified).
+CACHE_SCHEMA = "repro-batch-cache/3"
 
 #: Option values allowed into a fingerprint: their ``repr`` is stable
 #: across processes and runs.  Anything else (an object with the default

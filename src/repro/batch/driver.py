@@ -60,7 +60,6 @@ PREPARE_DEFAULTS = {
     "refine_sections": True,
     "split_irreducible": False,
     "max_splits": None,
-    "check_paths": 150,
     "solver_rounds": None,
     "solver_backend": None,
 }
@@ -353,9 +352,7 @@ def _without_frontend(kwargs):
 
 def _compile_hardened(name, text, options):
     budget = ResourceBudget(
-        check_paths=options.prepare_kwargs()["check_paths"],
-        solver_rounds=options.prepare_kwargs()["solver_rounds"] or 64,
-    )
+        solver_rounds=options.prepare_kwargs()["solver_rounds"] or 64)
     pipeline = HardenedPipeline(
         budget=budget,
         owner_computes=options.prepare_kwargs()["owner_computes"],

@@ -3,10 +3,10 @@
 The plain :func:`~repro.commgen.pipeline.generate_communication` either
 produces a placement or raises.  The :class:`HardenedPipeline` instead
 *certifies* what it produces and never gives up on a parseable program:
-every candidate placement is validated with the §3.2 path-replay checker
-(criteria C1 balance and C3 sufficiency), all analysis work runs under
-an explicit :class:`ResourceBudget`, and on any failure the pipeline
-steps down a **degradation ladder**
+every candidate placement is validated with the §3.2 checker over all
+paths (criteria C1 balance and C3 sufficiency), all analysis work runs
+under an explicit :class:`ResourceBudget`, and on any failure the
+pipeline steps down a **degradation ladder**
 
 1. ``balanced`` — the full pipeline (optimistic jump treatment,
    zero-trip hoisting), the paper's best placement;
@@ -37,7 +37,7 @@ from typing import Optional
 
 from repro.commgen.naive import naive_communication
 from repro.commgen.pipeline import generate_communication
-from repro.core.checker import check_placement
+from repro.core.checker import check_placement_dual
 from repro.core.solver import DEFAULT_BACKEND
 from repro.lang.printer import format_program
 from repro.obs.collector import current_collector
@@ -51,18 +51,12 @@ RUNGS = ("balanced", "conservative", "naive")
 class ResourceBudget:
     """Caps on the analysis work one hardened run may spend.
 
-    * ``check_paths`` — path-enumeration cap for every checker call
-      (both certification here and the optimistic mode's internal
-      check);
-    * ``max_node_visits`` — per-path node revisit cap for the checker;
     * ``solver_rounds`` — iteration guard on the solver's backward
       consumption fixpoint (``None`` = the natural bound);
     * ``max_splits`` — node duplication budget for irreducible repair
       (``None`` = the splitter's default of four per node).
     """
 
-    check_paths: int = 150
-    max_node_visits: int = 3
     solver_rounds: Optional[int] = 64
     max_splits: Optional[int] = None
 
@@ -76,8 +70,6 @@ class RungAttempt:
     reason: Optional[str] = None
     #: checker summaries per (problem, criterion), e.g. "read C1"
     checks: dict = field(default_factory=dict)
-    #: whether any certification check hit the path cap
-    truncated: bool = False
     #: solver backend this attempt ran with (None for the naive rung,
     #: which never invokes the solver)
     backend: Optional[str] = None
@@ -109,12 +101,6 @@ class DegradationReport:
     def degraded(self):
         return self.rung != RUNGS[0]
 
-    @property
-    def truncated(self):
-        """Whether any certification on the chosen rung was partial."""
-        chosen = [a for a in self.attempts if a.rung == self.rung]
-        return any(a.truncated for a in chosen)
-
     def as_dict(self):
         """JSON-ready form (for logs and the CLI's structured output)."""
         return {
@@ -123,11 +109,9 @@ class DegradationReport:
             "degraded": self.degraded,
             "split_irreducible": self.split_irreducible,
             "splits": list(self.splits),
-            "truncated": self.truncated,
             "attempts": [
                 {"rung": a.rung, "ok": a.ok, "reason": a.reason,
-                 "truncated": a.truncated, "backend": a.backend,
-                 "checks": dict(a.checks)}
+                 "backend": a.backend, "checks": dict(a.checks)}
                 for a in self.attempts
             ],
         }
@@ -138,8 +122,6 @@ class DegradationReport:
             text += f" (degraded: {self.reason})"
         if self.split_irreducible:
             text += f" [irreducible: {len(self.splits)} node(s) split]"
-        if self.truncated:
-            text += " [certification truncated by path budget]"
         return text
 
 
@@ -217,7 +199,6 @@ class HardenedPipeline:
                 if obs.enabled:
                     obs.event("hardened", "rung_attempt", rung=attempt.rung,
                               ok=attempt.ok, reason=attempt.reason,
-                              truncated=attempt.truncated,
                               backend=attempt.backend,
                               checks=dict(attempt.checks))
                     obs.count("hardened", "rung_attempts")
@@ -234,8 +215,6 @@ class HardenedPipeline:
                                   backend=attempt.backend,
                                   split_irreducible=report.split_irreducible,
                                   splits=len(report.splits),
-                                  truncated=report.truncated,
-                                  budget_check_paths=self.budget.check_paths,
                                   budget_solver_rounds=self.budget.solver_rounds)
                     return HardenedResult(result, report)
         # Unreachable: the naive rung accepts whatever the frontend
@@ -281,7 +260,6 @@ class HardenedPipeline:
             after_jumps="conservative" if conservative else "optimistic",
             split_irreducible=report.split_irreducible,
             max_splits=budget.max_splits,
-            check_paths=budget.check_paths,
             solver_rounds=budget.solver_rounds,
             solver_backend=backend,
         )
@@ -304,29 +282,16 @@ class HardenedPipeline:
         if rung == "naive":
             attempt.checks["naive"] = "balanced by construction"
             return True
-        obs = current_collector()
         problems = (("read", result.read_problem, result.read_placement),
                     ("write", result.write_problem, result.write_placement))
         ok = True
         for name, problem, placement in problems:
-            balance = check_placement(
-                result.analyzed.ifg, problem, placement,
-                max_paths=self.budget.check_paths,
-                max_node_visits=self.budget.max_node_visits)
-            sufficiency = check_placement(
-                result.analyzed.ifg, problem, placement,
-                max_paths=self.budget.check_paths,
-                max_node_visits=self.budget.max_node_visits, min_trips=1)
+            balance, sufficiency = check_placement_dual(
+                result.analyzed.ifg, problem, placement)
             c1 = balance.by_criterion("C1")
             c3 = sufficiency.by_criterion("C3")
-            attempt.checks[f"{name} C1"] = (
-                f"{len(c1)} violations ({balance.paths_checked} paths)")
-            attempt.checks[f"{name} C3"] = (
-                f"{len(c3)} violations ({sufficiency.paths_checked} paths)")
-            attempt.truncated |= balance.truncated or sufficiency.truncated
-            if obs.enabled:
-                obs.count("hardened", "paths_checked",
-                          n=balance.paths_checked + sufficiency.paths_checked)
+            attempt.checks[f"{name} C1"] = f"{len(c1)} violations"
+            attempt.checks[f"{name} C3"] = f"{len(c3)} violations"
             if c1 or c3:
                 ok = False
                 first = (c1 + c3)[0]

@@ -89,9 +89,8 @@ class CommunicationResult:
 def prepare_communication(source, owner_computes=False, postpass=True,
                           hoist_zero_trip=True, after_jumps="optimistic",
                           refine_sections=True, split_irreducible=False,
-                          max_splits=None, check_paths=150,
-                          solver_rounds=None, solver_backend=None,
-                          memo=None):
+                          max_splits=None, solver_rounds=None,
+                          solver_backend=None, memo=None):
     """Run everything up to (but excluding) annotation; return a
     :class:`PreparedCommunication`.
 
@@ -140,8 +139,8 @@ def prepare_communication(source, owner_computes=False, postpass=True,
     write_problem.hoist_zero_trip = hoist_zero_trip
     write_problem.freeze()
     write_solution, write_placement = _solve_write(
-        analyzed, write_problem, after_jumps, check_paths, solver_rounds,
-        solver_backend, memo)
+        analyzed, write_problem, after_jumps, solver_rounds, solver_backend,
+        memo)
 
     if postpass:
         shift_synthetic_productions(write_placement)
@@ -183,8 +182,7 @@ def generate_communication(source, owner_computes=False, split_messages=True,
                            postpass=True, hoist_zero_trip=True,
                            after_jumps="optimistic", refine_sections=True,
                            split_irreducible=False, max_splits=None,
-                           check_paths=150, solver_rounds=None,
-                           solver_backend=None):
+                           solver_rounds=None, solver_backend=None):
     """Compile ``source`` (mini-Fortran text or a parsed Program) into an
     annotated program with balanced READ/WRITE placement.
 
@@ -199,9 +197,10 @@ def generate_communication(source, owner_computes=False, split_messages=True,
     * ``after_jumps`` — how the WRITE (AFTER) problem treats loops that
       jumps leave (§5.3): ``"conservative"`` always blocks production
       regions at their boundary; ``"optimistic"`` (default) first solves
-      without blocking, keeps the result when the path checker confirms
-      balance and sufficiency (this reproduces Figure 14's hoisted write
-      placement), and falls back to the conservative solution otherwise.
+      without blocking, keeps the result when the checker confirms
+      balance and sufficiency on every path (this reproduces Figure 14's
+      hoisted write placement), and falls back to the conservative
+      solution otherwise.
       The optimistic retry is the "more thorough treatment of jumps out
       of loops for AFTER problems" the paper lists as an extension (§6);
     * ``refine_sections`` — prove symbolic disjointness of sections when
@@ -210,8 +209,6 @@ def generate_communication(source, owner_computes=False, split_messages=True,
     * ``split_irreducible`` — repair irreducible control flow by node
       splitting (§3.3, [CM69]) instead of raising
       :class:`~repro.util.errors.IrreducibleGraphError`;
-    * ``check_paths`` — path-enumeration cap for the optimistic-mode
-      certification checker;
     * ``solver_rounds`` — iteration guard on the solver's backward
       consumption fixpoint (see :func:`repro.core.solver.solve`);
     * ``solver_backend`` — ``"planned"`` (compiled schedules, the
@@ -229,7 +226,6 @@ def generate_communication(source, owner_computes=False, split_messages=True,
         refine_sections=refine_sections,
         split_irreducible=split_irreducible,
         max_splits=max_splits,
-        check_paths=check_paths,
         solver_rounds=solver_rounds,
         solver_backend=solver_backend,
     )
@@ -246,8 +242,8 @@ def _solve(ifg, problem, view, solver_rounds, solver_backend, memo):
                  backend=solver_backend)
 
 
-def _solve_write(analyzed, write_problem, after_jumps, check_paths=150,
-                 solver_rounds=None, solver_backend=None, memo=None):
+def _solve_write(analyzed, write_problem, after_jumps, solver_rounds=None,
+                 solver_backend=None, memo=None):
     """Solve the AFTER problem per the requested jump treatment."""
     from repro.core.checker import check_placement_dual
     from repro.graph.views import cached_view
@@ -260,27 +256,22 @@ def _solve_write(analyzed, write_problem, after_jumps, check_paths=150,
         placement = Placement(analyzed.ifg, write_problem, solution)
         accept = None
         if memo is not None and memo.applies(solver_backend):
-            # The dual check's verdict is a pure function of (graph,
-            # problem, solution, check_paths) — the same contents the
-            # solve key addresses — so a warm delta replays the verdict
-            # instead of re-enumerating paths, which dominates cold
-            # compile time on jumpy programs.
+            # The check's verdict is a pure function of (graph, problem,
+            # solution) — the same contents the solve key addresses — so
+            # a warm delta replays the verdict instead of re-checking.
             accept = memo.write_verdict(analyzed.ifg, write_problem, view,
-                                        solver_rounds, check_paths)
+                                        solver_rounds)
         if accept is None:
-            # One path enumeration and replay serves both verdicts:
-            # balance over all bounded paths, sufficiency over the
-            # min-trip subset (previously two separate check_placement
-            # calls doubled the check_paths-bounded work on every
-            # optimistic solve).
+            # Balance over every path, sufficiency over the paths on
+            # which each entered loop runs at least once.
             full, min_trip = check_placement_dual(
-                analyzed.ifg, write_problem, placement, max_paths=check_paths)
+                analyzed.ifg, write_problem, placement)
             balanced = not full.by_kind("balance")
             sufficient = min_trip.ok(ignore=("safety", "redundant"))
             accept = balanced and sufficient
             if memo is not None and memo.applies(solver_backend):
                 memo.store_write_verdict(analyzed.ifg, write_problem, view,
-                                         solver_rounds, check_paths, accept)
+                                         solver_rounds, accept)
         if accept:
             return solution, placement
     solution = _solve(analyzed.ifg, write_problem, None, solver_rounds,

@@ -10,9 +10,10 @@
   passes, each equation evaluated exactly once per node.
 * :mod:`repro.core.placement` — EAGER/LAZY production placements in
   program positions.
-* :mod:`repro.core.paths` + :mod:`repro.core.checker` — bounded path
-  enumeration and ground-truth validation of the correctness criteria
-  C1 (balance), C2 (safety), C3 (sufficiency) and optimality O1.
+* :mod:`repro.core.checker` — ground-truth validation of the
+  correctness criteria C1 (balance), C2 (safety), C3 (sufficiency) and
+  optimality O1 over every execution path; :mod:`repro.core.paths`
+  enumerates bounded paths for its path-replay test oracle.
 * :mod:`repro.core.postpass` — shifting production off synthetic nodes
   (§5.4).
 """

@@ -43,10 +43,9 @@ preset bundles.
 
 The memo also caches the **optimistic write verdict**: whether the
 unblocked AFTER solve passed :func:`~repro.core.checker
-.check_placement_dual`.  The checker is the dominant cost of compiling
-jumpy programs, and its verdict is a pure function of the solve key
+.check_placement_dual`.  The verdict is a pure function of the solve key
 (placement is deterministic from graph + problem + solution), so a warm
-delta skips path enumeration entirely.
+delta skips the check entirely.
 """
 
 import hashlib
@@ -59,9 +58,10 @@ from repro.core.problem import Timing
 from repro.core.solution import SHARED_VARIABLES, TIMED_VARIABLES
 from repro.core.solver import DEFAULT_BACKEND, make_view
 
-#: Folded into every key; bump when key composition or payload layout
-#: changes so stale entries miss instead of splicing garbage.
-INCR_SCHEMA = "repro-incremental/1"
+#: Folded into every key; bump when key composition, payload layout or a
+#: cached verdict's meaning changes so stale entries miss instead of
+#: splicing garbage (``/2``: write verdicts are exact over all paths).
+INCR_SCHEMA = "repro-incremental/2"
 
 #: PipelineCache namespace for whole-solve columns and write verdicts.
 SOLVE_NAMESPACE = "interval-solve"
@@ -390,18 +390,16 @@ class IncrementalSolveMemo:
 
     # -- optimistic write verdicts -------------------------------------------
 
-    def _verdict_key(self, ifg, view, problem, operands, max_rounds,
-                     check_paths):
+    def _verdict_key(self, ifg, view, problem, operands, max_rounds):
         solve_key = self._solve_key(ifg, view, problem, operands, max_rounds)
-        return _digest((INCR_SCHEMA, "verdict", solve_key, check_paths))
+        return _digest((INCR_SCHEMA, "verdict", solve_key))
 
-    def write_verdict(self, ifg, problem, view, max_rounds, check_paths):
+    def write_verdict(self, ifg, problem, view, max_rounds):
         """The cached accept/reject verdict of the optimistic write
         check for this exact solve, or ``None`` when unknown."""
         plan = plan_for(view)
         operands = build_operand_columns(plan, problem)
-        key = self._verdict_key(ifg, view, problem, operands, max_rounds,
-                                check_paths)
+        key = self._verdict_key(ifg, view, problem, operands, max_rounds)
         entry = self.cache.get(SOLVE_NAMESPACE, key)
         if isinstance(entry, dict) and "accept" in entry:
             self.stats["verdict_hits"] += 1
@@ -409,10 +407,8 @@ class IncrementalSolveMemo:
         self.stats["verdict_misses"] += 1
         return None
 
-    def store_write_verdict(self, ifg, problem, view, max_rounds,
-                            check_paths, accept):
+    def store_write_verdict(self, ifg, problem, view, max_rounds, accept):
         plan = plan_for(view)
         operands = build_operand_columns(plan, problem)
-        key = self._verdict_key(ifg, view, problem, operands, max_rounds,
-                                check_paths)
+        key = self._verdict_key(ifg, view, problem, operands, max_rounds)
         self.cache.put(SOLVE_NAMESPACE, key, {"accept": bool(accept)})

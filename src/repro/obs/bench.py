@@ -109,7 +109,7 @@ transformation counts, the C1/C3 certification verdict, and whether
 the final machine states are identical.  ``--check`` exits nonzero
 when any row's final state diverges, any overlap makespan exceeds its
 naive makespan, any schedule fails certification, any underlying
-placement fails the path-replay checker, or the geomean speedup over
+placement fails the all-paths checker, or the geomean speedup over
 the latency-bound rows falls under the 1.5x target.
 
 Wall-clock fields end in ``_s`` (speedups are ratios of wall-clock and
@@ -549,7 +549,7 @@ def overlap_bench():
     (``docs/scheduling.md``).
 
     Per scenario the communication pipeline runs once and its read and
-    write placements are re-certified with the path-replay checker;
+    write placements are re-certified with the all-paths checker;
     then each fault variant (clean run first) builds, certifies, and
     runs both schedules through the simulator.  Makespans are simulated
     clock units — fully deterministic, so the gates are exact, not

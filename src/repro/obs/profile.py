@@ -123,8 +123,6 @@ def summarize(payload):
                  if k not in ("category", "name")}
                 if outcome else None
             ),
-            "paths_checked": counters.get("hardened", {}).get(
-                "paths_checked", 0),
         }
 
     machine_events = select("machine")
@@ -253,7 +251,6 @@ def format_profile(payload, events=False):
         for attempt in hardened["attempts"]:
             state = "ok" if attempt["ok"] else f"failed ({attempt['reason']})"
             lines.append(f"hardened rung {attempt['rung']}: {state}")
-        lines.append(f"hardened paths checked: {hardened['paths_checked']}")
 
     if "machine" in summary:
         timeline = summary["machine"]["timeline_counts"]

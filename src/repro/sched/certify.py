@@ -15,7 +15,7 @@ task level, reusing the checker's
   delivered element footprint per (kind, array) is exactly the traced
   one (missing data is a C3 violation; extra data is an O1 redundancy).
 
-The placement-level C1/C3 path replay
+The placement-level C1/C3 check over all paths
 (:func:`~repro.core.checker.check_placement`) still certifies the
 underlying placements; this module certifies what the scheduler did
 *after* them.
@@ -46,7 +46,7 @@ def certify_schedule(schedule):
     def violate(kind, criterion, element, message):
         violations.append(Violation(kind=kind, criterion=criterion,
                                     element=element, node=None,
-                                    message=message, path_index=0))
+                                    message=message))
 
     # C3: the compute spine is preserved, in order
     scheduled_spine = [t.index for t in tasks if t.kind == "compute"]
@@ -160,4 +160,4 @@ def certify_schedule(schedule):
             violate("redundant", "O1", key,
                     f"{count} element(s) {tag} beyond the trace")
 
-    return CheckReport(violations, paths_checked=1)
+    return CheckReport(violations)

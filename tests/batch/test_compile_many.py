@@ -58,6 +58,21 @@ def test_one_bad_program_never_kills_the_corpus():
     assert "1 failed" in result.summary()
 
 
+def test_prepared_snapshots_of_an_older_schema_miss(monkeypatch, tmp_path):
+    """Prepared snapshots written under ``repro-batch-cache/2`` carry
+    optimistic WRITE placements a bounded path sample certified; a
+    cache directory holding them must recompile, not replay them."""
+    import repro.batch.cache as cache_mod
+
+    monkeypatch.setattr(cache_mod, "CACHE_SCHEMA", "repro-batch-cache/2")
+    compile_many(small_corpus(), jobs=1,
+                 cache=PipelineCache(str(tmp_path)))
+    monkeypatch.undo()
+    again = compile_many(small_corpus(), jobs=1,
+                         cache=PipelineCache(str(tmp_path)))
+    assert again.cache_hits == 0
+
+
 def test_cache_hits_on_second_run():
     cache = PipelineCache()
     first = compile_many(small_corpus(), jobs=1, cache=cache)

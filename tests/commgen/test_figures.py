@@ -127,7 +127,7 @@ def test_conservative_after_jumps_mode_stays_balanced():
     from repro.core import check_placement
     result = generate_communication(FIG11_SOURCE, after_jumps="conservative")
     report = check_placement(result.analyzed.ifg, result.write_problem,
-                             result.write_placement, max_paths=200)
+                             result.write_placement)
     assert not report.by_kind("balance"), str(report)
     assert not report.by_kind("sufficiency"), str(report)
 
@@ -140,5 +140,5 @@ def test_pipeline_placements_verify():
         (result.write_problem, result.write_placement),
     ):
         report = check_placement(result.analyzed.ifg, problem, placement,
-                                 max_paths=200, min_trips=1)
+                                 min_trips=1)
         assert report.ok(ignore=("safety", "redundant")), str(report)

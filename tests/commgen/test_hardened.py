@@ -64,11 +64,32 @@ def test_report_structure():
     assert "rung=" in report.summary()
 
 
-def test_truncated_certification_is_reported():
-    hardened = harden_communication(
-        FIG11_SOURCE, budget=ResourceBudget(check_paths=1))
-    assert hardened.report.truncated
-    assert "truncated" in hardened.report.summary()
+def test_certification_rejects_with_a_witness_past_any_visit_cap(
+        monkeypatch):
+    """Generator seed 1's program p101: its optimistic WRITE placement
+    is insufficient only on paths that visit one node four times, past
+    the old checker's three-visit cap.  With the pipeline's own check
+    stubbed to accept it, the hardened certification must still reject
+    the balanced rung and name a witness path in the reason."""
+    import repro.core.checker as checker_mod
+    from repro.core.checker import CheckReport
+    from repro.lang.printer import format_program
+    from repro.testing.generator import ArrayProgramGenerator
+
+    generator = ArrayProgramGenerator(seed=1, max_depth=3,
+                                      goto_probability=0.3)
+    source = [format_program(generator.program(size=30))
+              for _ in range(102)][101]
+    monkeypatch.setattr(checker_mod, "check_placement_dual",
+                        lambda *args: (CheckReport([]), CheckReport([])))
+    hardened = harden_communication(source)
+    assert hardened.rung == "conservative"
+    rejected = hardened.report.attempts[0]
+    assert not rejected.ok
+    assert rejected.reason.startswith("checker: [C3/sufficiency]")
+    assert "(witness: " in rejected.reason
+    assert rejected.checks["write C3"] != "0 violations"
+    assert "witness" in hardened.report.summary()
 
 
 def test_degrades_when_balanced_rung_fails(monkeypatch):
@@ -152,10 +173,10 @@ def test_solver_budget_guard_raises_when_not_converged(fig11,
 
 
 def test_budget_is_recorded_not_global():
-    small = HardenedPipeline(budget=ResourceBudget(check_paths=5))
-    large = HardenedPipeline(budget=ResourceBudget(check_paths=500))
-    assert small.budget.check_paths == 5
-    assert large.budget.check_paths == 500
+    small = HardenedPipeline(budget=ResourceBudget(solver_rounds=8))
+    large = HardenedPipeline(budget=ResourceBudget(solver_rounds=500))
+    assert small.budget.solver_rounds == 8
+    assert large.budget.solver_rounds == 500
     # both certify Figure 11 on the top rung regardless
     assert small.run(FIG11_SOURCE).rung == "balanced"
     assert large.run(FIG11_SOURCE).rung == "balanced"

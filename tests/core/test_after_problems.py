@@ -69,7 +69,7 @@ def test_jump_loop_blocks_region_from_spanning(fig11):
     problem.add_take(fig11.node(3), "y_a")
     solution = solve(fig11.ifg, problem)
     placement = Placement(fig11.ifg, problem, solution)
-    report = check_placement(fig11.ifg, problem, placement, max_paths=300)
+    report = check_placement(fig11.ifg, problem, placement)
     assert report.ok(ignore=("safety", "redundant")), str(report)
 
 
@@ -82,7 +82,7 @@ def test_after_problem_balance_on_all_random_jump_programs():
             continue
         solution = solve(analyzed.ifg, problem)
         placement = Placement(analyzed.ifg, problem, solution)
-        report = check_placement(analyzed.ifg, problem, placement, max_paths=150)
+        report = check_placement(analyzed.ifg, problem, placement)
         assert not report.by_kind("balance"), (seed, str(report))
         assert not report.by_kind("sufficiency") or all(
             True for _ in ()
@@ -107,7 +107,7 @@ def test_figure16_shape_write_problem_is_safe():
     problem.add_take(analyzed.node_named("u ="), "xi")
     solution = solve(analyzed.ifg, problem)
     placement = Placement(analyzed.ifg, problem, solution)
-    report = check_placement(analyzed.ifg, problem, placement, max_paths=200)
+    report = check_placement(analyzed.ifg, problem, placement)
     # The §5.3 blocking forces per-iteration write regions inside the
     # jumped-out-of loop: redundant (O1) but balanced and sufficient.
     assert report.ok(ignore=("safety", "redundant")), str(report)

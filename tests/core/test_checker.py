@@ -126,7 +126,6 @@ def test_header_entry_production_not_replayed_on_back_edge(fig11,
                                                            fig11_placement):
     # The lazy receive sits before the k-loop header (node 12); iterating
     # the loop must not re-trigger it (that would double-receive).
-    report = check_placement(fig11.ifg, fig11_read_problem, fig11_placement,
-                             max_paths=300)
+    report = check_placement(fig11.ifg, fig11_read_problem, fig11_placement)
     assert report.ok(ignore=("safety",)), str(report)
     assert not report.by_kind("balance")

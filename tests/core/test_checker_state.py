@@ -8,7 +8,7 @@ from repro.core.lattice import Universe
 
 @pytest.fixture
 def state():
-    return _State(Universe(["e", "f"]), path_index=0)
+    return _State(Universe(["e", "f"]))
 
 
 def bit(state, element):

@@ -162,12 +162,25 @@ def test_write_verdict_round_trips_through_the_cache():
     analyzed, problem = instance()
     view = make_view(analyzed.ifg, problem.direction)
     memo = IncrementalSolveMemo(PipelineCache())
-    assert memo.write_verdict(analyzed.ifg, problem, view, None,
-                             "optimistic") is None
-    memo.store_write_verdict(analyzed.ifg, problem, view, None,
-                             "optimistic", True)
-    assert memo.write_verdict(analyzed.ifg, problem, view, None,
-                             "optimistic") is True
-    # a different checker mode is a different verdict
-    assert memo.write_verdict(analyzed.ifg, problem, view, None,
-                             "conservative") is None
+    assert memo.write_verdict(analyzed.ifg, problem, view, None) is None
+    memo.store_write_verdict(analyzed.ifg, problem, view, None, True)
+    assert memo.write_verdict(analyzed.ifg, problem, view, None) is True
+    # a different solve (here: its round guard) is a different verdict
+    assert memo.write_verdict(analyzed.ifg, problem, view, 8) is None
+
+
+def test_verdicts_of_an_older_schema_miss_in_a_persisted_cache(
+        monkeypatch, tmp_path):
+    """Verdicts written under ``repro-incremental/1`` were certified on a
+    bounded path sample; a cache directory holding them must not replay
+    them now that verdicts are exact over all paths."""
+    import repro.core.kernel.incremental as incremental
+
+    analyzed, problem = instance()
+    view = make_view(analyzed.ifg, problem.direction)
+    monkeypatch.setattr(incremental, "INCR_SCHEMA", "repro-incremental/1")
+    IncrementalSolveMemo(PipelineCache(str(tmp_path))).store_write_verdict(
+        analyzed.ifg, problem, view, None, True)
+    monkeypatch.undo()
+    memo = IncrementalSolveMemo(PipelineCache(str(tmp_path)))
+    assert memo.write_verdict(analyzed.ifg, problem, view, None) is None

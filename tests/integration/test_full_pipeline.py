@@ -2,7 +2,7 @@
 
 Every program runs through the complete pipeline (parse → graph →
 problems → solve → postpass → annotate), the placements are validated
-with the path-replay checker, and the annotated program is executed on
+with the all-paths checker, and the annotated program is executed on
 the simulator (which itself raises on unmatched receives — a second,
 independent balance check along the executed path).
 """
@@ -103,10 +103,9 @@ def test_pipeline_placements_check_out(name):
         (result.write_problem, result.write_placement),
     ):
         report = check_placement(result.analyzed.ifg, problem, placement,
-                                 max_paths=150, min_trips=1)
+                                 min_trips=1)
         assert report.ok(ignore=("safety", "redundant")), f"{name}: {report}"
-        all_paths = check_placement(result.analyzed.ifg, problem, placement,
-                                    max_paths=150)
+        all_paths = check_placement(result.analyzed.ifg, problem, placement)
         assert not all_paths.by_kind("balance"), f"{name}: {all_paths}"
 
 
@@ -185,6 +184,6 @@ def test_owner_computes_variant_checks_out():
         result = generate_communication(source, owner_computes=True)
         assert "WRITE" not in result.annotated_source(), name
         report = check_placement(result.analyzed.ifg, result.read_problem,
-                                 result.read_placement, max_paths=100,
+                                 result.read_placement,
                                  min_trips=1)
         assert report.ok(ignore=("safety", "redundant")), f"{name}: {report}"

@@ -52,7 +52,10 @@ def test_profile_hardened_records_rung_decisions():
     hardened = payload["summary"]["hardened"]
     assert hardened["result"]["rung"] == "balanced"
     assert hardened["attempts"][0]["ok"] is True
-    assert hardened["paths_checked"] > 0
+    # both problems certified for balance and sufficiency over all paths
+    assert hardened["attempts"][0]["checks"] == {
+        f"{problem} {criterion}": "0 violations"
+        for problem in ("read", "write") for criterion in ("C1", "C3")}
 
 
 def test_profile_simulation_timeline_matches_metrics():

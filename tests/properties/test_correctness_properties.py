@@ -1,11 +1,11 @@
 """Property-based verification of the paper's correctness criteria.
 
 Hypothesis drives the random structured-program generator and random
-problem annotations; the path-replay checker is the oracle.
+problem annotations; the all-paths checker is the oracle.
 
 Guarantees verified (see DESIGN.md for the zero-trip discussion):
 
-* C1 (balance) holds on *all* bounded paths, both directions, both modes;
+* C1 (balance) holds on *all* paths, both directions, both modes;
 * C3 (sufficiency) holds on all paths where entered loops run >= 1 trip
   in default mode, and on *all* paths in strict mode;
 * C2 (safety) violations only ever occur as zero-trip overproduction in
@@ -45,7 +45,7 @@ def build(seed, problem_seed, direction, hoist, trust):
 @given(program_seeds, problem_seeds, directions)
 def test_default_mode_balance_on_all_paths(seed, problem_seed, direction):
     analyzed, problem, placement = build(seed, problem_seed, direction, True, True)
-    report = check_placement(analyzed.ifg, problem, placement, max_paths=100)
+    report = check_placement(analyzed.ifg, problem, placement)
     assert not report.by_kind("balance"), str(report)
 
 
@@ -53,8 +53,7 @@ def test_default_mode_balance_on_all_paths(seed, problem_seed, direction):
 @given(program_seeds, problem_seeds, directions)
 def test_default_mode_sufficiency_on_executed_loops(seed, problem_seed, direction):
     analyzed, problem, placement = build(seed, problem_seed, direction, True, True)
-    report = check_placement(analyzed.ifg, problem, placement, max_paths=100,
-                             min_trips=1)
+    report = check_placement(analyzed.ifg, problem, placement, min_trips=1)
     assert not report.by_kind("sufficiency"), str(report)
     assert not report.by_kind("safety"), str(report)
 
@@ -63,7 +62,7 @@ def test_default_mode_sufficiency_on_executed_loops(seed, problem_seed, directio
 @given(program_seeds, problem_seeds, directions)
 def test_strict_mode_all_criteria_on_all_paths(seed, problem_seed, direction):
     analyzed, problem, placement = build(seed, problem_seed, direction, False, False)
-    report = check_placement(analyzed.ifg, problem, placement, max_paths=100)
+    report = check_placement(analyzed.ifg, problem, placement)
     assert not report.by_kind("balance"), str(report)
     assert not report.by_kind("sufficiency"), str(report)
     assert not report.by_kind("safety"), str(report)
@@ -76,9 +75,9 @@ def test_postpass_preserves_all_criteria(seed, problem_seed):
 
     analyzed, problem, placement = build(seed, problem_seed, Direction.BEFORE,
                                          True, True)
-    before = check_placement(analyzed.ifg, problem, placement, max_paths=80)
+    before = check_placement(analyzed.ifg, problem, placement)
     shift_synthetic_productions(placement)
-    after = check_placement(analyzed.ifg, problem, placement, max_paths=80)
+    after = check_placement(analyzed.ifg, problem, placement)
     for kind in ("balance", "sufficiency"):
         assert len(after.by_kind(kind)) == len(before.by_kind(kind))
 
@@ -94,8 +93,7 @@ def test_pressure_capping_preserves_correctness(seed, problem_seed, max_span):
     if not problem.annotated_nodes():
         return
     _, placement, _ = limit_production_span(analyzed.ifg, problem, max_span)
-    report = check_placement(analyzed.ifg, problem, placement, max_paths=80,
-                             min_trips=1)
+    report = check_placement(analyzed.ifg, problem, placement, min_trips=1)
     hard = [v for v in report.violations
             if v.kind not in ("safety", "redundant")]
     assert not hard, str(report)

@@ -1,6 +1,6 @@
 """Pipeline-level fuzzing: random array programs through all three
 applications (communication, prefetching, register promotion), validated
-by the path-replay checker and executed on the simulator (whose
+by the all-paths checker and executed on the simulator (whose
 receive-matching is an independent balance check)."""
 
 import pytest
@@ -28,12 +28,12 @@ def program_source(seed):
 def assert_placements_ok(result, pairs):
     for problem, placement in pairs:
         report = check_placement(result.analyzed.ifg, problem, placement,
-                                 max_paths=100, min_trips=1)
+                                 min_trips=1)
         hard = [v for v in report.violations
                 if v.kind not in ("safety", "redundant")]
         assert not hard, str(report)
-        balance = check_placement(result.analyzed.ifg, problem, placement,
-                                  max_paths=100).by_kind("balance")
+        balance = check_placement(result.analyzed.ifg, problem,
+                                  placement).by_kind("balance")
         assert not balance
 
 
