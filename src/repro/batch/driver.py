@@ -36,6 +36,7 @@ from repro.batch.cache import PipelineCache, source_fingerprint
 from repro.commgen.hardened import HardenedPipeline, ResourceBudget
 from repro.commgen.pipeline import annotate_prepared, prepare_communication
 from repro.core.kernel.incremental import IncrementalSolveMemo
+from repro.core.solver import check_backend
 from repro.graph.pipeline import analyzed_program_for
 from repro.lang.printer import format_statement
 from repro.obs.collector import TraceCollector, tracing
@@ -83,9 +84,9 @@ class BatchOptions:
     """Knobs of one batch run (picklable, shipped to pool workers).
 
     ``pipeline`` holds :func:`~repro.commgen.pipeline.
-    prepare_communication` keyword overrides; unknown keys are rejected
-    eagerly so typos fail fast rather than silently compiling with
-    defaults."""
+    prepare_communication` keyword overrides; unknown keys and unknown
+    solver backends are rejected eagerly so typos fail fast rather than
+    silently compiling with defaults."""
 
     split_messages: bool = True
     hardened: bool = False
@@ -96,6 +97,7 @@ class BatchOptions:
         unknown = set(self.pipeline) - set(PREPARE_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown pipeline option(s): {sorted(unknown)}")
+        check_backend(self.pipeline.get("solver_backend"))
 
     def prepare_kwargs(self):
         merged = dict(PREPARE_DEFAULTS)

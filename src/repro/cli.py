@@ -77,6 +77,7 @@ from repro.commgen import (
     generate_communication,
     naive_communication,
 )
+from repro.core.solver import BACKENDS
 from repro.graph.dot import interval_graph_to_dot
 from repro.machine import (
     ConditionPolicy,
@@ -310,12 +311,10 @@ def build_parser():
 
 def add_solver_backend_argument(parser):
     parser.add_argument("--solver-backend",
-                        choices=["planned", "vector", "reference"],
+                        choices=BACKENDS,
                         default=None, metavar="BACKEND",
                         help="solver kernel: 'planned' (compiled "
-                             "schedules, the default), 'vector' "
-                             "(level-batched bit-matrix kernels, "
-                             "word-parallel with NumPy) or 'reference' "
+                             "schedules, the default) or 'reference' "
                              "(per-equation oracle); see docs/scaling.md")
 
 

@@ -23,13 +23,10 @@ Irreducible graphs do not raise
 Which rung was chosen and *why* every higher rung was rejected is
 returned as a structured :class:`DegradationReport`.
 
-The solver backend is part of the ladder too: a solver rung that fails
-under the (default) planned kernel is retried once with the
-``"reference"`` backend before the pipeline steps down a rung — and a
-rung running the ``"vector"`` kernel steps through ``"planned"`` first,
-then ``"reference"``.  The backends are bit-identical by contract, so
-the retries are pure defense in depth against a kernel-layer fault, and
-every :class:`RungAttempt` records which backend produced it.
+Every rung runs once, on the configured solver backend.  The backends
+are bit-identical by contract, so retrying a rung on another backend
+could only hide a kernel bug: a kernel fault fails the rung with its
+reason, like any other solver error, and the ladder steps down.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +35,7 @@ from typing import Optional
 from repro.commgen.naive import naive_communication
 from repro.commgen.pipeline import generate_communication
 from repro.core.checker import check_placement_dual
-from repro.core.solver import DEFAULT_BACKEND
+from repro.core.solver import DEFAULT_BACKEND, check_backend
 from repro.lang.printer import format_program
 from repro.obs.collector import current_collector
 from repro.util.errors import IrreducibleGraphError, ReproError
@@ -70,16 +67,10 @@ class RungAttempt:
     reason: Optional[str] = None
     #: checker summaries per (problem, criterion), e.g. "read C1"
     checks: dict = field(default_factory=dict)
-    #: solver backend this attempt ran with (None for the naive rung,
-    #: which never invokes the solver)
-    backend: Optional[str] = None
 
     def __str__(self):
         state = "ok" if self.ok else f"failed: {self.reason}"
-        rung = self.rung
-        if self.backend and self.backend != DEFAULT_BACKEND:
-            rung = f"{rung}[{self.backend}]"
-        return f"{rung}: {state}"
+        return f"{self.rung}: {state}"
 
 
 @dataclass
@@ -111,7 +102,7 @@ class DegradationReport:
             "splits": list(self.splits),
             "attempts": [
                 {"rung": a.rung, "ok": a.ok, "reason": a.reason,
-                 "backend": a.backend, "checks": dict(a.checks)}
+                 "checks": dict(a.checks)}
                 for a in self.attempts
             ],
         }
@@ -156,11 +147,11 @@ class HardenedPipeline:
 
     def __init__(self, budget=None, owner_computes=False,
                  split_messages=True, solver_backend=None):
+        check_backend(solver_backend)
         self.budget = budget if budget is not None else ResourceBudget()
         self.owner_computes = owner_computes
         self.split_messages = split_messages
-        #: primary solver backend (None = the solver default); a solver
-        #: rung that fails with it is retried once with "reference"
+        #: solver backend every solver rung runs on (None = the default)
         self.solver_backend = solver_backend
 
     def run(self, source):
@@ -176,63 +167,45 @@ class HardenedPipeline:
         text = source if isinstance(source, str) else format_program(source)
         report = DegradationReport(rung=RUNGS[-1], reason=None)
 
-        primary = (self.solver_backend if self.solver_backend is not None
-                   else DEFAULT_BACKEND)
         for rung in RUNGS:
-            if rung == "naive":
-                # No solver below this rung — backend is irrelevant.
-                backends = (None,)
-            elif primary == "vector":
-                # Extra degradation steps: the vector kernel falls back
-                # to the planned kernel, then to the reference solver,
-                # before giving the rung up.
-                backends = ("vector", "planned", "reference")
-            elif primary != "reference":
-                # Extra degradation step: retry the same rung on the
-                # reference solver before giving the rung up.
-                backends = (primary, "reference")
-            else:
-                backends = (primary,)
-            for backend in backends:
-                attempt, result = self._attempt(rung, text, report, backend)
-                report.attempts.append(attempt)
+            attempt, result = self._attempt(rung, text, report)
+            report.attempts.append(attempt)
+            if obs.enabled:
+                obs.event("hardened", "rung_attempt", rung=attempt.rung,
+                          ok=attempt.ok, reason=attempt.reason,
+                          checks=dict(attempt.checks))
+                obs.count("hardened", "rung_attempts")
+            if attempt.ok:
+                report.rung = rung
+                if rung != RUNGS[0]:
+                    failed = report.attempts[0]
+                    report.reason = (f"{failed.rung} rejected: "
+                                     f"{failed.reason}")
                 if obs.enabled:
-                    obs.event("hardened", "rung_attempt", rung=attempt.rung,
-                              ok=attempt.ok, reason=attempt.reason,
-                              backend=attempt.backend,
-                              checks=dict(attempt.checks))
-                    obs.count("hardened", "rung_attempts")
-                if attempt.ok:
-                    report.rung = rung
-                    if rung != RUNGS[0]:
-                        failed = report.attempts[0]
-                        report.reason = (f"{failed.rung} rejected: "
-                                         f"{failed.reason}")
-                    if obs.enabled:
-                        obs.event("hardened", "result", rung=report.rung,
-                                  degraded=report.degraded,
-                                  reason=report.reason,
-                                  backend=attempt.backend,
-                                  split_irreducible=report.split_irreducible,
-                                  splits=len(report.splits),
-                                  budget_solver_rounds=self.budget.solver_rounds)
-                    return HardenedResult(result, report)
+                    obs.event("hardened", "result", rung=report.rung,
+                              degraded=report.degraded,
+                              reason=report.reason,
+                              backend=self.solver_backend or DEFAULT_BACKEND,
+                              split_irreducible=report.split_irreducible,
+                              splits=len(report.splits),
+                              budget_solver_rounds=self.budget.solver_rounds)
+                return HardenedResult(result, report)
         # Unreachable: the naive rung accepts whatever the frontend
         # accepted, and frontend errors were re-raised in _attempt.
         raise AssertionError("degradation ladder exhausted")
 
     # -- rungs ---------------------------------------------------------------
 
-    def _attempt(self, rung, text, report, backend=None):
-        attempt = RungAttempt(rung=rung, ok=False, backend=backend)
+    def _attempt(self, rung, text, report):
+        attempt = RungAttempt(rung=rung, ok=False)
         try:
-            result = self._build(rung, text, report, backend)
+            result = self._build(rung, text, report)
         except IrreducibleGraphError:
             # First contact with irreducible flow: repair and retry the
             # same rung with splitting enabled (recorded on the report).
             report.split_irreducible = True
             try:
-                result = self._build(rung, text, report, backend)
+                result = self._build(rung, text, report)
             except ReproError as error:
                 attempt.reason = f"{type(error).__name__}: {error}"
                 return attempt, None
@@ -244,7 +217,7 @@ class HardenedPipeline:
         attempt.ok = self._certify(rung, result, attempt)
         return attempt, result if attempt.ok else None
 
-    def _build(self, rung, text, report, backend=None):
+    def _build(self, rung, text, report):
         budget = self.budget
         if rung == "naive":
             return naive_communication(
@@ -261,7 +234,7 @@ class HardenedPipeline:
             split_irreducible=report.split_irreducible,
             max_splits=budget.max_splits,
             solver_rounds=budget.solver_rounds,
-            solver_backend=backend,
+            solver_backend=self.solver_backend,
         )
         if report.split_irreducible and not report.splits:
             report.splits = [

@@ -212,10 +212,8 @@ def generate_communication(source, owner_computes=False, split_messages=True,
     * ``solver_rounds`` — iteration guard on the solver's backward
       consumption fixpoint (see :func:`repro.core.solver.solve`);
     * ``solver_backend`` — ``"planned"`` (compiled schedules, the
-      default), ``"vector"`` (level-batched bit-matrix kernels,
-      word-parallel when NumPy is available) or ``"reference"`` (the
-      original per-equation solver); all bit-identical
-      (``docs/scaling.md``).
+      default) or ``"reference"`` (the original per-equation solver);
+      bit-identical (``docs/scaling.md``).
     """
     prepared = prepare_communication(
         source,
@@ -236,8 +234,7 @@ def _solve(ifg, problem, view, solver_rounds, solver_backend, memo):
     """One solve, replayed through ``memo`` when it applies to the
     requested backend (the reference oracle always computes fresh)."""
     if memo is not None and memo.applies(solver_backend):
-        return memo.solve(ifg, problem, view=view, max_rounds=solver_rounds,
-                          backend=solver_backend)
+        return memo.solve(ifg, problem, view=view, max_rounds=solver_rounds)
     return solve(ifg, problem, view=view, max_rounds=solver_rounds,
                  backend=solver_backend)
 

@@ -53,7 +53,6 @@ import hashlib
 from repro.core.kernel.plan import plan_for
 from repro.core.kernel.planned import PlannedSolver, build_operand_columns
 from repro.core.kernel.slots import SlotSolution
-from repro.core.kernel.vector import VectorSolver
 from repro.core.problem import Timing
 from repro.core.solution import SHARED_VARIABLES, TIMED_VARIABLES
 from repro.core.solver import DEFAULT_BACKEND, make_view
@@ -181,14 +180,9 @@ class IncrementalSolveMemo:
     and optimistic write verdicts through a ``PipelineCache``.
 
     One memo instance accompanies one compile; its :attr:`stats` dict is
-    surfaced as the ``incremental`` block of the compile result.  The
-    ``"planned"`` and ``"vector"`` kernels are memoized — they are
-    bit-identical by contract, so they share one key space: a solve
-    cached under either backend replays for both, and fragment splices
-    round-trip through the vector backend's matrix columns bit for bit
-    (``list()`` on store, slot assignment on splice).  The reference
-    backend is the differential oracle and must keep computing from
-    scratch.
+    surfaced as the ``incremental`` block of the compile result.  Only
+    the ``"planned"`` kernel is memoized; the reference backend is the
+    differential oracle and must keep computing from scratch.
     """
 
     def __init__(self, cache):
@@ -207,7 +201,7 @@ class IncrementalSolveMemo:
 
     @staticmethod
     def applies(backend):
-        return (backend or DEFAULT_BACKEND) in ("planned", "vector")
+        return (backend or DEFAULT_BACKEND) == "planned"
 
     # -- keying --------------------------------------------------------------
 
@@ -244,11 +238,9 @@ class IncrementalSolveMemo:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(self, ifg, problem, view=None, max_rounds=None, backend=None):
-        """Solve ``problem`` on ``ifg`` with the planned (default) or
-        vector kernel, replaying cached whole solves and interval
-        fragments.  Replays always rebuild the list-engine column store
-        — the backends are bit-identical, so a replay serves either."""
+    def solve(self, ifg, problem, view=None, max_rounds=None):
+        """Solve ``problem`` on ``ifg`` with the planned kernel,
+        replaying cached whole solves and interval fragments."""
         if view is None:
             view = make_view(ifg, problem.direction)
         plan = plan_for(view)
@@ -262,11 +254,8 @@ class IncrementalSolveMemo:
             return solution
         self.stats["whole_misses"] += 1
         preset, covered = self._probe_fragments(view, plan, problem, operands)
-        solver_cls = (VectorSolver if (backend or DEFAULT_BACKEND) == "vector"
-                      else PlannedSolver)
-        solver = solver_cls(view, problem, max_rounds=max_rounds,
-                            plan=plan, preset=preset)
-        solution = solver.run()
+        solution = PlannedSolver(view, problem, max_rounds=max_rounds,
+                                 plan=plan, preset=preset).run()
         self._store(key, solution, view, plan, problem, operands, covered)
         return solution
 

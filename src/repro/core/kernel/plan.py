@@ -155,25 +155,6 @@ class SolverPlan:
         ))
 
 
-    def unit_sequence(self):
-        """The S1/S2 sweep at *unit* granularity: ``("loc", c)`` /
-        ``("core", s)`` pairs in exact evaluation order (descending
-        bundle slot; within a bundle, Eqs 9/10 for each child in FORWARD
-        order, then Eqs 1–8 for the node).  This is the sequential order
-        every backend's sweep must be state-equivalent to; the vector
-        backend's level scheduler consumes it as the rank order.
-        Cached on the plan."""
-        cached = self.__dict__.get("_unit_sequence")
-        if cached is None:
-            sequence = []
-            for s in range(self.n - 1, -1, -1):
-                for c in self.children[s]:
-                    sequence.append(("loc", c))
-                sequence.append(("core", s))
-            cached = self.__dict__["_unit_sequence"] = tuple(sequence)
-        return cached
-
-
 def plan_for(view):
     """The (cached) :class:`SolverPlan` for ``view``.
 

@@ -62,89 +62,11 @@ def build_operand_columns(plan, problem):
     return take0, give0, steal0
 
 
-def loc_values(plan, cols, c):
-    """Equations 9/10 for child slot ``c`` against the stored state:
-    the new ``(GIVE_loc, STEAL_loc)`` pair, computed without writing.
-
-    ``cols`` is the ten shared columns in ``SHARED_VARIABLES`` order —
-    any slot-indexed sequences (list columns or matrix column views), so
-    the planned probe, the vector backend's scalar engine and its
-    convergence probe all share one definition of the equations."""
-    ST, GV, _BL, _TO, TK, _TI, _BLl, _TKl, GVl, STl = cols
-    preds = plan.preds_loc[c]
-    if preds:
-        acc = GVl[preds[0]]
-        for p in preds[1:]:
-            acc &= GVl[p]
-    else:
-        acc = 0
-    gvl = (GV[c] | TK[c] | acc) & ~ST[c]
-    stl = ST[c]
-    for p in preds:
-        stl |= STl[p] & ~GVl[p]
-    for p in plan.preds_syn[c]:
-        stl |= STl[p]
-    return gvl, stl
-
-
-def core_values(plan, operands, trust, cols, s):
-    """Equations 1–8 for slot ``s``: the new eight-tuple in equation
-    order, with in-unit propagation (each equation sees the earlier
-    ones' new values, the reference ``put`` behavior), without writing.
-
-    ``operands`` is ``(take0, give0, steal0)`` from
-    :func:`build_operand_columns`."""
-    take0, give0, steal0 = operands
-    ST, GV, BL, TO, TK, TI, BLl, TKl, GVl, STl = cols
-    lc = plan.lastchild[s]
-    # Eq 1: STEAL
-    st = steal0[s]
-    if lc >= 0:
-        st |= STl[lc]
-    # Eq 2: GIVE
-    gv = give0[s]
-    if trust and lc >= 0:
-        gv |= GVl[lc]
-    # Eq 3: BLOCK
-    entry = plan.succs_e[s]
-    bl = st | gv
-    for e in entry:
-        bl |= BLl[e]
-    # Eq 4: TAKEN_out (meet over FJS successors; empty meet = ⊥)
-    fjs = plan.succs_fjs[s]
-    if fjs:
-        to = TI[fjs[0]]
-        for t in fjs[1:]:
-            to &= TI[t]
-    else:
-        to = 0
-    # Eq 5: TAKE
-    tk = take0[s]
-    guaranteed = 0
-    possible = 0
-    for e in entry:
-        guaranteed |= TI[e]
-        possible |= TKl[e]
-    tk |= guaranteed & ~st
-    tk |= (to & possible) & ~bl
-    # Eq 6: TAKEN_in
-    ti = tk | (to & ~bl)
-    # Eq 7: BLOCK_loc
-    bll = bl
-    for t in plan.succs_f[s]:
-        bll |= BLl[t]
-    bll &= ~tk
-    # Eq 8: TAKE_loc
-    acc = 0
-    for t in plan.succs_ef[s]:
-        acc |= TKl[t]
-    tkl = tk | (acc & ~bl)
-    return st, gv, bl, to, tk, ti, bll, tkl
-
-
 def loc_stale(plan, cols, c):
     """Whether Eq 9 or 10 of child ``c``, recomputed against the stored
-    state, would change its stored value (first mismatch wins)."""
+    state, would change its stored value (first mismatch wins).
+
+    ``cols`` is the ten shared columns in ``SHARED_VARIABLES`` order."""
     ST, GV, _BL, _TO, TK, _TI, _BLl, _TKl, GVl, STl = cols
     preds = plan.preds_loc[c]
     if preds:
@@ -166,7 +88,10 @@ def loc_stale(plan, cols, c):
 def core_stale(plan, operands, trust, cols, s):
     """Whether any of Eqs 1–8 of slot ``s``, recomputed against the
     stored state (no in-unit propagation — the reference convergence
-    probe's semantics), would change its stored value."""
+    probe's semantics), would change its stored value.
+
+    ``operands`` is ``(take0, give0, steal0)`` from
+    :func:`build_operand_columns`."""
     take0, give0, steal0 = operands
     ST, GV, BL, TO, TK, TI, BLl, TKl, GVl, STl = cols
     lc = plan.lastchild[s]
@@ -470,7 +395,7 @@ class PlannedSolver:
         """Whether re-evaluating bundle ``s`` would change anything —
         computed without writing (the reference convergence probe's
         semantics: every equation checked against the stored state,
-        first mismatch wins), via the shared scalar unit kernels."""
+        first mismatch wins)."""
         plan = self.plan
         cols = (self._ST, self._GV, self._BL, self._TO, self._TK,
                 self._TI, self._BLl, self._TKl, self._GVl, self._STl)

@@ -1,24 +1,12 @@
-"""Slot-indexed solution storage for the kernel backends.
+"""Slot-indexed solution storage for the planned solver.
 
 A :class:`SlotSolution` stores each of the fifteen variables as one
-slot-indexed bitset column instead of the reference
+slot-indexed ``list[int]`` bitset column instead of the reference
 :class:`~repro.core.solution.Solution`'s dict-of-dicts.  The public API
 (``bits`` / ``set_bits`` / ``elements`` / ``nodes_with`` /
 ``format_node``) is identical, so placements, reports and tests consume
-either interchangeably; the kernel solvers additionally grab whole
-columns via :meth:`column` and index them by slot directly.
-
-Two storage engines back the same API:
-
-* ``"list"`` — one ``list[int]`` per variable (the planned backend's
-  hot path: plain C-speed list indexing);
-* ``"numpy"`` — one struct-of-arrays *bit matrix* per variable group
-  (``repro.core.kernel.bitmatrix``): the ten shared variables as a
-  ``(10, slots, words)`` ``uint64`` tensor and the five timed variables
-  as a ``(5, slots, words)`` tensor per timing, with :meth:`column`
-  returning a :class:`~repro.core.kernel.bitmatrix.NumpyColumn` view —
-  same values bit for bit, but the vector backend can run word-wide
-  operations across whole interval levels of the tensor at once.
+either interchangeably; the planned solver additionally grabs whole
+columns via :meth:`column` and indexes them by slot directly.
 
 Contract notes shared by *all* solution stores (reference included):
 
@@ -32,58 +20,24 @@ Contract notes shared by *all* solution stores (reference included):
   reports and placements render identically regardless of backend.
 """
 
-from repro.core.kernel import bitmatrix
-from repro.core.kernel.bitmatrix import NumpyColumn
 from repro.core.problem import Timing
 from repro.core.solution import SHARED_VARIABLES, TIMED_VARIABLES
-
-#: Tensor row index of each shared (S1/S2) variable, in equation order.
-SHARED_INDEX = {name: i for i, name in enumerate(SHARED_VARIABLES)}
-
-#: Tensor row index of each timed (S3/S4) variable.
-TIMED_INDEX = {name: i for i, name in enumerate(TIMED_VARIABLES)}
 
 
 class SlotSolution:
     """All dataflow variables of one solved instance, as slot columns."""
 
-    def __init__(self, problem, view, plan, engine="list"):
+    def __init__(self, problem, view, plan):
         self.problem = problem
         self.view = view
         self.plan = plan
-        self.engine = engine
         n = plan.n
         self._extra = {}
-        if engine == "numpy":
-            np = bitmatrix.numpy()
-            if np is None:
-                raise ValueError(
-                    "numpy storage engine requested but NumPy is "
-                    "unavailable (install the 'kernels' extra)")
-            words = bitmatrix.words_for(len(problem.universe))
-            self.words = words
-            self.shared_tensor = np.zeros((len(SHARED_VARIABLES), n, words),
-                                          dtype=np.uint64)
-            self.timed_tensor = {
-                timing: np.zeros((len(TIMED_VARIABLES), n, words),
-                                 dtype=np.uint64)
-                for timing in Timing
-            }
-            self._shared = {
-                name: NumpyColumn(self.shared_tensor[i])
-                for name, i in SHARED_INDEX.items()
-            }
-            self._timed = {
-                timing: {name: NumpyColumn(self.timed_tensor[timing][i])
-                         for name, i in TIMED_INDEX.items()}
-                for timing in Timing
-            }
-        else:
-            self._shared = {name: [0] * n for name in SHARED_VARIABLES}
-            self._timed = {
-                timing: {name: [0] * n for name in TIMED_VARIABLES}
-                for timing in Timing
-            }
+        self._shared = {name: [0] * n for name in SHARED_VARIABLES}
+        self._timed = {
+            timing: {name: [0] * n for name in TIMED_VARIABLES}
+            for timing in Timing
+        }
 
     def _store(self, name, timing):
         if name in self._shared:

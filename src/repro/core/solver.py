@@ -29,7 +29,6 @@ hot path only pays an ``is None`` test per equation.
 
 from repro.core import equations as eq
 from repro.core.kernel.planned import PlannedSolver
-from repro.core.kernel.vector import VectorSolver
 from repro.core.problem import Direction, Timing
 from repro.core.solution import Solution
 from repro.graph.views import cached_view
@@ -38,13 +37,20 @@ from repro.util.errors import SolverBudgetError, SolverError
 
 #: Backend :func:`solve` uses when none is requested.  ``"planned"``
 #: runs the compiled-schedule kernel (``repro.core.kernel``);
-#: ``"vector"`` the level-batched bit-matrix kernel (word-parallel with
-#: NumPy, scalar fallback without); ``"reference"`` runs
-#: :class:`GiveNTakeSolver`, the differential oracle.  All three are
-#: bit-identical for all fifteen variables.
+#: ``"reference"`` runs :class:`GiveNTakeSolver`, the differential
+#: oracle.  Both are bit-identical for all fifteen variables.
 DEFAULT_BACKEND = "planned"
 
-BACKENDS = ("planned", "vector", "reference")
+BACKENDS = ("planned", "reference")
+
+
+def check_backend(backend):
+    """Raise :class:`ValueError` unless ``backend`` is ``None`` (the
+    default) or one of :data:`BACKENDS` — for entry points that take a
+    backend name from outside (service options, the hardened ladder)."""
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(f"unknown solver backend {backend!r} "
+                         f"(expected one of {', '.join(BACKENDS)})")
 
 
 class GiveNTakeSolver:
@@ -295,8 +301,6 @@ def solve(ifg, problem, view=None, max_rounds=None, backend=None):
         backend = DEFAULT_BACKEND
     if backend == "planned":
         return PlannedSolver(view, problem, max_rounds=max_rounds).run()
-    if backend == "vector":
-        return VectorSolver(view, problem, max_rounds=max_rounds).run()
     if backend == "reference":
         return GiveNTakeSolver(view, problem, max_rounds=max_rounds).run()
     raise SolverError(f"unknown solver backend {backend!r}")

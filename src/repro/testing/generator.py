@@ -184,37 +184,6 @@ def random_array_program(seed, size=12, max_depth=3, goto_probability=0.2):
     return AnalyzedProgram(generator.program(size))
 
 
-def wide_analyzed_program(seed, loops=70, body=70):
-    """A *wide, shallow* program: ``loops`` independent top-level DO
-    loops of ``body`` straight-line statements each, separated by one
-    scalar statement.
-
-    The random generator produces narrow programs whose dependency
-    depth grows with program length — every solver necessarily
-    serializes on them.  This shape instead keeps the interval tree two
-    levels deep, so the S1/S2 dependency structure stays wide: whole
-    loop bodies are mutually independent, which is the regime the
-    vector backend's level batching is built for (and the shape of real
-    numerical codes: many independent loop nests).  ``seed`` only
-    varies the problem generated *on* the program; the structure is
-    deterministic in ``(loops, body)``.
-    """
-    del seed  # structure is deterministic; kept for API symmetry
-    counter = 0
-    statements = []
-    for _ in range(loops):
-        inner = []
-        for _ in range(body):
-            counter += 1
-            inner.append(ast.Assign(ast.Var(f"v{counter}"), ast.Opaque()))
-        counter += 1
-        statements.append(ast.Do(f"i{counter}", ast.Num(1), ast.Var("n"),
-                                 ast.Num(1), inner))
-        counter += 1
-        statements.append(ast.Assign(ast.Var(f"v{counter}"), ast.Opaque()))
-    return AnalyzedProgram(ast.Program(statements))
-
-
 def random_problem(analyzed, seed=0, n_elements=3, direction=Direction.BEFORE,
                    take_probability=0.3, steal_probability=0.15,
                    give_probability=0.1):

@@ -1,15 +1,13 @@
-"""Planned and vector backends ≡ reference backend, bit for bit.
+"""Planned backend ≡ reference backend, bit for bit.
 
-The compiled kernels re-derive the whole solve — schedules, operand
-bitsets, the sparse backward fixpoint — so their contract is blunt: for
-every program, problem, direction and timing they must produce
-*exactly* the reference solver's solution, which in turn equals the
-chaotic fixpoint (``test_reference_solver.py``).  Hypothesis drives
-jump-heavy and nested zero-trip shapes through all three backends (the
-vector backend through both its scalar and, when NumPy is present, its
-word-parallel matrix engine); the Figure 16 after-jumps shape gets a
-dedicated sparse-fixpoint regression and a per-backend budget-parity
-sweep.
+The planned kernel re-derives the whole solve — schedules, operand
+bitsets, the sparse backward fixpoint — so its contract is blunt: for
+every program, problem, direction and timing it must produce *exactly*
+the reference solver's solution, which in turn equals the chaotic
+fixpoint (``test_reference_solver.py``).  Hypothesis drives jump-heavy
+and nested zero-trip shapes through both backends; the Figure 16
+after-jumps shape gets a dedicated sparse-fixpoint regression and a
+budget-parity sweep.
 """
 
 import pytest
@@ -35,27 +33,13 @@ problem_seeds = st.integers(min_value=0, max_value=10_000)
 
 
 def assert_backends_agree(ifg, problem):
-    from repro.core.kernel import bitmatrix
-    from repro.core.kernel.vector import VectorSolver
-
     view = make_view(ifg, problem.direction)
     planned = solve(ifg, problem, view=view, backend="planned")
     reference = solve(ifg, problem, view=view, backend="reference")
     nodes = view.nodes_preorder()
     assert solutions_equal(planned, reference, nodes), differences(
         planned, reference, nodes)[:10]
-    # The vector backend, through whatever engine it auto-selects ...
-    vector = solve(ifg, problem, view=view, backend="vector")
-    assert solutions_equal(vector, reference, nodes), differences(
-        vector, reference, nodes)[:10]
-    # ... and through the word-parallel matrix engine explicitly (the
-    # auto pick runs small instances on the scalar engine, which would
-    # otherwise leave the matrix kernels out of the sweep entirely).
-    if bitmatrix.numpy() is not None:
-        matrix = VectorSolver(view, problem, engine="numpy").run()
-        assert solutions_equal(matrix, reference, nodes), differences(
-            matrix, reference, nodes)[:10]
-    # ... and all of them equal the chaotic-iteration fixpoint.
+    # Both equal the chaotic-iteration fixpoint.
     fixpoint = solve_iterative(ifg, problem, view=view)
     assert solutions_equal(planned, fixpoint, nodes), differences(
         planned, fixpoint, nodes)[:10]
@@ -156,11 +140,11 @@ def test_figure16_sparse_fixpoint_converges_and_matches_reference():
     assert planned_run["rounds"] == reference_run["rounds"]
 
 
-@pytest.mark.parametrize("backend", ["planned", "vector"])
+@pytest.mark.parametrize("backend", ["planned"])
 @pytest.mark.parametrize("max_rounds", [0, 1, 2])
 def test_figure16_budget_outcomes_match_reference(backend, max_rounds):
     """Whatever a round budget does to the reference solver — succeed,
-    or raise with a message — the compiled backends do identically."""
+    or raise with a message — the planned backend does identically."""
     from repro.util.errors import SolverBudgetError
 
     sketch, problem, view = figure16_instance()

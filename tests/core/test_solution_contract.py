@@ -1,8 +1,8 @@
 """The cross-backend solution-store contract (API-drift regressions).
 
-The reference :class:`~repro.core.solution.Solution` and the kernel
-backends' :class:`~repro.core.kernel.slots.SlotSolution` (both storage
-engines) must stay drop-in interchangeable.  Two behaviors drifted once
+The reference :class:`~repro.core.solution.Solution` and the planned
+backend's :class:`~repro.core.kernel.slots.SlotSolution` must stay
+drop-in interchangeable.  Two behaviors drifted once
 and are pinned here:
 
 * ``set_bits`` accepts *any* node — ``SlotSolution`` used to raise a
@@ -16,7 +16,6 @@ and are pinned here:
 
 import pytest
 
-from repro.core.kernel import bitmatrix
 from repro.core.kernel.plan import plan_for
 from repro.core.kernel.slots import SlotSolution
 from repro.core.problem import Direction, Timing
@@ -25,7 +24,7 @@ from repro.core.solver import make_view, solve
 from repro.graph.cfg import Node, NodeKind
 from repro.testing.generator import random_analyzed_program, random_problem
 
-BACKENDS = ["reference", "planned", "vector"]
+BACKENDS = ["reference", "planned"]
 
 
 def instance(seed=5):
@@ -40,8 +39,6 @@ def all_stores():
     analyzed, problem, view = instance()
     plan = plan_for(view)
     stores = [Solution(problem, view), SlotSolution(problem, view, plan)]
-    if bitmatrix.numpy() is not None:
-        stores.append(SlotSolution(problem, view, plan, engine="numpy"))
     return analyzed, problem, view, stores
 
 
@@ -85,10 +82,9 @@ def test_nodes_with_identical_across_backends():
                  for backend in BACKENDS}
     for element in problem.universe:
         for name in ("TAKE", "GIVE", "STEAL", "TAKE_loc", "GIVE_loc"):
-            expected = solutions["reference"].nodes_with(name, element)
-            for backend in ("planned", "vector"):
-                assert (solutions[backend].nodes_with(name, element)
-                        == expected), (backend, name, element)
+            assert (solutions["planned"].nodes_with(name, element)
+                    == solutions["reference"].nodes_with(name, element)), (
+                name, element)
 
 
 def test_nodes_with_appends_side_table_nodes_in_insertion_order():

@@ -123,6 +123,20 @@ def test_request_options_reject_unknown_keys():
                         config)
 
 
+def test_request_options_reject_unknown_solver_backends():
+    """A backend the solver does not know is a bad request up front, not
+    a compile that takes a pool slot and then fails."""
+    config = ServiceConfig()
+    for backend in ("vector", "vectr"):
+        with pytest.raises(ProtocolError, match="unknown solver backend"):
+            request_options(
+                {"options": {"pipeline": {"solver_backend": backend}}},
+                config)
+    options = request_options(
+        {"options": {"pipeline": {"solver_backend": "reference"}}}, config)
+    assert options.pipeline["solver_backend"] == "reference"
+
+
 def test_request_deadline_validation():
     config = ServiceConfig(deadline_s=2.0)
     assert request_deadline({}, config) == 2.0

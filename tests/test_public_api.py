@@ -68,3 +68,29 @@ def test_examples_are_runnable_modules():
     for example in examples:
         subprocess.run([sys.executable, "-m", "py_compile", str(example)],
                        check=True)
+
+
+def test_compile_path_does_not_import_numpy():
+    """A compile loads no NumPy: compiling Figure 11 through the batch
+    entry point in a fresh interpreter leaves ``numpy`` out of
+    ``sys.modules``, so no compile process pays its start-up time and
+    memory."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "from repro.batch.driver import compile_one\n"
+        "from repro.testing.programs import FIG11_SOURCE\n"
+        "assert compile_one('fig11', FIG11_SOURCE).ok\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
