@@ -14,6 +14,7 @@ a production *after* a header executes when the loop exits.
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from repro.core.problem import Direction, Timing
 
@@ -93,20 +94,22 @@ class Placement:
 
     def productions(self, timing=None):
         """All nonempty productions, deterministic order (graph order,
-        BEFORE then AFTER, EAGER then LAZY)."""
-        result = []
-        for node in self.ifg.real_nodes():
-            for position in (Position.BEFORE, Position.AFTER):
-                for t in Timing:
-                    if timing is not None and t is not timing:
-                        continue
-                    bits = self.bits_at(node, position, t)
-                    if bits:
-                        result.append(
-                            Production(node, position, t,
-                                       self.problem.universe.frozen(bits))
-                        )
-        return result
+        BEFORE then AFTER, EAGER then LAZY).
+
+        Sorts the (sparse) productions instead of probing every node's
+        four keys: a key hashes two enums, and ``Enum.__hash__`` is a
+        Python-level call."""
+        order = self.ifg.cfg.order_map()
+        found = []
+        for (node, position, t), bits in self._bits.items():
+            rank = order.get(node)
+            if bits and rank is not None and (timing is None or t is timing):
+                found.append(((rank, position is Position.AFTER,
+                               t is Timing.LAZY), node, position, t, bits))
+        found.sort(key=itemgetter(0))
+        frozen = self.problem.universe.frozen
+        return [Production(node, position, t, frozen(bits))
+                for _, node, position, t, bits in found]
 
     def production_count(self, timing=None):
         """Number of (node, position) placements with production."""
