@@ -39,8 +39,9 @@ from collections import OrderedDict
 #: Bump when the pickled payload layout, or a verdict baked into it,
 #: changes: fingerprints include it, so stale on-disk entries simply miss
 #: (``/3``: prepared snapshots whose optimistic WRITE placement only a
-#: bounded path sample certified).
-CACHE_SCHEMA = "repro-batch-cache/3"
+#: bounded path sample certified; ``/4``: flow graphs that carry a
+#: structural version, interval graphs keyed by edge letter).
+CACHE_SCHEMA = "repro-batch-cache/4"
 
 #: Option values allowed into a fingerprint: their ``repr`` is stable
 #: across processes and runs.  Anything else (an object with the default

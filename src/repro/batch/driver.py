@@ -38,7 +38,7 @@ from repro.commgen.pipeline import annotate_prepared, prepare_communication
 from repro.core.kernel.incremental import IncrementalSolveMemo
 from repro.core.solver import check_backend
 from repro.graph.pipeline import analyzed_program_for
-from repro.lang.printer import format_statement
+from repro.lang.printer import format_first_line
 from repro.obs.collector import TraceCollector, tracing
 from repro.obs.trace import stable_form, trace_payload
 from repro.util.errors import ReproError
@@ -296,8 +296,7 @@ def _render_interval_node(node):
     synthetic nodes."""
     if node.stmt is None:
         return f"<{node.kind.value}:{node.name}>"
-    lines = format_statement(node.stmt)
-    return lines[0] if lines else f"<{node.kind.value}>"
+    return format_first_line(node.stmt)
 
 
 def _store_interval_fingerprints(cache, text, analyzed):

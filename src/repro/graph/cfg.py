@@ -77,8 +77,67 @@ class ControlFlowGraph:
         self._preds = {}
         self._order = []      # node ids in tie-break order
         self._next_id = 0
-        self.entry = None
-        self.exit = None
+        self._entry = None
+        self._exit = None
+        self._version = 0
+        self._memo = {}       # analysis key -> value, for _memo_version
+        self._memo_version = 0
+
+    # -- structural version and analysis memos ---------------------------------
+
+    @property
+    def version(self):
+        """Bumped by every structural change (see the module docstring)."""
+        return self._version
+
+    @property
+    def entry(self):
+        return self._entry
+
+    @entry.setter
+    def entry(self, node):
+        self._entry = node
+        self._version += 1
+
+    @property
+    def exit(self):
+        return self._exit
+
+    @exit.setter
+    def exit(self, node):
+        self._exit = node
+        self._version += 1
+
+    def _current_memo(self):
+        if self._memo_version != self._version:
+            self._memo = {}
+            self._memo_version = self._version
+        return self._memo
+
+    def analysis(self, key, compute):
+        """Analysis ``key`` of the current version: ``compute(self)`` on
+        the first request after a structural change, the same object on
+        every later one."""
+        memo = self._current_memo()
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute(self)
+        return value
+
+    def remember(self, key, value):
+        """Memoize ``value`` as analysis ``key`` of the current version —
+        for a pass that kept an analysis up to date with its own edits."""
+        self._current_memo()[key] = value
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_memo"], state["_memo_version"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._memo = {}
+        self._memo_version = self._version
 
     # -- nodes ---------------------------------------------------------------
 
@@ -102,6 +161,7 @@ class ControlFlowGraph:
             self._order.insert(index, node.id)
         else:
             self._order.append(node.id)
+        self._version += 1
         return node
 
     def nodes(self):
@@ -116,11 +176,12 @@ class ControlFlowGraph:
 
     def order_index(self, node):
         """Position of ``node`` in the deterministic tie-break order."""
-        return self._order.index(node.id)
+        return self.order_map()[node]
 
     def order_map(self):
-        """Dict node -> tie-break position (bulk version of order_index)."""
-        return {self._nodes[node_id]: index for index, node_id in enumerate(self._order)}
+        """Dict node -> tie-break position, shared per version (do not
+        mutate it)."""
+        return self.analysis("order", _order_map)
 
     # -- edges ---------------------------------------------------------------
 
@@ -129,12 +190,14 @@ class ControlFlowGraph:
             raise GraphError(f"edge ({src}, {dst}) references a foreign node")
         self._succs[src.id].add(dst.id)
         self._preds[dst.id].add(src.id)
+        self._version += 1
 
     def remove_edge(self, src, dst):
         if dst.id not in self._succs[src.id]:
             raise GraphError(f"edge ({src}, {dst}) does not exist")
         self._succs[src.id].discard(dst.id)
         self._preds[dst.id].discard(src.id)
+        self._version += 1
 
     def has_edge(self, src, dst):
         return dst.id in self._succs[src.id]
@@ -196,3 +259,9 @@ class ControlFlowGraph:
         del self._succs[node.id]
         del self._preds[node.id]
         self._order.remove(node.id)
+        self._version += 1
+
+
+def _order_map(cfg):
+    nodes = cfg._nodes
+    return {nodes[node_id]: index for index, node_id in enumerate(cfg._order)}

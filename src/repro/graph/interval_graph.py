@@ -11,6 +11,12 @@ every jump ``(m, s)`` with ``m ∈ T(h)``, ``s ∉ T+(h)``, a synthetic edge
 Neighbor queries use the paper's notation: ``succs(n, "FJS")`` is
 ``SUCCS^{FJS}(n)``, the sinks of FORWARD, JUMP and SYNTHETIC edges out of
 ``n``.  Results are deterministic lists.
+
+Adjacency is stored per node and keyed by edge letter (``"E"``,
+``"C"``, ``"F"``, ``"J"``, ``"S"``): string hashes are cached, while an
+:class:`EdgeType` key would cost a Python-level ``Enum.__hash__`` call
+under every ``succs``/``preds``.  ``EdgeType`` stays the public type of
+:meth:`IntervalFlowGraph.edge_type` and :meth:`IntervalFlowGraph.edges`.
 """
 
 from enum import Enum
@@ -33,30 +39,38 @@ class EdgeType(Enum):
 
 _BY_LETTER = {t.value: t for t in EdgeType}
 
+#: Edge letters in :class:`EdgeType` order.
+_LETTERS = "".join(_BY_LETTER)
+
 
 class IntervalFlowGraph:
-    """The analyzed flow graph the GIVE-N-TAKE equations run on."""
+    """The analyzed flow graph the GIVE-N-TAKE equations run on.
 
-    def __init__(self, cfg, forest=None):
+    ``cfg`` must pass :func:`~repro.graph.normalize.validate_normalized`
+    (memoized per graph version, so a graph fresh from
+    :func:`~repro.graph.normalize.normalize` is not checked twice)."""
+
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.forest = forest if forest is not None else validate_normalized(cfg)
+        self.forest = validate_normalized(cfg)
         self.root = Node(-1, NodeKind.ROOT, name="ROOT")
 
-        for src, dst in cfg.edges():
+        edges = cfg.edges()
+        for src, dst in edges:
             if src is dst:
                 raise GraphError(f"self loop at {src} is not supported")
 
-        self._succs = {}  # node -> {EdgeType: [node]}
+        self._succs = {}  # node -> {letter: [node]}
         self._preds = {}
         self._types = {}  # (src, dst) -> EdgeType of the real edge
         for node in self.nodes():
-            self._succs[node] = {t: [] for t in EdgeType}
-            self._preds[node] = {t: [] for t in EdgeType}
+            self._succs[node] = {letter: [] for letter in _LETTERS}
+            self._preds[node] = {letter: [] for letter in _LETTERS}
 
-        for src, dst in cfg.edges():
+        for src, dst in edges:
             self._add(src, dst, self._classify(src, dst))
-        self._add(self.root, cfg.entry, EdgeType.ENTRY)
-        self._add(cfg.exit, self.root, EdgeType.CYCLE)
+        self._add(self.root, cfg.entry, "E")
+        self._add(cfg.exit, self.root, "C")
 
         self._jump_edges = [
             (src, dst) for (src, dst), t in self._types.items() if t is EdgeType.JUMP
@@ -67,7 +81,8 @@ class IntervalFlowGraph:
         if obs.enabled:
             edge_counts = {
                 edge_type.name: sum(
-                    len(self._succs[node][edge_type]) for node in self.nodes()
+                    len(self._succs[node][edge_type.value])
+                    for node in self.nodes()
                 )
                 for edge_type in EdgeType
             }
@@ -82,20 +97,21 @@ class IntervalFlowGraph:
     # -- construction -------------------------------------------------------
 
     def _classify(self, src, dst):
+        """The letter of the real edge (src, dst)."""
         forest = self.forest
         if forest.contains(src, dst):
-            return EdgeType.ENTRY
+            return "E"
         if forest.contains(dst, src):
-            return EdgeType.CYCLE
+            return "C"
         for header in forest.enclosing_headers(src):
             if dst is not header and not forest.contains(header, dst):
-                return EdgeType.JUMP
-        return EdgeType.FORWARD
+                return "J"
+        return "F"
 
-    def _add(self, src, dst, edge_type):
-        self._succs[src][edge_type].append(dst)
-        self._preds[dst][edge_type].append(src)
-        self._types[(src, dst)] = edge_type
+    def _add(self, src, dst, letter):
+        self._succs[src][letter].append(dst)
+        self._preds[dst][letter].append(src)
+        self._types[(src, dst)] = _BY_LETTER[letter]
 
     def _add_synthetic_edges(self):
         seen = set()
@@ -107,8 +123,8 @@ class IntervalFlowGraph:
                 if (header, dst) in seen:
                     continue
                 seen.add((header, dst))
-                self._succs[header][EdgeType.SYNTHETIC].append(dst)
-                self._preds[dst][EdgeType.SYNTHETIC].append(header)
+                self._succs[header]["S"].append(dst)
+                self._preds[dst]["S"].append(header)
 
     # -- nodes ----------------------------------------------------------------
 
@@ -160,13 +176,13 @@ class IntervalFlowGraph:
         non-headers); this is ``LASTCHILD`` of the reversed graph."""
         if node is self.root:
             return self.cfg.entry
-        entries = self._succs[node][EdgeType.ENTRY]
+        entries = self._succs[node]["E"]
         return entries[0] if entries else None
 
     def header_of(self, node):
         """``HEADER(node)``: source of the ENTRY edge reaching ``node``,
         or None."""
-        sources = self._preds[node][EdgeType.ENTRY]
+        sources = self._preds[node]["E"]
         return sources[0] if sources else None
 
     def is_header(self, node):
@@ -177,16 +193,18 @@ class IntervalFlowGraph:
     def succs(self, node, letters="CEFJ"):
         """``SUCCS^letters(node)``; default CEFJ are the conventional
         successors."""
+        adjacency = self._succs[node]
         result = []
         for letter in letters:
-            result.extend(self._succs[node][_BY_LETTER[letter]])
+            result.extend(adjacency[letter])
         return result
 
     def preds(self, node, letters="CEFJ"):
         """``PREDS^letters(node)``."""
+        adjacency = self._preds[node]
         result = []
         for letter in letters:
-            result.extend(self._preds[node][_BY_LETTER[letter]])
+            result.extend(adjacency[letter])
         return result
 
     def edge_type(self, src, dst):
@@ -196,13 +214,13 @@ class IntervalFlowGraph:
     def edges(self, letters="CEFJS"):
         """All (src, dst, type) triples of the requested types, including
         the pseudo ROOT edges and synthetic edges."""
-        wanted = {_BY_LETTER[letter] for letter in letters}
+        wanted = [(letter, _BY_LETTER[letter]) for letter in _LETTERS
+                  if letter in letters]
         result = []
         for node in self.nodes():
-            for edge_type in EdgeType:
-                if edge_type not in wanted:
-                    continue
-                for dst in self._succs[node][edge_type]:
+            adjacency = self._succs[node]
+            for letter, edge_type in wanted:
+                for dst in adjacency[letter]:
                     result.append((node, dst, edge_type))
         return result
 

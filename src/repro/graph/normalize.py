@@ -17,15 +17,24 @@ Synthetic nodes are positioned in the deterministic tie-break order so
 that preorder numbering matches the paper's Figure 12: a split of a back
 edge sits right after its source (it is the end of the loop body), any
 other split sits right before its target.
+
+The passes ask :mod:`repro.graph.intervals` for dominators and the loop
+forest, which are memoized per graph version: a pass that leaves the
+graph unchanged costs the next one nothing, and the latch pass updates
+the dominator tree in step with its edits instead of invalidating it.
+A normalized graph thus builds at most two dominator trees and two
+loop forests — the last of each on the final graph, where
+:func:`validate_normalized` checks every invariant.
 """
 
 from repro.graph.cfg import NodeKind
 from repro.graph.intervals import (
-    LoopForest,
     check_reducible,
-    compute_dominators,
     dominates,
+    dominators,
     find_back_edges,
+    loop_forest,
+    nearest_common_dominator,
 )
 from repro.obs.collector import current_collector
 from repro.util.errors import GraphError
@@ -92,21 +101,30 @@ def ensure_unique_latch(cfg):
 
     When a header has several back edges (e.g. an ``if`` at the end of a
     loop body), redirect them through a fresh LATCH node.
+
+    A latch only merges back edges, so dominance among the existing
+    nodes is unchanged and the latch's immediate dominator is the
+    nearest common dominator of its sources: the pass hands the updated
+    tree on to the next pass instead of invalidating it.
     """
-    idom = compute_dominators(cfg)
-    back_edges = find_back_edges(cfg, idom)
+    idom = dominators(cfg)
     sources_by_header = {}
-    for source, header in back_edges:
+    for source, header in find_back_edges(cfg, idom):
         sources_by_header.setdefault(header, []).append(source)
-    for header, sources in sources_by_header.items():
-        if len(sources) <= 1:
-            continue
-        last = max(sources, key=cfg.order_index)
+    merges = [(header, sources, max(sources, key=cfg.order_index))
+              for header, sources in sources_by_header.items()
+              if len(sources) > 1]
+    if not merges:
+        return
+    idom = dict(idom)
+    for header, sources, last in merges:
         latch = cfg.new_node(NodeKind.LATCH, name="latch", order_after=last)
         for source in sources:
             cfg.remove_edge(source, header)
             cfg.add_edge(source, latch)
         cfg.add_edge(latch, header)
+        idom[latch] = nearest_common_dominator(idom, sources)
+    cfg.remember("idom", idom)
 
 
 def ensure_unique_body_entry(cfg):
@@ -116,7 +134,7 @@ def ensure_unique_body_entry(cfg):
     The frontend's ``do`` loops already satisfy this; the pass matters for
     hand-built or random graphs.
     """
-    forest = LoopForest(cfg)
+    forest = loop_forest(cfg)
     for header in forest.headers():
         members = forest.members(header)
         body_targets = [succ for succ in cfg.succs(header) if succ in members]
@@ -142,8 +160,8 @@ def split_critical_edges(cfg):
     the loop-exit path, node 10 from the goto) comes out of the
     deterministic order.
     """
-    idom = compute_dominators(cfg)
-    forest = LoopForest(cfg)
+    idom = dominators(cfg)
+    forest = loop_forest(cfg)
     critical = [
         (src, dst)
         for src, dst in cfg.edges()
@@ -171,11 +189,19 @@ def split_critical_edges(cfg):
 
 def validate_normalized(cfg):
     """Check all normalization invariants; raise :class:`GraphError` on
-    violation.  Returns the :class:`LoopForest` for reuse."""
+    violation.  Returns the :class:`LoopForest` for reuse.
+
+    The verdict is memoized per graph version, so an interval graph
+    built right after :func:`normalize` does not check again, while one
+    built on a graph edited since is checked afresh."""
+    return cfg.analysis("normalized", _validate)
+
+
+def _validate(cfg):
     if len(cfg.reachable_from_entry()) != len(cfg):
         raise GraphError("unreachable nodes remain after normalization")
     check_reducible(cfg)
-    forest = LoopForest(cfg)
+    forest = loop_forest(cfg)
     for header in forest.headers():
         forest.latch(header)  # raises when not unique
         members = forest.members(header)

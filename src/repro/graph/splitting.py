@@ -15,11 +15,7 @@ to all nodes carrying it).
 """
 
 from repro.graph.cfg import NodeKind
-from repro.graph.intervals import (
-    compute_dominators,
-    dominates,
-    find_retreating_edges,
-)
+from repro.graph.intervals import improper_entries
 from repro.obs.collector import current_collector
 from repro.util.errors import GraphError
 
@@ -38,7 +34,7 @@ def make_reducible(cfg, max_splits=None):
         max_splits = 4 * len(cfg)
     splits = []
     while True:
-        offending = _improper_entries(cfg)
+        offending = improper_entries(cfg)
         if not offending:
             return splits
         if len(splits) >= max_splits:
@@ -52,16 +48,6 @@ def make_reducible(cfg, max_splits=None):
             obs.event("graph", "node_split", original=target.name,
                       copy=copy.name, budget=max_splits,
                       used=len(splits))
-
-
-def _improper_entries(cfg):
-    """Retreating edges whose target does not dominate their source —
-    the second entries of improper cycles."""
-    idom = compute_dominators(cfg)
-    return [
-        (u, v) for u, v in find_retreating_edges(cfg)
-        if not dominates(idom, v, u)
-    ]
 
 
 def _peel(cfg, source, target):

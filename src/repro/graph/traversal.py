@@ -11,6 +11,10 @@ PREORDER combines FORWARD and DOWNWARD, POSTORDER combines FORWARD and
 UPWARD; the reverse lists give the two BACKWARD combinations.  Both are
 computed as topological orders with the CFG's deterministic tie-break, so
 the Figure 11 program numbers exactly as in the paper's Figure 12.
+
+Each order is computed once per interval flow graph and cached on it as
+a tuple, which :func:`preorder_numbering` and every solver view
+(:mod:`repro.graph.views`) share.
 """
 
 import heapq
@@ -19,13 +23,22 @@ from repro.util.errors import GraphError
 
 
 def preorder(ifg):
-    """FORWARD + DOWNWARD order, ROOT first."""
-    return _topological_order(ifg, headers_first=True)
+    """FORWARD + DOWNWARD order, ROOT first (a shared tuple)."""
+    return _cached_order(ifg, headers_first=True)
 
 
 def postorder(ifg):
-    """FORWARD + UPWARD order, ROOT last."""
-    return _topological_order(ifg, headers_first=False)
+    """FORWARD + UPWARD order, ROOT last (a shared tuple)."""
+    return _cached_order(ifg, headers_first=False)
+
+
+def _cached_order(ifg, headers_first):
+    orders = ifg.__dict__.setdefault("_traversal_orders", {})
+    order = orders.get(headers_first)
+    if order is None:
+        order = orders[headers_first] = tuple(
+            _topological_order(ifg, headers_first))
+    return order
 
 
 def preorder_numbering(ifg):

@@ -17,7 +17,8 @@ therefore written against the small protocol implemented here:
 
 Traversal orders and child orders sit on the solver's hot path, so both
 views compute them once: ``nodes_preorder()``/``nodes_reverse_preorder()``
-return cached tuples (never copies) and ``children()`` memoizes the
+return cached tuples (never copies) — the graph's own PREORDER and
+POSTORDER, shared by every view — and ``children()`` memoizes the
 sorted order per view.  ``plan_key`` identifies the view's *shape* —
 everything a compiled :class:`~repro.core.kernel.plan.SolverPlan`
 depends on — so equal keys share one cached plan per graph.
@@ -39,7 +40,7 @@ class ForwardView:
     def __init__(self, ifg):
         self.ifg = ifg
         self.root = ifg.root
-        self._preorder = tuple(preorder(ifg))
+        self._preorder = preorder(ifg)
         self._reverse_preorder = tuple(reversed(self._preorder))
         self._position = {node: i for i, node in enumerate(self._preorder)}
         self._children = {}
@@ -118,7 +119,7 @@ class BackwardView:
         # This view's forward direction is the original backward one, so
         # its PREORDER (forward+downward) is the reverse of the original
         # POSTORDER (forward+upward).
-        self._postorder = tuple(postorder(ifg))
+        self._postorder = postorder(ifg)
         self._preorder = tuple(reversed(self._postorder))
         self._position = {node: i for i, node in enumerate(self._preorder)}
         self._children = {}
