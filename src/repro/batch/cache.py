@@ -40,8 +40,10 @@ from collections import OrderedDict
 #: changes: fingerprints include it, so stale on-disk entries simply miss
 #: (``/3``: prepared snapshots whose optimistic WRITE placement only a
 #: bounded path sample certified; ``/4``: flow graphs that carry a
-#: structural version, interval graphs keyed by edge letter).
-CACHE_SCHEMA = "repro-batch-cache/4"
+#: structural version, interval graphs keyed by edge letter; ``/5``:
+#: letter-major interval adjacency, and snapshots without solver views
+#: or plans).
+CACHE_SCHEMA = "repro-batch-cache/5"
 
 #: Option values allowed into a fingerprint: their ``repr`` is stable
 #: across processes and runs.  Anything else (an object with the default

@@ -101,8 +101,8 @@ def prepare_communication(source, owner_computes=False, postpass=True,
 
     All solves on one graph — the READ solve and up to two WRITE solves
     — share one forward and one backward compiled
-    :class:`~repro.core.kernel.plan.SolverPlan` (cached on the graph, so
-    it also survives into the batch layer's pipeline-cache snapshots).
+    :class:`~repro.core.kernel.plan.SolverPlan`, cached on the graph
+    (the batch layer's pipeline-cache snapshots leave it out).
 
     ``memo`` — an optional
     :class:`~repro.core.kernel.incremental.IncrementalSolveMemo`: every

@@ -9,8 +9,9 @@ shape and cached on the interval flow graph itself
 (:func:`plan_for`), so all problems and timings solved on one graph —
 the READ solve plus both WRITE solves of
 :func:`~repro.commgen.pipeline.prepare_communication` — share one
-forward and one backward plan, and the plans travel with the graph
-through :class:`~repro.batch.cache.PipelineCache` snapshots.
+forward and one backward plan.  Plans are cheap to rebuild and a cache
+hit never reads one, so :class:`~repro.batch.cache.PipelineCache`
+snapshots leave them out.
 
 Slots
 -----
@@ -32,58 +33,76 @@ have made current — and therefore the complete initial worklist of the
 sparse backward fixpoint (``docs/scaling.md`` has the argument).
 """
 
+from operator import add
+
 from repro.obs.collector import current_collector
 
 
 class SolverPlan:
-    """The compiled, problem-independent schedule for one view shape."""
+    """The compiled, problem-independent schedule for one view shape.
+
+    Built in one pass over the view's per-letter adjacency (no per-node
+    view queries): each edge letter becomes one slot column, and the
+    multi-letter neighbor sets are slot-by-slot concatenations of those
+    columns in letter order — exactly the order the view's per-node
+    ``succs``/``preds`` return."""
 
     def __init__(self, view):
-        nodes = tuple(view.nodes_preorder())
-        slot_of = {node: index for index, node in enumerate(nodes)}
+        obs = current_collector()
+        start = obs.clock() if obs.enabled else 0.0
+        nodes = view.nodes_preorder()
+        slot_of = view.position
         n = len(nodes)
-
-        def slots(sequence):
-            return tuple(slot_of[node] for node in sequence)
 
         self.direction = view.direction
         self.key = view.plan_key
         self.nodes = nodes
         self.slot_of = slot_of
         self.n = n
-        self.root_slot = slot_of[view.root]
+        self.root_slot = root_slot = slot_of[view.root]
 
-        self.children = tuple(slots(view.children(node)) for node in nodes)
+        succs, preds = view.letter_adjacency()
+        succ = {letter: _slot_column(succs[letter], slot_of, n)
+                for letter in "EFJS"}
+        pred = {letter: _slot_column(preds[letter], slot_of, n)
+                for letter in "FJS"}
+        pred[""] = ((),) * n  # a view without synthetic local flow
+        self.succs_e = succ["E"]
+        self.succs_f = succ["F"]
+        self.succs_ef = _joined(succ, "EF")
+        self.succs_fj = _joined(succ, "FJ")
+        self.succs_fjs = _joined(succ, "FJS")
+        self.preds_fj = _joined(pred, "FJ")
+        self.preds_loc = _joined(pred, view.loc_pred_letters)
+        self.preds_syn = _joined(pred, view.loc_synthetic_letters)
+        # LASTCHILD(n) is the source of the CYCLE edge into n, HEADER(n)
+        # the source of the ENTRY edge into n (both unique).  Headers,
+        # ROOT included, are exactly the nodes with a LASTCHILD.
+        self.lastchild = _first_source(preds["C"], slot_of, n)
+        self.header = _first_source(preds["E"], slot_of, n)
+        self.is_header = tuple(lc >= 0 for lc in self.lastchild)
+        steal_all = [False] * n
+        for node in view.blocked_headers:
+            steal_all[slot_of[node]] = True
+        self.steal_all = tuple(steal_all)
+
+        # CHILDREN(h) are the nodes whose innermost enclosing header is
+        # h (ROOT for top-level nodes); ascending slots keep them in the
+        # view's FORWARD order, which Eqs 9/10 require.
+        innermost = view.ifg.forest.innermost
         parent = [-1] * n
-        for s, kids in enumerate(self.children):
-            for c in kids:
-                parent[c] = s
+        children = {}
+        for s, node in enumerate(nodes):
+            if s != root_slot:
+                header = innermost(node)
+                p = root_slot if header is None else slot_of[header]
+                parent[s] = p
+                children.setdefault(p, []).append(s)
         self.parent = tuple(parent)
-
-        def optional_slot(node):
-            return -1 if node is None else slot_of[node]
-
-        self.lastchild = tuple(optional_slot(view.lastchild(node))
-                               for node in nodes)
-        self.header = tuple(optional_slot(view.header_of(node))
-                            for node in nodes)
-        self.is_header = tuple(view.is_header(node) for node in nodes)
-        self.steal_all = tuple(view.steal_all(node) for node in nodes)
-
-        self.succs_e = tuple(slots(view.succs(node, "E")) for node in nodes)
-        self.succs_f = tuple(slots(view.succs(node, "F")) for node in nodes)
-        self.succs_ef = tuple(slots(view.succs(node, "EF")) for node in nodes)
-        self.succs_fj = tuple(slots(view.succs(node, "FJ")) for node in nodes)
-        self.succs_fjs = tuple(slots(view.succs(node, "FJS"))
-                               for node in nodes)
-        self.preds_fj = tuple(slots(view.preds(node, "FJ")) for node in nodes)
-        self.preds_loc = tuple(slots(view.preds(node, view.loc_pred_letters))
-                               for node in nodes)
-        self.preds_syn = tuple(
-            slots(view.preds(node, view.loc_synthetic_letters))
-            if view.loc_synthetic_letters else ()
-            for node in nodes
-        )
+        column = [()] * n
+        for p, kids in children.items():
+            column[p] = tuple(kids)
+        self.children = tuple(column)
 
         self.requires_iteration = view.requires_consumption_iteration
         self.natural_bound = (
@@ -94,14 +113,14 @@ class SolverPlan:
 
         self._compute_dependencies()
 
-        obs = current_collector()
         if obs.enabled:
             obs.event("solver", "plan",
                       direction=self.direction,
                       nodes=n,
                       seeds=len(self.seeds),
                       requires_iteration=self.requires_iteration,
-                      natural_bound=self.natural_bound)
+                      natural_bound=self.natural_bound,
+                      duration_s=obs.clock() - start)
             obs.count("solver_plans", "compiled")
 
     def _compute_dependencies(self):
@@ -155,18 +174,45 @@ class SolverPlan:
         ))
 
 
+def _slot_column(adjacency, slot_of, n):
+    """One letter's neighbor sets as a slot-indexed tuple of slot
+    tuples (``()`` for nodes without such edges)."""
+    column = [()] * n
+    for node, neighbors in adjacency.items():
+        column[slot_of[node]] = tuple([slot_of[m] for m in neighbors])
+    return tuple(column)
+
+
+def _first_source(adjacency, slot_of, n):
+    """Per slot, the slot of the first predecessor along one letter's
+    edges, or -1."""
+    column = [-1] * n
+    for node, sources in adjacency.items():
+        column[slot_of[node]] = slot_of[sources[0]]
+    return tuple(column)
+
+
+def _joined(columns, letters):
+    """The neighbor sets over ``letters``: the per-letter columns
+    concatenated slot by slot, memoized in ``columns`` (so ``"FJS"``
+    extends ``"FJ"``)."""
+    joined = columns.get(letters)
+    if joined is None:
+        joined = columns[letters] = tuple(
+            map(add, _joined(columns, letters[:-1]), columns[letters[-1]]))
+    return joined
+
+
 def plan_for(view):
     """The (cached) :class:`SolverPlan` for ``view``.
 
     Plans are keyed by ``view.plan_key`` and stored on the interval
     flow graph instance, so every view of the same shape — and every
-    solve on the same graph — reuses one compiled plan, and pickling
-    the graph (batch cache snapshots) carries the plans along.
+    solve on the same graph — reuses one compiled plan.  Pickling the
+    graph (batch cache snapshots) leaves the plans out; an unpickled
+    graph compiles them again on first use.
     """
-    ifg = view.ifg
-    plans = ifg.__dict__.get("_solver_plans")
-    if plans is None:
-        plans = ifg.__dict__["_solver_plans"] = {}
+    plans = view.ifg.solver_cache("plans")
     key = view.plan_key
     plan = plans.get(key)
     if plan is None:

@@ -18,10 +18,22 @@ Contract notes shared by *all* solution stores (reference included):
 * ``nodes_with`` returns nodes in deterministic *view preorder* (plan
   slot order), with any side-table nodes appended in insertion order —
   reports and placements render identically regardless of backend.
+* ``nonzero`` iterates the ``(node, bits)`` pairs of one variable with
+  nonempty bits, in the order ``nodes_with`` uses: the one traversal
+  :class:`~repro.core.placement.Placement` fills itself from.
+
+A pickled ``SlotSolution`` (a batch cache snapshot) carries its columns
+but not its view or plan: like the interval graph, which leaves its
+solver caches out of pickles, it re-resolves both from the graph on
+first use.
 """
 
+from itertools import chain, compress
+
+from repro.core.kernel.plan import plan_for
 from repro.core.problem import Timing
 from repro.core.solution import SHARED_VARIABLES, TIMED_VARIABLES
+from repro.graph.views import cached_view
 
 
 class SlotSolution:
@@ -29,8 +41,10 @@ class SlotSolution:
 
     def __init__(self, problem, view, plan):
         self.problem = problem
-        self.view = view
-        self.plan = plan
+        self._ifg = view.ifg
+        self._shape = view.plan_key
+        self._view = view
+        self._plan = plan
         n = plan.n
         self._extra = {}
         self._shared = {name: [0] * n for name in SHARED_VARIABLES}
@@ -38,6 +52,23 @@ class SlotSolution:
             timing: {name: [0] * n for name in TIMED_VARIABLES}
             for timing in Timing
         }
+
+    @property
+    def view(self):
+        if self._view is None:
+            self._view = cached_view(self._ifg, *self._shape)
+        return self._view
+
+    @property
+    def plan(self):
+        if self._plan is None:
+            self._plan = plan_for(self.view)
+        return self._plan
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_view"] = state["_plan"] = None
+        return state
 
     def _store(self, name, timing):
         if name in self._shared:
@@ -79,19 +110,26 @@ class SlotSolution:
         """Value as a frozenset of universe elements (for tests/printing)."""
         return self.problem.universe.frozen(self.bits(name, node, timing))
 
+    def nonzero(self, name, timing=None):
+        """Iterate ``(node, bits)`` for every node whose variable
+        ``name`` is nonempty: plan nodes in view preorder, then
+        side-table nodes in insertion order."""
+        store = self._store(name, timing)
+        found = compress(zip(self.plan.nodes, store), store)
+        key = (name, None if name in self._shared else timing)
+        extra = self._extra.get(key)
+        if extra:
+            return chain(found, ((node, bits) for node, bits in extra.items()
+                                 if bits))
+        return found
+
     def nodes_with(self, name, element, timing=None):
         """All nodes whose variable ``name`` contains ``element``, in
         deterministic view preorder (side-table nodes appended in
         insertion order)."""
         bit = self.problem.universe.bit(element)
-        store = self._store(name, timing)
-        found = [node for node, bits in zip(self.plan.nodes, store)
-                 if bits & bit]
-        key = (name, None if name in self._shared else timing)
-        extra = self._extra.get(key)
-        if extra:
-            found.extend(node for node, bits in extra.items() if bits & bit)
-        return found
+        return [node for node, bits in self.nonzero(name, timing)
+                if bits & bit]
 
     def format_node(self, node, timing=None):
         """Multi-line dump of every variable at ``node`` (debugging)."""

@@ -47,16 +47,17 @@ class Placement:
         self.ifg = ifg
         self.problem = problem
         self.solution = solution
-        self._bits = {}  # (node, position, timing) -> bitset
+        self._bits = placed = {}  # (node, position, timing) -> bitset
         before_key, after_key = ("RES_in", "RES_out")
         if problem.direction is Direction.AFTER:
             before_key, after_key = after_key, before_key
-        for node in ifg.real_nodes():
-            for timing in Timing:
-                self._set(node, Position.BEFORE, timing,
-                          solution.bits(before_key, node, timing))
-                self._set(node, Position.AFTER, timing,
-                          solution.bits(after_key, node, timing))
+        real = ifg.cfg.order_map()
+        for timing in Timing:
+            for position, key in ((Position.BEFORE, before_key),
+                                  (Position.AFTER, after_key)):
+                for node, bits in solution.nonzero(key, timing):
+                    if node in real:
+                        placed[(node, position, timing)] = bits
 
     @classmethod
     def empty(cls, ifg, problem):
@@ -75,13 +76,6 @@ class Placement:
         bits = self.problem.universe.bits(elements)
         key = (node, position, timing)
         self._bits[key] = self._bits.get(key, 0) | bits
-
-    def _set(self, node, position, timing, bits):
-        key = (node, position, timing)
-        if bits:
-            self._bits[key] = bits
-        else:
-            self._bits.pop(key, None)
 
     # -- queries -------------------------------------------------------------
 

@@ -37,7 +37,6 @@ class Solution:
     def __init__(self, problem, view):
         self.problem = problem
         self.view = view
-        self._order = None
         self._shared = {name: {} for name in SHARED_VARIABLES}
         self._timed = {
             timing: {name: {} for name in TIMED_VARIABLES} for timing in Timing
@@ -61,6 +60,12 @@ class Solution:
         """Value as a frozenset of universe elements (for tests/printing)."""
         return self.problem.universe.frozen(self.bits(name, node, timing))
 
+    def nonzero(self, name, timing=None):
+        """Iterate ``(node, bits)`` for every node whose variable
+        ``name`` is nonempty, in insertion order."""
+        return ((node, bits) for node, bits
+                in self._store(name, timing).items() if bits)
+
     def nodes_with(self, name, element, timing=None):
         """All nodes whose variable ``name`` contains ``element`` — the
         shape of the paper's §4 example listings (e.g. ``y_b ∈
@@ -72,16 +77,11 @@ class Solution:
         insertion order — the same contract every backend's store
         honors, so reports render identically."""
         bit = self.problem.universe.bit(element)
-        store = self._store(name, timing)
-        if self._order is None:
-            self._order = {node: index for index, node
-                           in enumerate(self.view.nodes_preorder())}
-        order = self._order
+        order = self.view.position
         known = len(order)
-        ranked = sorted(
-            (node for node, bits in store.items() if bits & bit),
+        return sorted(
+            (node for node, bits in self.nonzero(name, timing) if bits & bit),
             key=lambda node: order.get(node, known))
-        return ranked
 
     def format_node(self, node, timing=None):
         """Multi-line dump of every variable at ``node`` (debugging)."""

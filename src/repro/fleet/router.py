@@ -168,6 +168,27 @@ class _ForwardError(Exception):
     """One forwarded attempt died at the connection level."""
 
 
+def _retrieve(task):
+    """Done callback: mark a finished task's exception as retrieved."""
+    if not task.cancelled():
+        task.exception()
+
+
+async def _within(awaitable, timeout):
+    """``asyncio.wait_for`` that never leaves an exception unretrieved.
+
+    Before Python 3.12, ``wait_for`` runs ``awaitable`` as a task of its
+    own.  When the caller is cancelled just as that task fails (a
+    probe's connect erroring while shutdown cancels the heartbeat),
+    ``wait_for`` cancels the task, waits for it and re-raises the
+    cancellation without reading the task's exception, and asyncio logs
+    "Task exception was never retrieved".  Reading it from a done
+    callback keeps every outcome accounted for."""
+    task = asyncio.ensure_future(awaitable)
+    task.add_done_callback(_retrieve)
+    return await asyncio.wait_for(task, timeout)
+
+
 class FleetRouter:
     """Route compile traffic across shards (see the module docstring).
 
@@ -291,7 +312,7 @@ class FleetRouter:
         connection-level failure."""
         writer = None
         try:
-            reader, writer = await asyncio.wait_for(
+            reader, writer = await _within(
                 asyncio.open_connection(shard.host, shard.port,
                                         limit=MAX_LINE_BYTES),
                 self.config.connect_timeout_s)
@@ -299,7 +320,7 @@ class FleetRouter:
             await writer.drain()
             read = reader.readline()
             if self.config.attempt_timeout_s is not None:
-                read = asyncio.wait_for(read, self.config.attempt_timeout_s)
+                read = _within(read, self.config.attempt_timeout_s)
             line = await read
             if not line:
                 raise ConnectionResetError("shard closed the connection")
@@ -343,7 +364,7 @@ class FleetRouter:
             if shard.breaker.state != CLOSED and not shard.breaker.allow():
                 continue  # open and not yet due for a probe
             try:
-                reply = await asyncio.wait_for(
+                reply = await _within(
                     self._roundtrip(shard, {"type": "ping"}),
                     self.config.probe_timeout_s)
                 ok = bool(reply.get("ok"))

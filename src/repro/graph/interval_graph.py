@@ -12,11 +12,19 @@ Neighbor queries use the paper's notation: ``succs(n, "FJS")`` is
 ``SUCCS^{FJS}(n)``, the sinks of FORWARD, JUMP and SYNTHETIC edges out of
 ``n``.  Results are deterministic lists.
 
-Adjacency is stored per node and keyed by edge letter (``"E"``,
-``"C"``, ``"F"``, ``"J"``, ``"S"``): string hashes are cached, while an
-:class:`EdgeType` key would cost a Python-level ``Enum.__hash__`` call
-under every ``succs``/``preds``.  ``EdgeType`` stays the public type of
-:meth:`IntervalFlowGraph.edge_type` and :meth:`IntervalFlowGraph.edges`.
+Adjacency is stored per edge letter (``"E"``, ``"C"``, ``"F"``,
+``"J"``, ``"S"``), each letter mapping a node to its neighbors along
+edges of that letter; nodes without such edges are absent.  Letter keys
+because string hashes are cached, while an :class:`EdgeType` key would
+cost a Python-level ``Enum.__hash__`` call under every
+``succs``/``preds``; letter-major so that a compiled solver plan reads
+each letter's edges in one pass (:meth:`IntervalFlowGraph.letter_adjacency`).
+``EdgeType`` stays the public type of :meth:`IntervalFlowGraph.edge_type`
+and :meth:`IntervalFlowGraph.edges`.
+
+The solver layer caches its views and compiled plans on the graph
+(:meth:`IntervalFlowGraph.solver_cache`); like the CFG's analysis memos
+they are rebuilt on demand, so pickles leave them out.
 """
 
 from enum import Enum
@@ -42,6 +50,18 @@ _BY_LETTER = {t.value: t for t in EdgeType}
 #: Edge letters in :class:`EdgeType` order.
 _LETTERS = "".join(_BY_LETTER)
 
+#: ``__dict__`` key prefix of the solver layer's per-graph caches.
+_SOLVER_CACHE = "_solver_"
+
+
+def _neighbors(adjacency, node, letters):
+    result = []
+    for letter in letters:
+        nodes = adjacency[letter].get(node)
+        if nodes:
+            result.extend(nodes)
+    return result
+
 
 class IntervalFlowGraph:
     """The analyzed flow graph the GIVE-N-TAKE equations run on.
@@ -60,12 +80,9 @@ class IntervalFlowGraph:
             if src is dst:
                 raise GraphError(f"self loop at {src} is not supported")
 
-        self._succs = {}  # node -> {letter: [node]}
-        self._preds = {}
+        self._succs = {letter: {} for letter in _LETTERS}  # node -> [node]
+        self._preds = {letter: {} for letter in _LETTERS}
         self._types = {}  # (src, dst) -> EdgeType of the real edge
-        for node in self.nodes():
-            self._succs[node] = {letter: [] for letter in _LETTERS}
-            self._preds[node] = {letter: [] for letter in _LETTERS}
 
         for src, dst in edges:
             self._add(src, dst, self._classify(src, dst))
@@ -81,9 +98,7 @@ class IntervalFlowGraph:
         if obs.enabled:
             edge_counts = {
                 edge_type.name: sum(
-                    len(self._succs[node][edge_type.value])
-                    for node in self.nodes()
-                )
+                    map(len, self._succs[edge_type.value].values()))
                 for edge_type in EdgeType
             }
             obs.event("graph", "interval_graph",
@@ -93,6 +108,15 @@ class IntervalFlowGraph:
                       jump_edges=len(self._jump_edges),
                       edges=edge_counts)
             obs.count("graph", "interval_graphs")
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if not key.startswith(_SOLVER_CACHE)}
+
+    def solver_cache(self, kind):
+        """The dict in which the solver layer caches its per-graph
+        ``kind`` (``"views"``, ``"plans"``); pickles leave it out."""
+        return self.__dict__.setdefault(_SOLVER_CACHE + kind, {})
 
     # -- construction -------------------------------------------------------
 
@@ -109,9 +133,12 @@ class IntervalFlowGraph:
         return "F"
 
     def _add(self, src, dst, letter):
-        self._succs[src][letter].append(dst)
-        self._preds[dst][letter].append(src)
+        self._link(src, dst, letter)
         self._types[(src, dst)] = _BY_LETTER[letter]
+
+    def _link(self, src, dst, letter):
+        self._succs[letter].setdefault(src, []).append(dst)
+        self._preds[letter].setdefault(dst, []).append(src)
 
     def _add_synthetic_edges(self):
         seen = set()
@@ -123,8 +150,7 @@ class IntervalFlowGraph:
                 if (header, dst) in seen:
                     continue
                 seen.add((header, dst))
-                self._succs[header]["S"].append(dst)
-                self._preds[dst]["S"].append(header)
+                self._link(header, dst, "S")
 
     # -- nodes ----------------------------------------------------------------
 
@@ -176,13 +202,13 @@ class IntervalFlowGraph:
         non-headers); this is ``LASTCHILD`` of the reversed graph."""
         if node is self.root:
             return self.cfg.entry
-        entries = self._succs[node]["E"]
+        entries = self._succs["E"].get(node)
         return entries[0] if entries else None
 
     def header_of(self, node):
         """``HEADER(node)``: source of the ENTRY edge reaching ``node``,
         or None."""
-        sources = self._preds[node]["E"]
+        sources = self._preds["E"].get(node)
         return sources[0] if sources else None
 
     def is_header(self, node):
@@ -193,19 +219,18 @@ class IntervalFlowGraph:
     def succs(self, node, letters="CEFJ"):
         """``SUCCS^letters(node)``; default CEFJ are the conventional
         successors."""
-        adjacency = self._succs[node]
-        result = []
-        for letter in letters:
-            result.extend(adjacency[letter])
-        return result
+        return _neighbors(self._succs, node, letters)
 
     def preds(self, node, letters="CEFJ"):
         """``PREDS^letters(node)``."""
-        adjacency = self._preds[node]
-        result = []
-        for letter in letters:
-            result.extend(adjacency[letter])
-        return result
+        return _neighbors(self._preds, node, letters)
+
+    def letter_adjacency(self):
+        """``(succs, preds)``: per edge letter, a dict from each node to
+        its successors (predecessors) along edges of that letter, in
+        :meth:`succs` order; nodes without such edges are absent.  The
+        graph's own dicts, shared: read them, never mutate them."""
+        return self._succs, self._preds
 
     def edge_type(self, src, dst):
         """Type of the real edge (src, dst); KeyError if absent."""
@@ -218,9 +243,8 @@ class IntervalFlowGraph:
                   if letter in letters]
         result = []
         for node in self.nodes():
-            adjacency = self._succs[node]
             for letter, edge_type in wanted:
-                for dst in adjacency[letter]:
+                for dst in self._succs[letter].get(node, ()):
                     result.append((node, dst, edge_type))
         return result
 

@@ -18,15 +18,29 @@ therefore written against the small protocol implemented here:
 Traversal orders and child orders sit on the solver's hot path, so both
 views compute them once: ``nodes_preorder()``/``nodes_reverse_preorder()``
 return cached tuples (never copies) — the graph's own PREORDER and
-POSTORDER, shared by every view — and ``children()`` memoizes the
-sorted order per view.  ``plan_key`` identifies the view's *shape* —
+POSTORDER, shared by every view — ``position`` maps each node to its
+index in ``nodes_preorder()``, and ``children()`` memoizes the sorted
+order per view.  ``plan_key`` identifies the view's *shape* —
 everything a compiled :class:`~repro.core.kernel.plan.SolverPlan`
 depends on — so equal keys share one cached plan per graph.
+
+The per-node queries (``succs``, ``preds``, ``children``, ``lastchild``,
+``header_of``, ``steal_all``) are the protocol the reference solver
+walks.  A plan instead reads the whole graph at once:
+``letter_adjacency()`` hands over the interval graph's per-letter
+adjacency in the view's own edge letters, and ``blocked_headers`` lists
+the nodes ``steal_all`` is true for.
 """
 
 from repro.graph.traversal import preorder, postorder
 
 _BACKWARD_TYPE_MAP = str.maketrans({"E": "C", "C": "E"})
+
+
+def _swap_entry_cycle(adjacency):
+    """Per-letter adjacency with the ENTRY and CYCLE letters exchanged."""
+    return {letter.translate(_BACKWARD_TYPE_MAP): nodes
+            for letter, nodes in adjacency.items()}
 
 
 class ForwardView:
@@ -37,12 +51,15 @@ class ForwardView:
     #: Plan-cache key: all ForwardViews of one graph share one shape.
     plan_key = ("before",)
 
+    #: No node steals the whole universe in the forward direction.
+    blocked_headers = frozenset()
+
     def __init__(self, ifg):
         self.ifg = ifg
         self.root = ifg.root
         self._preorder = preorder(ifg)
         self._reverse_preorder = tuple(reversed(self._preorder))
-        self._position = {node: i for i, node in enumerate(self._preorder)}
+        self.position = {node: i for i, node in enumerate(self._preorder)}
         self._children = {}
 
     def nodes_preorder(self):
@@ -59,6 +76,10 @@ class ForwardView:
     def preds(self, node, letters):
         return self.ifg.preds(node, letters)
 
+    def letter_adjacency(self):
+        """The graph's own ``(succs, preds)`` per edge letter."""
+        return self.ifg.letter_adjacency()
+
     def lastchild(self, node):
         return self.ifg.lastchild(node)
 
@@ -72,7 +93,7 @@ class ForwardView:
         if cached is None:
             cached = self._children[node] = tuple(
                 sorted(self.ifg.children(node),
-                       key=self._position.__getitem__))
+                       key=self.position.__getitem__))
         return cached
 
     def is_header(self, node):
@@ -121,10 +142,11 @@ class BackwardView:
         # POSTORDER (forward+upward).
         self._postorder = postorder(ifg)
         self._preorder = tuple(reversed(self._postorder))
-        self._position = {node: i for i, node in enumerate(self._preorder)}
+        self.position = {node: i for i, node in enumerate(self._preorder)}
         self._children = {}
-        self._blocked_headers = (
-            set(ifg.headers_with_jump_sources()) if blocked else set()
+        self.blocked_headers = (
+            frozenset(ifg.headers_with_jump_sources()) if blocked
+            else frozenset()
         )
 
     @property
@@ -145,6 +167,13 @@ class BackwardView:
     def preds(self, node, letters):
         return self.ifg.succs(node, letters.translate(_BACKWARD_TYPE_MAP))
 
+    def letter_adjacency(self):
+        """The graph's per-letter adjacency reversed: its predecessors
+        are this view's successors and vice versa, with ENTRY and CYCLE
+        exchanged."""
+        succs, preds = self.ifg.letter_adjacency()
+        return _swap_entry_cycle(preds), _swap_entry_cycle(succs)
+
     def lastchild(self, node):
         """Reversal turns the unique ENTRY edge into the unique CYCLE
         edge, so the reversed LASTCHILD is the original body entry."""
@@ -162,7 +191,7 @@ class BackwardView:
         if cached is None:
             cached = self._children[node] = tuple(
                 sorted(self.ifg.children(node),
-                       key=self._position.__getitem__))
+                       key=self.position.__getitem__))
         return cached
 
     def is_header(self, node):
@@ -173,7 +202,7 @@ class BackwardView:
         enter the loop, so production regions must not span it.  The
         solver injects a whole-universe STEAL there (§5.3); this loses
         some legal optimizations but never safety, as the paper notes."""
-        return node in self._blocked_headers
+        return node in self.blocked_headers
 
     @property
     def requires_consumption_iteration(self):
@@ -202,9 +231,7 @@ def cached_view(ifg, direction, blocked=True):
     solver plans — are cached on the graph and keyed by shape.
     """
     key = ("before",) if direction == "before" else ("after", blocked)
-    views = ifg.__dict__.get("_solver_views")
-    if views is None:
-        views = ifg.__dict__["_solver_views"] = {}
+    views = ifg.solver_cache("views")
     view = views.get(key)
     if view is None:
         if direction == "before":

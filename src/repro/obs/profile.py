@@ -5,6 +5,8 @@ hardened pipeline, optionally simulating the result) inside a
 :func:`~repro.obs.collector.tracing` scope and returns the trace payload
 extended with a ``summary`` section:
 
+* the solver plans compiled (with each build's duration, so plan
+  building shows separately from solving);
 * per-solver-run equation-evaluation counts and the §5.2
   *each-equation-once* verdict (every equation exactly once per node
   per sweep, S3/S4 once per node per timing);
@@ -84,6 +86,11 @@ def summarize(payload):
 
     solver_runs = select("solver", "run")
     summary = {
+        "solver_plans": [
+            {key: value for key, value in plan.items()
+             if key not in ("category", "name")}
+            for plan in select("solver", "plan")
+        ],
         "solver_runs": [
             {key: value for key, value in run.items()
              if key not in ("category", "name")}
@@ -197,6 +204,14 @@ def profile_source(source, hardened=False, run_simulation=False,
     return build_profile(collector, extra)
 
 
+def _duration(event):
+    """`` duration=…ms`` for an event that carries ``duration_s`` (stable
+    payloads have it stripped)."""
+    if "duration_s" not in event:
+        return ""
+    return f" duration={event['duration_s'] * 1e3:.3f}ms"
+
+
 def format_profile(payload, events=False):
     """Human-readable rendering of a profile payload.
 
@@ -216,6 +231,11 @@ def format_profile(payload, events=False):
         lines.append("normalize: "
                      + " ".join(f"{k}={v}" for k, v in sorted(stats.items())))
 
+    for index, plan in enumerate(summary.get("solver_plans", []), start=1):
+        lines.append(
+            f"solver plan {index}: direction={plan['direction']} "
+            f"nodes={plan['nodes']} seeds={plan['seeds']}"
+            + _duration(plan))
     for index, run in enumerate(summary.get("solver_runs", []), start=1):
         verdict = "yes" if run_satisfies_each_equation_once(run) else "NO"
         line = (
@@ -229,7 +249,7 @@ def format_profile(payload, events=False):
         if sparse is not None:
             line += (f" sparse_rounds={run['sparse_rounds']} "
                      f"sparse_bundles={sparse['bundles']}")
-        lines.append(line)
+        lines.append(line + _duration(run))
     once = summary.get("each_equation_once")
     if once is not None:
         lines.append(f"each-equation-once (all runs): "

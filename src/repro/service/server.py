@@ -4,10 +4,10 @@ A :class:`CompileService` is the long-lived process the one-shot entry
 points (``repro annotate``, ``repro batch``) cannot be: it pays
 interpreter startup, worker spawn, and cache warmup **once**, then
 serves compile requests over TCP while the batch layer's
-content-addressed :class:`~repro.batch.cache.PipelineCache` and the
-compiled :class:`~repro.core.kernel.plan.SolverPlan`\\ s it snapshots
-stay warm across requests — the same overlap-and-amortize idea
-GIVE-N-TAKE applies to communication, applied to the compiler itself.
+content-addressed :class:`~repro.batch.cache.PipelineCache` of solved
+programs stays warm across requests — the same overlap-and-amortize
+idea GIVE-N-TAKE applies to communication, applied to the compiler
+itself.
 
 Division of labor:
 

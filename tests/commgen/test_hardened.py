@@ -105,8 +105,8 @@ def test_degrades_when_balanced_rung_fails(monkeypatch):
             # drop one production: C1 balance now fails on replay
             placement = result.read_placement
             production = placement.productions()[0]
-            placement._set(production.node, production.position,
-                           production.timing, 0)
+            del placement._bits[(production.node, production.position,
+                                 production.timing)]
         return result
 
     monkeypatch.setattr(hardened_mod, "generate_communication", sabotage)

@@ -1,9 +1,67 @@
 """Placement wrapper tests."""
 
+import pytest
+
 from repro.core import Problem, solve
 from repro.core.placement import Placement, Position, Production
 from repro.core.problem import Direction, Timing
+from repro.graph.cfg import Node, NodeKind
+from repro.testing.generator import random_analyzed_program, random_problem
 from repro.testing.programs import analyze_source
+
+
+def per_node_placement(ifg, problem, solution):
+    """A placement built the readable way: four ``bits`` queries per
+    real node."""
+    placement = Placement.empty(ifg, problem)
+    before_key, after_key = ("RES_in", "RES_out")
+    if problem.direction is Direction.AFTER:
+        before_key, after_key = after_key, before_key
+    for node in ifg.real_nodes():
+        for timing in Timing:
+            for position, key in ((Position.BEFORE, before_key),
+                                  (Position.AFTER, after_key)):
+                bits = solution.bits(key, node, timing)
+                if bits:
+                    placement._bits[(node, position, timing)] = bits
+    return placement
+
+
+@pytest.mark.parametrize("backend", ["planned", "reference"])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_placement_from_columns_equals_per_node_construction(backend,
+                                                             direction):
+    for seed in range(8):
+        analyzed = random_analyzed_program(seed, size=20)
+        problem = random_problem(analyzed, seed=seed, n_elements=4,
+                                 direction=direction)
+        solution = solve(analyzed.ifg, problem, backend=backend)
+        placement = Placement(analyzed.ifg, problem, solution)
+        expected = per_node_placement(analyzed.ifg, problem, solution)
+        assert placement._bits == expected._bits, (seed, backend)
+        assert placement.productions() == expected.productions()
+
+
+@pytest.mark.parametrize("backend", ["planned", "reference"])
+def test_placement_skips_root_and_side_table_nodes(backend):
+    """Only real graph nodes are placed: RES bits a store holds for ROOT
+    or for nodes outside the graph (a ``SlotSolution``'s side table)
+    never become productions."""
+    analyzed = random_analyzed_program(3, size=20)
+    problem = random_problem(analyzed, seed=3, n_elements=4)
+    solution = solve(analyzed.ifg, problem, backend=backend)
+    top = problem.universe.top
+    strangers = [Node(990100 + i, NodeKind.STMT, name=f"stranger-{i}")
+                 for i in range(2)]
+    for node in [analyzed.ifg.root] + strangers:
+        for timing in Timing:
+            solution.set_bits("RES_in", node, top, timing)
+            solution.set_bits("RES_out", node, top, timing)
+    placement = Placement(analyzed.ifg, problem, solution)
+    expected = per_node_placement(analyzed.ifg, problem, solution)
+    assert placement._bits == expected._bits
+    placed = {node for node, _, _ in placement._bits}
+    assert placed <= set(analyzed.ifg.real_nodes())
 
 
 def test_before_problem_res_in_maps_to_before(fig11, fig11_placement):

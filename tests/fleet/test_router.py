@@ -6,12 +6,15 @@ hedging, full-fleet drain — each get a private fleet so breaker state
 and body counts never leak between tests.
 """
 
+import asyncio
+import gc
 import time
 
 import pytest
 
 from repro.commgen.pipeline import generate_communication
 from repro.fleet import FleetConfig, LocalFleet
+from repro.fleet.router import FleetRouter, _ForwardError
 from repro.lang.printer import format_program
 from repro.service import ServiceClient, ServiceError
 from repro.service.protocol import (
@@ -275,3 +278,40 @@ def test_severed_router_connections_are_survivable():
             result = client.compile_retrying(FIG11_SOURCE, name="after")
             assert result["ok"] is True
             assert result["cache_hit"] is True  # same home shard, warm
+
+
+def test_heartbeat_cancelled_mid_probe_retrieves_the_probe_failure():
+    """Shutdown cancels a heartbeat just as its probe fails: the probe's
+    exception must still be retrieved.  (Python 3.11's ``wait_for``
+    dropped it, and asyncio logged "Task exception was never
+    retrieved" through the loop's exception handler.)"""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        reported = []
+        loop.set_exception_handler(
+            lambda _loop, context: reported.append(context["message"]))
+        config = FleetConfig(heartbeat_s=0.001, probe_timeout_s=30)
+        router = FleetRouter([("127.0.0.1", 9)], config)
+        probing = asyncio.Event()
+
+        async def failing_roundtrip(shard, payload):
+            probing.set()
+            try:
+                await asyncio.sleep(30)
+            except asyncio.CancelledError:
+                raise _ForwardError("connect failed as the probe was "
+                                    "cancelled") from None
+
+        router._roundtrip = failing_roundtrip
+        heartbeat = loop.create_task(router._heartbeat(router.shards[0]))
+        await probing.wait()
+        router._closing = True  # as shutdown() sets before cancelling
+        heartbeat.cancel()
+        await asyncio.gather(heartbeat, return_exceptions=True)
+        for _ in range(3):
+            await asyncio.sleep(0)
+        gc.collect()
+        return reported
+
+    assert asyncio.run(scenario()) == []

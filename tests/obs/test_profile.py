@@ -1,6 +1,7 @@
 """End-to-end profiles and the BENCH_solver.json payload."""
 
 import json
+import re
 
 from repro.machine import ConditionPolicy
 from repro.obs import (
@@ -74,6 +75,25 @@ def test_format_profile_human_rendering():
     assert text.startswith("# repro profile")
     assert "each-equation-once (all runs): yes" in text
     assert "placements: reads=" in text
+
+
+def test_profile_times_plan_builds_apart_from_solver_runs():
+    payload = profile_source(FIG11_SOURCE)
+    plans = payload["summary"]["solver_plans"]
+    # one forward plan, one (optimistic) backward plan
+    assert [plan["direction"] for plan in plans] == ["before", "after"]
+    assert all(plan["duration_s"] >= 0 for plan in plans)
+    text = format_profile(payload)
+    for index in (1, 2):
+        assert re.search(rf"^solver plan {index}: .* duration=\d+\.\d{{3}}ms$",
+                         text, re.MULTILINE)
+        assert re.search(rf"^solver run {index}: .* duration=\d+\.\d{{3}}ms$",
+                         text, re.MULTILINE)
+    # durations are wall-clock fields, so stable traces drop them
+    stable = stable_form(payload)["summary"]["solver_plans"]
+    assert stable == [{key: value for key, value in plan.items()
+                       if key != "duration_s"} for plan in plans]
+    assert "duration=" not in format_profile(stable_form(payload))
 
 
 def test_format_profile_event_stream():
