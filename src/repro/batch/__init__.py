@@ -3,10 +3,9 @@
 The plain pipeline recompiles everything from scratch on every call;
 this package makes corpus-scale compilation cheap (``docs/scaling.md``):
 
-* :class:`PipelineCache` — a content-addressed cache of the immutable
-  pipeline stages (analyzed frontends and fully solved pre-annotation
-  state), storing pickled snapshots so the annotator's in-place AST
-  mutation can never leak into a cached entry;
+* :class:`PipelineCache` — a content-addressed cache of compile
+  results (annotated source, placement counts, stable trace) and of
+  per-program interval records for :func:`compile_delta`;
 * :func:`compile_many` / :func:`compile_one` — the drivers that fan a
   corpus across a process pool and merge per-program results, errors,
   cache statistics, traces, and degradation reports;
@@ -17,8 +16,8 @@ this package makes corpus-scale compilation cheap (``docs/scaling.md``):
 
 from repro.batch.cache import CACHE_SCHEMA, PipelineCache, source_fingerprint
 from repro.batch.driver import (
+    COMPILED_NAMESPACE,
     MERKLE_NAMESPACE,
-    PREPARED_NAMESPACE,
     BatchOptions,
     BatchResult,
     CompiledProgram,
@@ -32,8 +31,8 @@ __all__ = [
     "CACHE_SCHEMA",
     "PipelineCache",
     "source_fingerprint",
+    "COMPILED_NAMESPACE",
     "MERKLE_NAMESPACE",
-    "PREPARED_NAMESPACE",
     "BatchOptions",
     "BatchResult",
     "CompiledProgram",

@@ -1,22 +1,19 @@
-"""Content-addressed cache for pipeline state (``docs/scaling.md``).
+"""Content-addressed cache for compile results (``docs/scaling.md``).
 
-The :class:`PipelineCache` memoizes the expensive, *immutable* stages of
-compilation — parse → CFG → normalize → ``IntervalFlowGraph`` (namespace
-``"analyzed"``) and the fully solved pre-annotation state (namespace
-``"prepared"``) — keyed by a SHA-256 fingerprint of the source text plus
-every option that influences the cached computation.
+The :class:`PipelineCache` stores what
+:func:`~repro.batch.driver.compile_one` returns — annotated source,
+placement counts and stable trace (namespace ``"compiled"``) — and the
+per-program Merkle interval records
+:func:`~repro.batch.driver.compile_delta` diffs against (namespace
+``"interval-merkle"``), keyed by a SHA-256 fingerprint of the source
+text plus every option that shapes the output.
 
 Two properties are load-bearing:
 
 * **Entries are stored as pickle bytes, not objects.**
-  :meth:`put` snapshots the state *at store time* and :meth:`get`
-  materializes a fresh object graph on every hit.  This is the defense
-  against the pipeline's in-place mutation:
-  :func:`~repro.commgen.pipeline.annotate_prepared` splices READ/WRITE
-  statements directly into ``analyzed.program``, so handing two callers
-  the same object would make the second see the first caller's
-  communication statements as real code.  Bytes in, private copy out —
-  a cached program can never be observed mutated.
+  :meth:`put` snapshots the value *at store time* and :meth:`get`
+  materializes a fresh object on every hit, so a caller that mutates
+  what it got back can never change what the next caller sees.
 * **Keys are content addresses.** The same text with the same options
   always maps to the same key, across processes and across runs (with a
   ``directory``), so a warm disk cache is shared by every worker of
@@ -42,8 +39,8 @@ from collections import OrderedDict
 #: bounded path sample certified; ``/4``: flow graphs that carry a
 #: structural version, interval graphs keyed by edge letter; ``/5``:
 #: letter-major interval adjacency, and snapshots without solver views
-#: or plans).
-CACHE_SCHEMA = "repro-batch-cache/5"
+#: or plans; ``/6``: compile results instead of solver snapshots).
+CACHE_SCHEMA = "repro-batch-cache/6"
 
 #: Option values allowed into a fingerprint: their ``repr`` is stable
 #: across processes and runs.  Anything else (an object with the default

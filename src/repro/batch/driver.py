@@ -13,18 +13,13 @@ per-program outcomes into one :class:`BatchResult`:
   :func:`~repro.obs.trace.stable_form` payloads) and hardened-pipeline
   degradation summaries.
 
-Workers never share live pipeline objects — the cache stores pickled
-pre-annotation snapshots and every compile annotates a private copy, so
-the in-place AST mutation of
-:func:`~repro.commgen.pipeline.annotate_prepared` cannot leak between
-programs (``docs/scaling.md``).
-
-Traces stay comparable between cached and uncached runs: the trace of
-the prepare phase is captured once, on the cache miss, and stored (in
-stable form) next to the snapshot; a hit replays the stored trace
-instead of re-solving.  Since trace content is deterministic for a given
-input, a warm cached run reports byte-identical stable traces to a cold
-or uncached one — the equivalence suite pins this down.
+With a cache, a compile stores its *result* — annotated source,
+placement counts and stable trace — under the content address of the
+text and every option that shapes the output, and a hit returns that
+result.  No pipeline object is ever cached, so the in-place AST
+mutation of :func:`~repro.commgen.pipeline.annotate_prepared` cannot
+leak between compiles, and a cached run reports byte-identical sources
+and stable traces to an uncached one (``docs/scaling.md``).
 """
 
 import os
@@ -35,24 +30,25 @@ from typing import Optional
 from repro.batch.cache import PipelineCache, source_fingerprint
 from repro.commgen.hardened import HardenedPipeline, ResourceBudget
 from repro.commgen.pipeline import annotate_prepared, prepare_communication
-from repro.core.kernel.incremental import IncrementalSolveMemo
 from repro.core.solver import check_backend
 from repro.graph.pipeline import analyzed_program_for
 from repro.lang.printer import format_first_line
-from repro.obs.collector import TraceCollector, tracing
+from repro.obs.collector import tracing
 from repro.obs.trace import stable_form, trace_payload
 from repro.util.errors import ReproError
 
-#: Cache namespace for solved pre-annotation pipeline state.
-PREPARED_NAMESPACE = "prepared"
+#: Cache namespace for compile results: ``{annotated_source, reads,
+#: writes, trace}``.
+COMPILED_NAMESPACE = "compiled"
 
 #: Cache namespace for per-program Merkle interval fingerprints, keyed
 #: by the plain :func:`source_fingerprint` of the text — the digest a
 #: ``compile_delta`` request names as its ``base``.
 MERKLE_NAMESPACE = "interval-merkle"
 
-#: prepare_communication keyword defaults — also the full set of options
-#: that participate in the content address of a "prepared" entry.
+#: prepare_communication keyword defaults — with ``split_messages`` and
+#: ``trace``, the options that participate in the content address of a
+#: "compiled" entry.
 PREPARE_DEFAULTS = {
     "owner_computes": False,
     "postpass": True,
@@ -123,9 +119,8 @@ class CompiledProgram:
     degraded: bool = False
     #: stable-form trace payload (``trace=True`` only)
     trace: Optional[dict] = None
-    #: interval-memo accounting for cached compiles (whole-solve and
-    #: fragment hits, write-verdict replays, changed-interval counts for
-    #: deltas); ``None`` when no memo ran
+    #: :func:`compile_delta` only: the edited and base digests and, when
+    #: the base's interval record is cached, the changed-interval counts
     incremental: Optional[dict] = None
 
     def as_dict(self):
@@ -225,68 +220,38 @@ def compile_one(name, text, cache=None, options=None):
 
 def _compile_plain(name, text, cache, options):
     kwargs = options.prepare_kwargs()
-    prepared, prepare_trace, hit, incremental = _prepared_state(
-        text, cache, options, kwargs)
-    annotate_collector = TraceCollector() if options.trace else None
-    if annotate_collector is not None:
-        with tracing(annotate_collector):
-            result = annotate_prepared(
-                prepared, split_messages=options.split_messages)
-    else:
-        result = annotate_prepared(prepared,
-                                   split_messages=options.split_messages)
-    reads, writes = result.communication_count()
-    trace = None
-    if options.trace:
-        trace = _merge_traces(prepare_trace,
-                              stable_form(trace_payload(annotate_collector)))
-    return CompiledProgram(name=name, ok=True,
-                           annotated_source=result.annotated_source(),
-                           reads=reads, writes=writes, cache_hit=hit,
-                           trace=trace, incremental=incremental)
-
-
-def _prepared_state(text, cache, options, kwargs):
-    """The solved pre-annotation state for ``text``: a private cached
-    copy when possible, freshly computed (and snapshotted) otherwise.
-
-    Returns ``(prepared, trace, hit, incremental)``.  On the miss path
-    with a cache, solves run through an
-    :class:`~repro.core.kernel.incremental.IncrementalSolveMemo`, so a
-    fresh text that shares structure with anything compiled before —
-    edit traffic — replays whole solves, interval fragments, and write
-    verdicts instead of recomputing them; ``incremental`` reports that
-    accounting.  Tracing disables the memo: a replayed solve emits no
-    solver events, and traces must stay byte-identical between cached
-    and uncached runs."""
     if cache is not None:
-        key = cache.key(text, trace=options.trace, **kwargs)
-        entry = cache.get(PREPARED_NAMESPACE, key)
+        key = cache.key(text, split_messages=options.split_messages,
+                        trace=options.trace, **kwargs)
+        entry = cache.get(COMPILED_NAMESPACE, key)
         if entry is not None:
-            return entry["prepared"], entry["trace"], True, None
-    # The frontend is built outside any trace scope (on both the hit and
-    # the miss path it comes from untraced construction), so stable
-    # traces compare equal between cached and uncached runs.
+            return CompiledProgram(name=name, ok=True, cache_hit=True,
+                                   **entry)
+    # The frontend is built outside the trace scope, so a traced compile
+    # records the prepare and annotate phases only.
     analyzed = analyzed_program_for(
-        text, cache=cache, split_irreducible=kwargs["split_irreducible"],
+        text, split_irreducible=kwargs["split_irreducible"],
         max_splits=kwargs["max_splits"])
-    memo = None
-    if cache is not None and not options.trace:
-        memo = IncrementalSolveMemo(cache)
+    # Fingerprint the intervals before annotation moves labels around.
+    intervals = _interval_record(analyzed) if cache is not None else None
+    rest = _without_frontend(kwargs)
     if options.trace:
         with tracing() as collector:
-            prepared = prepare_communication(analyzed, **_without_frontend(kwargs))
-        prepare_trace = stable_form(trace_payload(collector))
+            result = annotate_prepared(
+                prepare_communication(analyzed, **rest),
+                split_messages=options.split_messages)
+        trace = stable_form(trace_payload(collector))
     else:
-        prepared = prepare_communication(analyzed, memo=memo,
-                                         **_without_frontend(kwargs))
-        prepare_trace = None
+        result = annotate_prepared(prepare_communication(analyzed, **rest),
+                                   split_messages=options.split_messages)
+        trace = None
+    reads, writes = result.communication_count()
+    entry = {"annotated_source": result.annotated_source(), "reads": reads,
+             "writes": writes, "trace": trace}
     if cache is not None:
-        cache.put(PREPARED_NAMESPACE, key,
-                  {"prepared": prepared, "trace": prepare_trace})
-        _store_interval_fingerprints(cache, text, prepared.analyzed)
-    return (prepared, prepare_trace, False,
-            dict(memo.stats) if memo is not None else None)
+        cache.put(COMPILED_NAMESPACE, key, entry)
+        cache.put(MERKLE_NAMESPACE, source_fingerprint(text), intervals)
+    return CompiledProgram(name=name, ok=True, **entry)
 
 
 def _render_interval_node(node):
@@ -299,36 +264,31 @@ def _render_interval_node(node):
     return format_first_line(node.stmt)
 
 
-def _store_interval_fingerprints(cache, text, analyzed):
-    """Record the program's Merkle interval fingerprints under its plain
-    source digest, so a later ``compile_delta`` naming this text as its
-    base can report which intervals the edit changed."""
+def _interval_record(analyzed):
+    """The program's sorted Merkle interval fingerprints: stored under
+    its plain source digest, so a later ``compile_delta`` naming this
+    text as its base can report which intervals the edit changed."""
     forest = analyzed.ifg.forest
-    fingerprints = forest.interval_fingerprints(_render_interval_node)
-    cache.put(MERKLE_NAMESPACE, source_fingerprint(text),
-              sorted(fingerprints.values()))
+    return sorted(forest.interval_fingerprints(_render_interval_node).values())
 
 
 def compile_delta(name, text, cache, options=None, base_digest=None):
-    """Incrementally recompile an edited program against a warm cache.
+    """Recompile an edited program and report which intervals the edit
+    changed.
 
     ``text`` is the *edited* source; ``base_digest`` (optional) is the
     plain :func:`~repro.batch.cache.source_fingerprint` of the base text
-    a previous compile warmed the cache with.  The compile itself is
-    :func:`compile_one` — incremental replay is content-addressed, so it
-    needs no base entry to splice from, only a warm cache — but the base
-    digest adds the delta diagnostics: how many intervals the edit
-    changed versus the base's Merkle fingerprints.  The result is
-    byte-identical to a cold :func:`compile_one` of the same text.
+    a previous compile through ``cache`` stored.  The compile itself is
+    :func:`compile_one`, so the result is byte-identical to a cold
+    compile of the same text; the base digest adds the diagnostics: how
+    many of the edited program's intervals are missing from the base's
+    Merkle interval record.
     """
     if cache is None:
-        raise ValueError("compile_delta requires a PipelineCache to replay "
-                         "interval solves from")
-    options = options if options is not None else BatchOptions()
+        raise ValueError("compile_delta requires a PipelineCache to read "
+                         "interval records from")
     compiled = compile_one(name, text, cache, options)
-    incremental = dict(compiled.incremental or {})
-    incremental["digest"] = source_fingerprint(text)
-    incremental["base"] = base_digest
+    incremental = {"digest": source_fingerprint(text), "base": base_digest}
     if compiled.ok and base_digest:
         base_fps = cache.get(MERKLE_NAMESPACE, base_digest)
         edited_fps = cache.get(MERKLE_NAMESPACE, incremental["digest"])
@@ -379,26 +339,6 @@ def _compile_hardened(name, text, options):
                            trace=trace)
 
 
-def _merge_traces(first, second):
-    """Concatenate two stable trace payloads (events append, counters
-    sum) — used to join the prepare-phase and annotate-phase traces into
-    one per-program payload."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-    counters = {c: dict(bucket) for c, bucket in first["counters"].items()}
-    for counter, bucket in second["counters"].items():
-        merged = counters.setdefault(counter, {})
-        for key, n in bucket.items():
-            merged[key] = merged.get(key, 0) + n
-    return {
-        "schema": first["schema"],
-        "events": list(first["events"]) + list(second["events"]),
-        "counters": counters,
-    }
-
-
 # -- the worker pool --------------------------------------------------------
 
 #: Per-process cache instances, keyed by directory (None = memory-only).
@@ -425,9 +365,10 @@ def _pool_compile(item, cache_dir, use_cache, options):
 
 def _pool_compile_delta(item, cache_dir, use_cache, options, base_digest):
     name, text = item
-    # compile_delta needs a cache to replay from; a worker without one
-    # (memory-only service config) degrades to its private per-process
-    # cache — still correct, just cold until that worker warms it.
+    # compile_delta needs a cache to read interval records from; a
+    # worker without one (memory-only service config) degrades to its
+    # private per-process cache — still correct, just cold until that
+    # worker warms it.
     cache = (_worker_cache(cache_dir, use_cache)
              or _worker_cache(None, True))
     return compile_delta(name, text, cache, options=options,

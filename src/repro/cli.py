@@ -41,11 +41,10 @@ trace summary; ``--trace-json PATH`` writes the full JSON trace (``-``
 for stdout).
 
 ``batch`` compiles every ``*.f`` program under a directory (or an
-explicit file list) through the memoized batch layer
-(``docs/scaling.md``): ``--jobs`` fans the corpus across worker
-processes, ``--cache DIR`` keeps a content-addressed cache of solved
-pipeline state warm across runs, ``--no-cache`` disables caching
-entirely.  Per-program errors are reported and counted, never fatal to
+explicit file list) through the batch layer (``docs/scaling.md``):
+``--jobs`` fans the corpus across worker processes, ``--cache DIR``
+keeps a content-addressed cache of compile results warm across runs,
+``--no-cache`` disables caching entirely.  Per-program errors are reported and counted, never fatal to
 the rest of the corpus; the command exits 1 when any program failed.
 
 ``serve`` runs the resident compile service (``docs/serving.md``): a
@@ -208,8 +207,8 @@ def build_parser():
     add_solver_backend_argument(batch)
 
     delta = commands.add_parser(
-        "delta", help="incrementally recompile an edited program "
-                      "against a warm cache (docs/scaling.md)")
+        "delta", help="recompile an edited program and report which "
+                      "intervals the edit changed (docs/scaling.md)")
     delta.add_argument("base", help="base source file (the previously "
                                     "compiled version)")
     delta.add_argument("edited", help="edited source file ('-' for stdin)")
@@ -219,7 +218,7 @@ def build_parser():
                             "cache warmed by compiling BASE first")
     delta.add_argument("--json", action="store_true",
                        help="machine-readable result (the full compile "
-                            "payload including the incremental stats)")
+                            "payload including the interval diff)")
     add_solver_backend_argument(delta)
 
     serve = commands.add_parser(
@@ -580,9 +579,7 @@ def command_delta(args, out):
     total = incr.get("intervals_total")
     scope = (f"{changed}/{total} intervals changed"
              if changed is not None else "interval diff unavailable")
-    out.write(f"! delta: {scope}; whole-solve hits {incr.get('whole_hits', 0)}"
-              f", interval splices {incr.get('interval_hits', 0)}"
-              f", verdict hits {incr.get('verdict_hits', 0)}\n")
+    out.write(f"! delta: {scope}\n")
     return 0
 
 

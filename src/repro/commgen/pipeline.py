@@ -5,12 +5,10 @@ The pipeline has two phases with very different mutation behavior:
 * :func:`prepare_communication` — parse, build/normalize the flow
   graph, collect accesses, build and solve both GIVE-N-TAKE problems,
   run the synthetic-node post-pass.  Nothing here mutates the program
-  AST, so the resulting :class:`PreparedCommunication` is the state the
-  batch layer's content-addressed cache stores (``repro.batch``).
+  AST.
 * :func:`annotate_prepared` — splice the solved placements into the
   AST as READ/WRITE statements.  This *mutates* ``analyzed.program`` in
-  place, which is exactly why cached state must be snapshotted before
-  this phase runs.
+  place.
 
 :func:`generate_communication` chains the two, preserving the original
 one-call API.
@@ -33,9 +31,7 @@ class PreparedCommunication:
     """Everything the pipeline computed *before* annotation.
 
     The contained ``analyzed.program`` AST is still pristine — no
-    communication statements have been spliced in — so this object is
-    safe to serialize and reuse (each reuse must still work on a private
-    copy, since :func:`annotate_prepared` mutates it)."""
+    communication statements have been spliced in yet."""
 
     def __init__(self, analyzed, symbols, accesses, read_problem,
                  read_solution, read_placement, write_problem,
@@ -90,26 +86,18 @@ def prepare_communication(source, owner_computes=False, postpass=True,
                           hoist_zero_trip=True, after_jumps="optimistic",
                           refine_sections=True, split_irreducible=False,
                           max_splits=None, solver_rounds=None,
-                          solver_backend=None, memo=None):
+                          solver_backend=None):
     """Run everything up to (but excluding) annotation; return a
     :class:`PreparedCommunication`.
 
     ``source`` may be source text, a parsed Program, or an already
     analyzed :class:`~repro.testing.programs.AnalyzedProgram` (the batch
-    layer reuses cached frontends this way).  Parameter semantics match
-    :func:`generate_communication`.
+    layer builds the frontend first, outside any trace scope).
+    Parameter semantics match :func:`generate_communication`.
 
     All solves on one graph — the READ solve and up to two WRITE solves
     — share one forward and one backward compiled
-    :class:`~repro.core.kernel.plan.SolverPlan`, cached on the graph
-    (the batch layer's pipeline-cache snapshots leave it out).
-
-    ``memo`` — an optional
-    :class:`~repro.core.kernel.incremental.IncrementalSolveMemo`: every
-    solve (and the optimistic write-check verdict) is replayed from the
-    memo's content-addressed cache when possible and recorded into it
-    otherwise, turning an edit recompile into work proportional to the
-    changed intervals.  Results are bit-identical with or without it.
+    :class:`~repro.core.kernel.plan.SolverPlan`, cached on the graph.
     """
     if isinstance(source, AnalyzedProgram):
         analyzed = source
@@ -126,8 +114,8 @@ def prepare_communication(source, owner_computes=False, postpass=True,
                                       refine=refine_sections)
     read_problem.hoist_zero_trip = hoist_zero_trip
     read_problem.freeze()
-    read_solution = _solve(analyzed.ifg, read_problem, None, solver_rounds,
-                           solver_backend, memo)
+    read_solution = solve(analyzed.ifg, read_problem,
+                          max_rounds=solver_rounds, backend=solver_backend)
     read_placement = Placement(analyzed.ifg, read_problem, read_solution)
 
     if postpass:
@@ -139,8 +127,7 @@ def prepare_communication(source, owner_computes=False, postpass=True,
     write_problem.hoist_zero_trip = hoist_zero_trip
     write_problem.freeze()
     write_solution, write_placement = _solve_write(
-        analyzed, write_problem, after_jumps, solver_rounds, solver_backend,
-        memo)
+        analyzed, write_problem, after_jumps, solver_rounds, solver_backend)
 
     if postpass:
         shift_synthetic_productions(write_placement)
@@ -158,8 +145,7 @@ def annotate_prepared(prepared, split_messages=True):
 
     This mutates ``prepared.analyzed.program`` in place — never feed it
     a :class:`PreparedCommunication` that something else still needs in
-    pristine form (the batch cache hands out private copies for exactly
-    this reason)."""
+    pristine form."""
     annotator = Annotator(prepared.analyzed)
     # WRITEs first so that at shared points data is written back before
     # a READ fetches it (Figure 3's then branch ordering).
@@ -230,17 +216,8 @@ def generate_communication(source, owner_computes=False, split_messages=True,
     return annotate_prepared(prepared, split_messages=split_messages)
 
 
-def _solve(ifg, problem, view, solver_rounds, solver_backend, memo):
-    """One solve, replayed through ``memo`` when it applies to the
-    requested backend (the reference oracle always computes fresh)."""
-    if memo is not None and memo.applies(solver_backend):
-        return memo.solve(ifg, problem, view=view, max_rounds=solver_rounds)
-    return solve(ifg, problem, view=view, max_rounds=solver_rounds,
-                 backend=solver_backend)
-
-
 def _solve_write(analyzed, write_problem, after_jumps, solver_rounds=None,
-                 solver_backend=None, memo=None):
+                 solver_backend=None):
     """Solve the AFTER problem per the requested jump treatment."""
     from repro.core.checker import check_placement_dual
     from repro.graph.views import cached_view
@@ -248,29 +225,16 @@ def _solve_write(analyzed, write_problem, after_jumps, solver_rounds=None,
     has_jumps = bool(analyzed.ifg.jump_edges())
     if after_jumps == "optimistic" and has_jumps and write_problem.annotated_nodes():
         view = cached_view(analyzed.ifg, "after", blocked=False)
-        solution = _solve(analyzed.ifg, write_problem, view, solver_rounds,
-                          solver_backend, memo)
+        solution = solve(analyzed.ifg, write_problem, view=view,
+                         max_rounds=solver_rounds, backend=solver_backend)
         placement = Placement(analyzed.ifg, write_problem, solution)
-        accept = None
-        if memo is not None and memo.applies(solver_backend):
-            # The check's verdict is a pure function of (graph, problem,
-            # solution) — the same contents the solve key addresses — so
-            # a warm delta replays the verdict instead of re-checking.
-            accept = memo.write_verdict(analyzed.ifg, write_problem, view,
-                                        solver_rounds)
-        if accept is None:
-            # Balance over every path, sufficiency over the paths on
-            # which each entered loop runs at least once.
-            full, min_trip = check_placement_dual(
-                analyzed.ifg, write_problem, placement)
-            balanced = not full.by_kind("balance")
-            sufficient = min_trip.ok(ignore=("safety", "redundant"))
-            accept = balanced and sufficient
-            if memo is not None and memo.applies(solver_backend):
-                memo.store_write_verdict(analyzed.ifg, write_problem, view,
-                                         solver_rounds, accept)
-        if accept:
+        # Balance over every path, sufficiency over the paths on which
+        # each entered loop runs at least once.
+        full, min_trip = check_placement_dual(
+            analyzed.ifg, write_problem, placement)
+        balanced = not full.by_kind("balance")
+        if balanced and min_trip.ok(ignore=("safety", "redundant")):
             return solution, placement
-    solution = _solve(analyzed.ifg, write_problem, None, solver_rounds,
-                      solver_backend, memo)
+    solution = solve(analyzed.ifg, write_problem, max_rounds=solver_rounds,
+                     backend=solver_backend)
     return solution, Placement(analyzed.ifg, write_problem, solution)

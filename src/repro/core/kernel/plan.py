@@ -9,9 +9,7 @@ shape and cached on the interval flow graph itself
 (:func:`plan_for`), so all problems and timings solved on one graph —
 the READ solve plus both WRITE solves of
 :func:`~repro.commgen.pipeline.prepare_communication` — share one
-forward and one backward plan.  Plans are cheap to rebuild and a cache
-hit never reads one, so :class:`~repro.batch.cache.PipelineCache`
-snapshots leave them out.
+forward and one backward plan.
 
 Slots
 -----
@@ -208,9 +206,7 @@ def plan_for(view):
 
     Plans are keyed by ``view.plan_key`` and stored on the interval
     flow graph instance, so every view of the same shape — and every
-    solve on the same graph — reuses one compiled plan.  Pickling the
-    graph (batch cache snapshots) leaves the plans out; an unpickled
-    graph compiles them again on first use.
+    solve on the same graph — reuses one compiled plan.
     """
     plans = view.ifg.solver_cache("plans")
     key = view.plan_key

@@ -40,12 +40,7 @@ def build_operand_columns(plan, problem):
     """Static per-slot operand bitsets for ``problem`` over ``plan``:
     ``(take0, give0, steal0)`` with the whole-universe blocking terms of
     Eq 1 (``steal_all`` headers, zero-trip blocking) baked into
-    ``steal0``.
-
-    Shared between the solver's own run and the incremental memo, which
-    keys cached solutions by exactly these baked operands — so ⊤ from
-    ``steal_all`` or disabled hoisting is already expanded to concrete
-    elements before any fingerprinting happens."""
+    ``steal0``."""
     take0 = [problem.take_init(node) for node in plan.nodes]
     give0 = [problem.give_init(node) for node in plan.nodes]
     top = problem.universe.top
@@ -151,30 +146,14 @@ class PlannedSolver:
     the backward consumption iteration, :class:`SolverBudgetError` when
     it is exhausted short of the fixpoint; ``None`` applies the natural
     bound and raises :class:`SolverError` if even that fails.
-
-    ``preset`` maps slots to 10-tuples of consumption bitsets (in
-    ``SHARED_VARIABLES`` order) whose bundles are *replayed* rather than
-    evaluated: their values are written before the sweep and their
-    bundles skipped during it.  This is the splice half of the
-    incremental memo (``core.kernel.incremental``) — only sound when
-    the preset values are a fixpoint of the skipped bundles' equations
-    under the current operands, which the memo guarantees by keying
-    fragments on the subtree's structure and baked operands.  Presets
-    require a non-iterating plan (forward, or backward without jumps).
     """
 
-    def __init__(self, view, problem, max_rounds=None, plan=None,
-                 preset=None):
+    def __init__(self, view, problem, max_rounds=None, plan=None):
         self.view = view
         self.problem = problem
         self.max_rounds = max_rounds
         problem.validate_against(view)
         self.plan = plan if plan is not None else plan_for(view)
-        if preset and self.plan.requires_iteration:
-            raise SolverError(
-                "preset consumption values require a non-iterating plan "
-                "(the sparse fixpoint may revisit preset bundles)")
-        self.preset = dict(preset) if preset else {}
         self.solution = SlotSolution(problem, view, self.plan)
         self._obs = current_collector()
         self._full_sweeps = 0
@@ -212,13 +191,6 @@ class PlannedSolver:
         self._GVl = sol.column("GIVE_loc")
         self._STl = sol.column("STEAL_loc")
 
-        if self.preset:
-            columns = (self._ST, self._GV, self._BL, self._TO, self._TK,
-                       self._TI, self._BLl, self._TKl, self._GVl, self._STl)
-            for s, values in self.preset.items():
-                for column, bits in zip(columns, values):
-                    column[s] = bits
-
         natural = budget = None
         checked = False
         self._full_sweep()
@@ -246,16 +218,12 @@ class PlannedSolver:
 
     def _emit_run_event(self, start, natural, budget, converged, checked):
         obs = self._obs
-        plan = self.plan
-        n = plan.n
-        preset_bundles = len(self.preset)
-        preset_children = sum(len(plan.children[s]) for s in self.preset)
+        n = self.plan.n
         counts = {}
         for number in range(1, 9):
-            counts[number] = ((n - preset_bundles) * self._full_sweeps
-                              + self._sparse_bundles)
+            counts[number] = n * self._full_sweeps + self._sparse_bundles
         for number in (9, 10):
-            counts[number] = ((n - 1 - preset_children) * self._full_sweeps
+            counts[number] = ((n - 1) * self._full_sweeps
                               + self._sparse_children)
         for number in range(11, 16):
             counts[number] = n * 2
@@ -272,7 +240,6 @@ class PlannedSolver:
             converged=converged,
             convergence_checked=checked,
             full_sweeps=self._full_sweeps,
-            preset_bundles=preset_bundles,
             sparse_rounds=self._sparse_rounds,
             sparse_evaluations={"bundles": self._sparse_bundles,
                                 "children": self._sparse_children},
@@ -406,16 +373,12 @@ class PlannedSolver:
         return core_stale(plan, operands, self._trust, cols, s)
 
     def _full_sweep(self):
-        """One whole-graph S1/S2 sweep in descending slot order (preset
-        bundles replay their spliced values and are skipped)."""
+        """One whole-graph S1/S2 sweep in descending slot order."""
         obs = self._obs
         sweep_start = obs.clock() if obs.enabled else 0.0
         changed = False
         eval_bundle = self._eval_bundle
-        preset = self.preset
         for s in range(self.plan.n - 1, -1, -1):
-            if s in preset:
-                continue
             if eval_bundle(s):
                 changed = True
         self._full_sweeps += 1

@@ -21,19 +21,12 @@ Contract notes shared by *all* solution stores (reference included):
 * ``nonzero`` iterates the ``(node, bits)`` pairs of one variable with
   nonempty bits, in the order ``nodes_with`` uses: the one traversal
   :class:`~repro.core.placement.Placement` fills itself from.
-
-A pickled ``SlotSolution`` (a batch cache snapshot) carries its columns
-but not its view or plan: like the interval graph, which leaves its
-solver caches out of pickles, it re-resolves both from the graph on
-first use.
 """
 
 from itertools import chain, compress
 
-from repro.core.kernel.plan import plan_for
 from repro.core.problem import Timing
 from repro.core.solution import SHARED_VARIABLES, TIMED_VARIABLES
-from repro.graph.views import cached_view
 
 
 class SlotSolution:
@@ -41,10 +34,8 @@ class SlotSolution:
 
     def __init__(self, problem, view, plan):
         self.problem = problem
-        self._ifg = view.ifg
-        self._shape = view.plan_key
-        self._view = view
-        self._plan = plan
+        self.view = view
+        self.plan = plan
         n = plan.n
         self._extra = {}
         self._shared = {name: [0] * n for name in SHARED_VARIABLES}
@@ -52,23 +43,6 @@ class SlotSolution:
             timing: {name: [0] * n for name in TIMED_VARIABLES}
             for timing in Timing
         }
-
-    @property
-    def view(self):
-        if self._view is None:
-            self._view = cached_view(self._ifg, *self._shape)
-        return self._view
-
-    @property
-    def plan(self):
-        if self._plan is None:
-            self._plan = plan_for(self.view)
-        return self._plan
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_view"] = state["_plan"] = None
-        return state
 
     def _store(self, name, timing):
         if name in self._shared:

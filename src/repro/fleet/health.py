@@ -15,7 +15,7 @@ Two small, deterministic mechanisms the
 
 * :class:`HashRing` — consistent hashing with virtual nodes.  Requests
   hash by source digest, so the same program lands on the same shard
-  (cache affinity: its solved pipeline state is already warm there),
+  (cache affinity: its compile result is already cached there),
   and removing a dead shard only remaps the keys that lived on it —
   the rest of the fleet keeps its warmth.
 """

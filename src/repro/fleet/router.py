@@ -10,10 +10,11 @@ tolerance (``docs/serving.md``):
 * **cache affinity** — requests are consistent-hashed by source digest
   (:class:`~repro.fleet.health.HashRing`), so a resubmitted program
   lands on the shard whose :class:`~repro.batch.cache.PipelineCache`
-  already holds its solved state; a ``compile_delta`` request carrying
-  a ``base`` digest routes by that digest *verbatim* — the edited text
-  hashes differently, but the warm interval solves it wants to splice
-  live on the shard that compiled the **base**;
+  already holds its compile result; a ``compile_delta`` request
+  carrying a ``base`` digest routes by that digest *verbatim* — the
+  edited text misses the result cache on every shard, but the base's
+  interval record the delta diffs against lives on the shard that
+  compiled the **base**;
 * **health** — a heartbeat ping per shard feeds a per-shard
   :class:`~repro.fleet.health.CircuitBreaker`; an open breaker takes
   the shard out of rotation until a half-open probe succeeds;
@@ -386,7 +387,7 @@ class FleetRouter:
         carrying a ``base`` digest routes by it **verbatim** — ``base``
         already is the :func:`~repro.batch.cache.source_fingerprint` of
         the base text, so re-hashing it would send the delta anywhere
-        *but* the shard whose cache holds the base's interval solves."""
+        *but* the shard whose cache holds the base's interval record."""
         if request.get("type") == "compile_delta":
             base = request.get("base")
             if isinstance(base, str) and base:

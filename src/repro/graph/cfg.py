@@ -129,16 +129,6 @@ class ControlFlowGraph:
         for a pass that kept an analysis up to date with its own edits."""
         self._current_memo()[key] = value
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_memo"], state["_memo_version"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._memo = {}
-        self._memo_version = self._version
-
     # -- nodes ---------------------------------------------------------------
 
     def new_node(self, kind, stmt=None, name="", order_after=None, order_before=None):

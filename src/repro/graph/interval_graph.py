@@ -23,8 +23,7 @@ each letter's edges in one pass (:meth:`IntervalFlowGraph.letter_adjacency`).
 and :meth:`IntervalFlowGraph.edges`.
 
 The solver layer caches its views and compiled plans on the graph
-(:meth:`IntervalFlowGraph.solver_cache`); like the CFG's analysis memos
-they are rebuilt on demand, so pickles leave them out.
+(:meth:`IntervalFlowGraph.solver_cache`).
 """
 
 from enum import Enum
@@ -109,13 +108,9 @@ class IntervalFlowGraph:
                       edges=edge_counts)
             obs.count("graph", "interval_graphs")
 
-    def __getstate__(self):
-        return {key: value for key, value in self.__dict__.items()
-                if not key.startswith(_SOLVER_CACHE)}
-
     def solver_cache(self, kind):
         """The dict in which the solver layer caches its per-graph
-        ``kind`` (``"views"``, ``"plans"``); pickles leave it out."""
+        ``kind`` (``"views"``, ``"plans"``)."""
         return self.__dict__.setdefault(_SOLVER_CACHE + kind, {})
 
     # -- construction -------------------------------------------------------

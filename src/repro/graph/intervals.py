@@ -314,9 +314,9 @@ class LoopForest:
         order, and — in place of each nested loop's members — the
         *fingerprint* of that child interval.  An edit therefore changes
         exactly the fingerprints of the intervals on the path from the
-        edited statement to the root, which is how the incremental
-        compile layer reports which intervals an edit touched
-        (``docs/scaling.md``).
+        edited statement to the root, which is how
+        :func:`~repro.batch.driver.compile_delta` reports which
+        intervals an edit touched (``docs/scaling.md``).
 
         ``render`` maps a node to stable text (e.g. its formatted
         statement).  Returns ``{header: hexdigest}`` with ``None`` keying

@@ -1,20 +1,13 @@
 """Convenience entry points: program text or AST → interval flow graph.
 
-:func:`analyzed_program_for` is the memoized variant the batch layer
-uses: the parse → CFG → normalize → ``IntervalFlowGraph`` chain is pure
-in the source text (plus the two normalization options), so its result
-can be cached by content address and reused across compiles — see
-``repro.batch`` and ``docs/scaling.md``.
+:func:`analyzed_program_for` is the frontend the batch layer calls:
+parse → CFG → normalize → ``IntervalFlowGraph`` for one source text.
 """
 
 from repro.lang.parser import parse
 from repro.graph.builder import build_cfg
 from repro.graph.normalize import normalize
 from repro.graph.interval_graph import IntervalFlowGraph
-
-#: Cache namespace for memoized frontends (parse → CFG → normalize →
-#: interval graph), shared with :mod:`repro.batch.cache`.
-ANALYZED_NAMESPACE = "analyzed"
 
 
 def interval_graph_for_program(program):
@@ -31,28 +24,9 @@ def interval_graph_for_program(program):
     return IntervalFlowGraph(cfg)
 
 
-def analyzed_program_for(text, cache=None, split_irreducible=False,
-                         max_splits=None):
-    """An :class:`~repro.testing.programs.AnalyzedProgram` for ``text``,
-    memoized in ``cache`` when one is given.
-
-    ``cache`` is any object with the :class:`repro.batch.PipelineCache`
-    ``key``/``get``/``put`` protocol.  Hits return a *private* copy of
-    the analyzed program (the cache stores serialized snapshots), so the
-    caller may freely hand it to the mutating annotation phase.
-    """
+def analyzed_program_for(text, split_irreducible=False, max_splits=None):
+    """An :class:`~repro.testing.programs.AnalyzedProgram` for ``text``."""
     from repro.testing.programs import AnalyzedProgram
 
-    if cache is None:
-        return AnalyzedProgram(parse(text),
-                               split_irreducible=split_irreducible,
-                               max_splits=max_splits)
-    key = cache.key(text, split_irreducible=split_irreducible,
-                    max_splits=max_splits)
-    analyzed = cache.get(ANALYZED_NAMESPACE, key)
-    if analyzed is None:
-        analyzed = AnalyzedProgram(parse(text),
-                                   split_irreducible=split_irreducible,
-                                   max_splits=max_splits)
-        cache.put(ANALYZED_NAMESPACE, key, analyzed)
-    return analyzed
+    return AnalyzedProgram(parse(text), split_irreducible=split_irreducible,
+                           max_splits=max_splits)

@@ -140,11 +140,11 @@ class ServiceClient:
 
     def compile_delta(self, source, base_digest=None, name="<client>",
                       deadline_s=None, options=None):
-        """Incrementally recompile an edited program (``compile_delta``).
+        """Recompile an edited program (``compile_delta``).
 
         ``source`` is the full *edited* text; ``base_digest`` (optional)
         is the :func:`~repro.batch.cache.source_fingerprint` of the base
-        text a previous compile warmed the server's cache with — with it
+        text a previous compile through the server's cache stored — with it
         the result's ``incremental`` dict reports how many intervals the
         edit changed, and a fleet router uses it for cache affinity.
         The result dict is byte-identical to :meth:`compile` of the same

@@ -21,14 +21,13 @@ Request shapes::
     {"type": "status"}
     {"type": "drain"}
 
-``compile_delta`` carries the *edited* source in full; ``base`` names
-the previously compiled text whose warm cache entries the server splices
-from (interval-scoped memoization, ``docs/scaling.md``).  ``base`` is
-optional — the replay is content-addressed, so the compile is
-incremental against whatever the cache holds either way — but with it
-the response's ``result["incremental"]`` additionally reports how many
-intervals the edit changed, and the fleet router uses it for cache
-affinity (deltas land on the shard that compiled the base).
+``compile_delta`` carries the *edited* source in full and compiles it
+exactly like ``compile``; ``base`` (optional) names the previously
+compiled text.  With it the response's ``result["incremental"]``
+additionally reports how many intervals the edit changed against the
+base's cached interval record (``docs/scaling.md``), and the fleet
+router routes the delta to the shard that compiled the base, where that
+record lives (the edited text misses the result cache on every shard).
 
 A compile response wraps one
 :meth:`~repro.batch.driver.CompiledProgram.as_dict` payload under

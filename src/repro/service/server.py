@@ -4,8 +4,8 @@ A :class:`CompileService` is the long-lived process the one-shot entry
 points (``repro annotate``, ``repro batch``) cannot be: it pays
 interpreter startup, worker spawn, and cache warmup **once**, then
 serves compile requests over TCP while the batch layer's
-content-addressed :class:`~repro.batch.cache.PipelineCache` of solved
-programs stays warm across requests — the same overlap-and-amortize
+content-addressed :class:`~repro.batch.cache.PipelineCache` of compile
+results stays warm across requests — the same overlap-and-amortize
 idea GIVE-N-TAKE applies to communication, applied to the compiler
 itself.
 
@@ -472,8 +472,7 @@ class CompileService:
         base = None
         if delta:
             # The empty string marks "delta with no base digest": still
-            # an incremental compile, just without changed-interval
-            # diagnostics (the replay is content-addressed either way).
+            # a delta compile, just without changed-interval diagnostics.
             base = request.get("base") or ""
             if not isinstance(base, str):
                 self.metrics.reject(E_BAD_REQUEST)

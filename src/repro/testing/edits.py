@@ -1,22 +1,19 @@
-"""Seeded source-level edits for incremental-compile testing.
+"""Seeded source-level edits for edit-stream testing.
 
-The incremental layer (``docs/scaling.md``) promises that a
-``compile_delta`` of an edited program is *byte-identical* to a cold
-compile of the same text while re-solving only the intervals the edit
-touched.  Exercising that promise needs a stream of realistic edits over
-the generator corpus; :class:`EditModel` produces them, seeded and
-deterministic:
+A ``compile_delta`` of an edited program (``docs/scaling.md``) must be
+*byte-identical* to a cold compile of the same text and report which
+intervals the edit touched.  Exercising that promise needs a stream of
+realistic edits over the generator corpus; :class:`EditModel` produces
+them, seeded and deterministic:
 
 * ``scalar_rhs`` — bump the trailing constant addend of an assignment
   (``xb(3) = xb(3) + 1`` → ``+ 8``): the statement text changes but no
-  array reference does, so the solver *problems* are unchanged — the
-  edit every whole-interval memo hit should survive;
+  array reference does, so the solver *problems* are unchanged;
 * ``subscript`` — change a constant subscript of a distributed array
   (``xa(3)`` → ``xa(7)``): the problem in the enclosing interval
-  changes, forcing a re-solve there;
+  changes;
 * ``insert`` — add a fresh opaque assignment after a random statement:
-  the flow graph grows a node, so whole-interval keys miss and the
-  untouched intervals splice back as fragments;
+  the flow graph grows a node;
 * ``delete`` — remove a generated scalar load (``v5 = xa(i)``):
   structure *and* problem change together.
 

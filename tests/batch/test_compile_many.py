@@ -158,8 +158,26 @@ def test_as_dict_is_json_shaped():
     json.dumps(payload)  # must be serializable as-is
     assert payload["ok"] == 1
     assert payload["programs"][0]["name"] == "fig11"
-    # a cold compile misses "analyzed", "prepared", and the incremental
-    # solve/fragment/verdict probes; stores add the merkle record on top
-    assert payload["cache"]["misses"] == 7
-    assert payload["cache"]["stores"] == 8
-    assert payload["programs"][0]["incremental"]["whole_misses"] == 2
+    # a cold compile misses its one result entry and stores it next to
+    # the program's interval record
+    assert payload["cache"]["misses"] == 1
+    assert payload["cache"]["stores"] == 2
+    assert payload["programs"][0]["incremental"] is None
+
+
+@pytest.mark.parametrize("option", ["split_messages", "trace"])
+def test_result_options_participate_in_the_cache_key(option):
+    """Both options shape the stored result (atomic operations instead
+    of send/recv pairs; the stored trace), so each must split the key."""
+    cache = PipelineCache()
+    default = compile_one("fig11", FIG11_SOURCE, cache=cache)
+    options = BatchOptions(**{option: not getattr(BatchOptions(), option)})
+    other = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
+    assert not other.cache_hit
+    cold = compile_one("fig11", FIG11_SOURCE, options=options)
+    assert (other.annotated_source, other.trace) == (
+        cold.annotated_source, cold.trace)
+    assert (other.annotated_source, other.trace) != (
+        default.annotated_source, default.trace)
+    assert compile_one("fig11", FIG11_SOURCE, cache=cache,
+                       options=options).cache_hit

@@ -7,19 +7,25 @@ Two properties are pinned down over a generator corpus:
   ``compile_many(jobs=N, cache=...)`` (cold and warm) match a serial
   uncached run exactly.
 * **Trace equality** — ``stable_form`` traces (wall-clock fields
-  stripped) are equal too: a cache hit replays the stored prepare-phase
-  trace, so warmth is invisible to trace consumers.
+  stripped) are equal too: a cache hit returns the trace stored with
+  the result, so warmth is invisible to trace consumers.
 
-Plus the mutation regression the cache exists for: annotating a cached
-program must never leak spliced READ/WRITE statements back into the
-cache (see ``docs/scaling.md``).
+Plus the mutation regressions: annotation splices READ/WRITE statements
+into the AST in place, and callers mutate the results they get back;
+neither may change what the cache serves next (``docs/scaling.md``).
 """
+
+import copy
 
 import pytest
 
-from repro.batch import BatchOptions, PipelineCache, compile_many, compile_one
-from repro.batch.driver import PREPARED_NAMESPACE
-from repro.lang import ast
+from repro.batch import (
+    BatchOptions,
+    PipelineCache,
+    compile_delta,
+    compile_many,
+    compile_one,
+)
 from repro.obs.bench import batch_corpus
 from repro.testing.programs import FIG11_SOURCE
 
@@ -34,6 +40,11 @@ def observable(result):
     """Everything a batch consumer can see, minus wall-clock noise."""
     return [(p.name, p.ok, p.annotated_source, p.reads, p.writes, p.trace)
             for p in result.programs]
+
+
+def observable_one(compiled):
+    return (compiled.annotated_source, compiled.reads, compiled.writes,
+            compiled.trace)
 
 
 def test_serial_cached_equals_serial_uncached(corpus):
@@ -67,11 +78,6 @@ def test_repeated_runs_are_deterministic(corpus):
 # -- the mutation regression ------------------------------------------------
 
 
-def comm_statements(program):
-    return [s for s in ast.walk_statements(program.body)
-            if isinstance(s, ast.Comm)]
-
-
 def test_cache_never_serves_a_mutated_ast():
     """Annotation splices READ/WRITE statements into the analyzed AST in
     place; a cache that handed out the live object would make the second
@@ -83,12 +89,28 @@ def test_cache_never_serves_a_mutated_ast():
     # byte-identical output — no doubled or shifted communication
     assert second.annotated_source == first.annotated_source
     assert (second.reads, second.writes) == (first.reads, first.writes)
-    # the stored snapshot is still pristine: no Comm statements leaked in
-    key = cache.key(FIG11_SOURCE, trace=False,
-                    **BatchOptions().prepare_kwargs())
-    entry = cache.get(PREPARED_NAMESPACE, key)
-    assert entry is not None
-    assert comm_statements(entry["prepared"].analyzed.program) == []
+
+
+def test_a_returned_result_is_private():
+    """Mutating a returned CompiledProgram — as compile_delta does with
+    ``.incremental`` — must not change what the next hit returns."""
+    cache = PipelineCache()
+    options = BatchOptions(trace=True)
+    miss = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
+    hit = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
+    assert hit.cache_hit
+    expected = copy.deepcopy(observable_one(miss))
+    assert observable_one(hit) == expected
+    for compiled in (miss, hit):
+        compiled.incremental = {"base": "mutated"}
+        compiled.annotated_source += "! mutated\n"
+        compiled.reads += 1
+        compiled.trace["events"].clear()
+    delta = compile_delta("fig11", FIG11_SOURCE, cache, options=options)
+    assert delta.cache_hit and observable_one(delta) == expected
+    again = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
+    assert again.cache_hit and again.incremental is None
+    assert observable_one(again) == expected
 
 
 def test_many_reuses_stay_pristine(corpus):

@@ -15,7 +15,6 @@ import pickle
 
 import pytest
 
-from repro.batch.cache import PipelineCache
 from repro.commgen.pipeline import prepare_communication
 from repro.core.kernel import SolverPlan, plan_for
 from repro.core.problem import Timing
@@ -223,24 +222,19 @@ def test_cached_view_returns_one_instance_per_shape():
                                                         blocked=False)
 
 
-def test_pickled_graph_carries_no_plans_or_views():
-    """Batch cache snapshots pickle the graph without its solver views
-    and plans; the unpickled graph rebuilds them and still solves
-    planned-vs-reference identically."""
+def test_pickled_graph_round_trips_with_its_plans():
+    """A graph pickled together with its compiled views and plans
+    solves, after the round trip, exactly like the original."""
     analyzed = random_analyzed_program(7, size=16)
     problem = random_problem(analyzed, seed=7, n_elements=4)
-    plan_for(cached_view(analyzed.ifg, "before"))
+    before = solve(analyzed.ifg, problem, backend="planned")
     plan_for(cached_view(analyzed.ifg, "after", blocked=False))
-    # One dump keeps the graph/problem node identities shared, exactly
-    # as the batch cache snapshots them.
-    payload = pickle.dumps((analyzed.ifg, problem))
-    ifg, problem = pickle.loads(payload)
-    assert "_solver_plans" not in ifg.__dict__
-    assert "_solver_views" not in ifg.__dict__
-    assert b"SolverPlan" not in payload and b"ForwardView" not in payload
-    planned = solve(ifg, problem, backend="planned")
-    reference = solve(ifg, problem, backend="reference")
+    # One dump keeps the graph/problem node identities shared.
+    ifg, restored = pickle.loads(pickle.dumps((analyzed.ifg, problem)))
+    planned = solve(ifg, restored, backend="planned")
+    reference = solve(ifg, restored, backend="reference")
     assert solutions_equal(planned, reference, ifg.nodes())
+    assert _answers(planned, ifg) == _answers(before, analyzed.ifg)
 
 
 def _answers(solution, ifg):
@@ -264,22 +258,16 @@ def _answers(solution, ifg):
 
 @pytest.mark.parametrize("source", [FIG11_SOURCE, FIG3_SOURCE],
                          ids=["fig11", "fig3"])
-def test_cache_hit_solutions_answer_like_the_miss(source):
-    """A hit's snapshot holds solution columns but no view or plan; its
-    solutions re-resolve both on first use and answer every query
-    exactly as the solutions the miss computed."""
-    cache = PipelineCache()
-    miss = prepare_communication(source)
-    cache.put("prepared", "key", {"prepared": miss})
-    hit = cache.get("prepared", "key")["prepared"]
-    solutions = ((miss.read_solution, hit.read_solution),
-                 (miss.write_solution, hit.write_solution))
-    for _, cached in solutions:
-        assert cached.__dict__["_plan"] is None
-        assert cached.__dict__["_view"] is None
-    assert "_solver_plans" not in hit.analyzed.ifg.__dict__
-    for fresh, cached in solutions:
-        assert cached.problem.direction is fresh.problem.direction
-        assert cached.view.plan_key == fresh.view.plan_key
-        assert (_answers(cached, hit.analyzed.ifg)
-                == _answers(fresh, miss.analyzed.ifg))
+def test_pickled_solutions_answer_like_the_originals(source):
+    """Solutions pickled with their views and plans answer every query
+    after the round trip exactly as the originals do."""
+    prepared = prepare_communication(source)
+    restored = pickle.loads(pickle.dumps(prepared))
+    solutions = ((prepared.read_solution, restored.read_solution),
+                 (prepared.write_solution, restored.write_solution))
+    for fresh, copied in solutions:
+        assert copied.problem.direction is fresh.problem.direction
+        assert copied.view.plan_key == fresh.view.plan_key
+        assert copied.plan.nodes[0].id == fresh.plan.nodes[0].id
+        assert (_answers(copied, restored.analyzed.ifg)
+                == _answers(fresh, prepared.analyzed.ifg))

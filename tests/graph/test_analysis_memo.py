@@ -139,12 +139,13 @@ def test_an_unchanged_graph_shares_one_analysis():
     assert cfg.order_map() is cfg.order_map()
 
 
-def test_memos_stay_out_of_pickles_and_copies():
+def test_memos_round_trip_through_pickles():
     cfg, _ = loop_graph()
-    bare = pickle.dumps(cfg)
     prime(cfg)
-    assert pickle.dumps(cfg) == bare
-    restored = pickle.loads(bare)
+    restored = pickle.loads(pickle.dumps(cfg))
+    assert restored.version == cfg.version
+    for analysis in (dominators, loop_forest):
+        assert outcome(analysis, restored) == outcome(analysis, cfg)
     assert_memos_fresh(restored)
     restored.add_edge(restored.nodes()[2], restored.exit)
     assert_memos_fresh(restored)

@@ -108,7 +108,6 @@ def test_compile_delta_round_trip(client):
     assert delta["annotated_source"] == cold.annotated_source()
     incr = delta["incremental"]
     assert incr["base"] == source_fingerprint(base)
-    assert incr["whole_hits"] + incr["interval_hits"] > 0
     assert 0 <= incr["intervals_changed"] <= incr["intervals_total"]
 
 
