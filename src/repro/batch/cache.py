@@ -8,12 +8,17 @@ per-program Merkle interval records
 ``"interval-merkle"``), keyed by a SHA-256 fingerprint of the source
 text plus every option that shapes the output.
 
-Two properties are load-bearing:
+Three properties are load-bearing:
 
 * **Entries are stored as pickle bytes, not objects.**
   :meth:`put` snapshots the value *at store time* and :meth:`get`
   materializes a fresh object on every hit, so a caller that mutates
   what it got back can never change what the next caller sees.
+* **Every payload carries its digest.**  A BLAKE2b digest of the pickle
+  bytes precedes them.  An entry whose bytes no longer match it, or
+  that fails to unpickle for any reason, is evicted and counted as a
+  corrupt miss: a flipped byte on disk costs a recompile, and is never
+  served or raised.
 * **Keys are content addresses.** The same text with the same options
   always maps to the same key, across processes and across runs (with a
   ``directory``), so a warm disk cache is shared by every worker of
@@ -39,8 +44,12 @@ from collections import OrderedDict
 #: bounded path sample certified; ``/4``: flow graphs that carry a
 #: structural version, interval graphs keyed by edge letter; ``/5``:
 #: letter-major interval adjacency, and snapshots without solver views
-#: or plans; ``/6``: compile results instead of solver snapshots).
+#: or plans; ``/6``: compile results instead of solver snapshots, each
+#: payload behind its digest).
 CACHE_SCHEMA = "repro-batch-cache/6"
+
+#: Size of the BLAKE2b digest stored in front of every pickled payload.
+DIGEST_BYTES = 16
 
 #: Option values allowed into a fingerprint: their ``repr`` is stable
 #: across processes and runs.  Anything else (an object with the default
@@ -98,6 +107,10 @@ def source_fingerprint(text, **options):
         _validate_fingerprint_value(name, options[name])
         digest.update(f"\x00{name}={options[name]!r}".encode())
     return digest.hexdigest()
+
+
+def _digest(body):
+    return hashlib.blake2b(body, digest_size=DIGEST_BYTES).digest()
 
 
 class PipelineCache:
@@ -165,11 +178,10 @@ class PipelineCache:
         """The entry for ``(namespace, key)`` as a *fresh* object graph,
         or ``None`` on a miss.
 
-        A snapshot that no longer unpickles — a writer killed mid-write
-        before the atomic rename landed, a torn disk, a copied cache
-        directory — is treated as a miss, not a crash: the bad entry is
-        evicted (so the next :meth:`put` heals it) and counted under
-        ``stats()["corrupt"]``."""
+        An entry whose bytes fail their digest or fail to unpickle — a
+        torn disk, a flipped bit, a copied cache directory — is treated
+        as a miss, not a crash: the bad entry is evicted (so the next
+        :meth:`put` heals it) and counted under ``stats()["corrupt"]``."""
         location = (namespace, key)
         payload = self._memory.get(location)
         if payload is not None:
@@ -187,8 +199,11 @@ class PipelineCache:
             self.misses += 1
             return None
         try:
-            state = pickle.loads(payload)
-        except (pickle.UnpicklingError, EOFError):
+            body = payload[DIGEST_BYTES:]
+            if _digest(body) != payload[:DIGEST_BYTES]:
+                raise ValueError("payload digest mismatch")
+            state = pickle.loads(body)
+        except Exception:
             self._evict_corrupt(location)
             self.corrupt += 1
             self.misses += 1
@@ -199,7 +214,8 @@ class PipelineCache:
         return state
 
     def _evict_corrupt(self, location):
-        """Drop a snapshot that failed to unpickle from both layers."""
+        """Drop an entry that failed its digest or unpickling from both
+        layers."""
         self._memory.pop(location, None)
         if self.directory is not None:
             try:
@@ -209,8 +225,10 @@ class PipelineCache:
 
     def put(self, namespace, key, state):
         """Snapshot ``state`` (pickle now, so later mutation of the live
-        object cannot leak into the cache) and store it."""
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        object cannot leak into the cache) and store it behind its
+        digest; returns the stored bytes."""
+        body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = _digest(body) + body
         self._remember(namespace, key, payload)
         if self.directory is not None:
             path = self._path(namespace, key)

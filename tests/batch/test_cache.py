@@ -1,16 +1,19 @@
-"""PipelineCache: content addressing, snapshot semantics, persistence."""
+"""PipelineCache: content addressing, snapshot semantics, persistence,
+corruption."""
 
 import os
 import time
 
 import pytest
 
+from repro.batch import compile_delta, compile_one
 from repro.batch.cache import (
     CACHE_SCHEMA,
     TMP_SWEEP_AGE_S,
     PipelineCache,
     source_fingerprint,
 )
+from repro.testing.programs import FIG11_SOURCE
 
 
 SOURCE = "program p\nend\n"
@@ -154,6 +157,55 @@ def test_clear_resets_corrupt_counter(tmp_path):
     assert cache.corrupt == 1
     cache.clear()
     assert cache.stats()["corrupt"] == 0
+
+
+def _flip(payload, offset):
+    """``payload`` with one bit of the byte at ``offset`` flipped."""
+    flipped = bytearray(payload)
+    flipped[offset] ^= 1 << (offset % 8)
+    return bytes(flipped)
+
+
+def test_a_flipped_bit_anywhere_in_a_disk_entry_is_a_counted_miss(tmp_path):
+    """Every entry a compile stores — its result and its interval record
+    — is checked byte by byte: each flipped bit makes ``get`` a counted,
+    evicted miss, and a compile through the damaged cache returns the
+    cacheless output (recompiled when its result entry was the damaged
+    one), never an exception or damaged text."""
+    directory = str(tmp_path)
+    cold = compile_one("fig11", FIG11_SOURCE)
+    expected = (cold.annotated_source, cold.reads, cold.writes)
+    compile_one("fig11", FIG11_SOURCE, cache=PipelineCache(directory))
+    edited = FIG11_SOURCE.replace("a(i)", "a(i+1)", 1)
+    assert edited != FIG11_SOURCE
+    names = sorted(os.listdir(directory))
+    for name in names:
+        path = tmp_path / name
+        good = path.read_bytes()
+        namespace, key = name[:-len(".pickle")].rsplit("-", 1)
+        for offset in range(len(good)):
+            path.write_bytes(_flip(good, offset))
+            cache = PipelineCache(directory)
+            assert cache.get(namespace, key) is None, (name, offset)
+            assert (cache.corrupt, cache.misses) == (1, 1), (name, offset)
+            assert not path.exists()  # evicted
+        for offset in range(len(good)):
+            path.write_bytes(_flip(good, offset))
+            cache = PipelineCache(directory)
+            if namespace == "compiled":
+                compiled = compile_one("fig11", FIG11_SOURCE, cache=cache)
+                assert not compiled.cache_hit, offset
+            else:
+                compiled = compile_delta("fig11", edited, cache,
+                                         base_digest=key)
+                assert "intervals_changed" not in compiled.incremental
+                compiled = compile_one("fig11", FIG11_SOURCE, cache=cache)
+            assert (compiled.annotated_source, compiled.reads,
+                    compiled.writes) == expected, (name, offset)
+            assert cache.corrupt == 1
+        path.write_bytes(good)
+    assert [name.rsplit("-", 1)[0] for name in names] == [
+        "compiled", "interval-merkle"]
 
 
 def _orphan_tmp(tmp_path, name="deadbeef.tmp", age_s=2 * TMP_SWEEP_AGE_S):
