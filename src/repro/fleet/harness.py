@@ -33,7 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.fleet.router import FleetConfig, FleetRouter
 from repro.service.config import ServiceConfig
-from repro.service.runner import ThreadedServer
+from repro.service.runner import ThreadedServer, stop_loop_thread
 
 
 class ThreadedRouter:
@@ -106,11 +106,9 @@ class ThreadedRouter:
 
     def stop(self):
         """Shut the router down and join the loop thread (idempotent)."""
-        if self._thread is None or not self._thread.is_alive():
-            return
-        if self.router is not None and self._loop is not None:
-            self._call(self.router.shutdown())
-        self._thread.join(self._timeout)
+        stop_loop_thread(self._thread, self._loop, self.router,
+                         lambda: self.router.shutdown(),
+                         self._timeout)
 
     def join(self, timeout=None):
         """Block until the router's loop thread exits (a client drain

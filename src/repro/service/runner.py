@@ -17,6 +17,7 @@ request uses.
 """
 
 import asyncio
+import contextlib
 import threading
 
 from repro.service.server import CompileService
@@ -77,33 +78,42 @@ class ThreadedServer:
         """Shut the service down (gracefully by default) and join the
         loop thread.  Idempotent: a server already drained by a client
         just joins."""
-        if self._thread is None or not self._thread.is_alive():
-            return
-        if self.service is not None and self._loop is not None:
-            try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self.service.shutdown(drain=drain), self._loop)
-                future.result(timeout=self._timeout)
-            except RuntimeError:
-                pass  # loop already closed between the check and the call
-        self._thread.join(self._timeout)
+        stop_loop_thread(self._thread, self._loop, self.service,
+                         lambda: self.service.shutdown(drain=drain),
+                         self._timeout)
 
     def kill(self):
         """Kill the service like a crashed process: connections reset,
         workers shot, nothing drained (the chaos harness's shard-kill
         primitive; see :meth:`CompileService.abort`)."""
-        if self._thread is None or not self._thread.is_alive():
-            return
-        if self.service is not None and self._loop is not None:
-            try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self.service.abort(), self._loop)
-                future.result(timeout=self._timeout)
-            except RuntimeError:
-                pass  # loop already closed between the check and the call
-        self._thread.join(self._timeout)
+        stop_loop_thread(self._thread, self._loop, self.service,
+                         lambda: self.service.abort(),
+                         self._timeout)
 
     __enter__ = start
 
     def __exit__(self, *exc_info):
         self.stop()
+
+
+def stop_loop_thread(thread, loop, owner, shutdown, timeout):
+    """Run ``shutdown()`` on ``owner``'s event loop, then join the loop
+    thread.
+
+    ``owner`` is a :class:`CompileService` or a
+    :class:`~repro.fleet.router.FleetRouter`.  The coroutine is created
+    by a callback on the loop thread, and only when no shutdown owns
+    ``owner`` yet: a client's drain may already be closing the loop, and
+    a coroutine handed to a loop that never runs again would be dropped
+    unawaited while this thread waited out ``timeout`` for its result.
+    When the loop is already closed, this just joins."""
+    if thread is None or not thread.is_alive():
+        return
+    if owner is not None and loop is not None:
+        def begin():
+            if not owner._closing:
+                owner._spawn(shutdown())
+
+        with contextlib.suppress(RuntimeError):  # loop already closed
+            loop.call_soon_threadsafe(begin)
+    thread.join(timeout)

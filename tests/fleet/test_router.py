@@ -13,10 +13,15 @@ import time
 import pytest
 
 from repro.commgen.pipeline import generate_communication
-from repro.fleet import FleetConfig, LocalFleet
+from repro.fleet import FleetConfig, LocalFleet, ThreadedRouter
 from repro.fleet.router import FleetRouter, _ForwardError
 from repro.lang.printer import format_program
-from repro.service import ServiceClient, ServiceError
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    ThreadedServer,
+)
 from repro.service.protocol import (
     E_BAD_REQUEST,
     E_DRAINING,
@@ -25,6 +30,7 @@ from repro.service.protocol import (
 )
 from repro.testing.generator import ArrayProgramGenerator
 from repro.testing.programs import FIG11_SOURCE
+from tests.service.test_server import close_held_until_stop, stop_after_drain
 
 
 def generated_source(size, seed=0):
@@ -258,6 +264,21 @@ def test_drain_reports_dead_shards_instead_of_hanging():
         assert reply["drained"] is True
         assert reply["shards"]["shard-2"] == "unreachable"
         assert reply["shards"]["shard-0"] == "drained"
+
+
+def test_router_stop_after_a_client_drain_returns_promptly():
+    """Regression (a 60 s flake of the test above): ThreadedRouter.stop
+    scheduled a second shutdown onto the loop the client's drain was
+    closing, leaked the coroutine and waited out its timeout."""
+    with ThreadedServer(ServiceConfig(port=0, workers=1,
+                                      pool="thread")) as shard:
+        router = close_held_until_stop(ThreadedRouter)(
+            [(shard.host, shard.port)], fast_config(), timeout_s=5.0).start()
+        with ServiceClient(port=router.port) as client:
+            assert client.drain()["drained"] is True
+        elapsed, leaked = stop_after_drain(router)
+    assert elapsed < 2.0
+    assert leaked == []
 
 
 def test_compile_after_drain_is_refused_as_draining():

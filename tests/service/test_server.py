@@ -7,9 +7,12 @@ cache), while one dedicated test exercises the process-pool path with
 its filesystem-shared cache.
 """
 
+import asyncio
+import gc
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -301,6 +304,68 @@ def test_drain_completes_in_flight_work_then_refuses():
             time.sleep(0.02)
         else:
             pytest.fail("server still accepting after drain")
+
+
+def close_held_until_stop(runner_class):
+    """``runner_class`` whose event loop, once a client's drain has shut
+    it down, holds ``close()`` until ``stop()`` has scheduled work on it:
+    the window in which a stop could hand its shutdown coroutine to a
+    loop that never runs again."""
+
+    class Held(runner_class):
+        async def _amain(self):
+            loop = asyncio.get_running_loop()
+            self.closing = threading.Event()
+            scheduled = threading.Event()
+            schedule, close = loop.call_soon_threadsafe, loop.close
+
+            def call_soon_threadsafe(*args, **kwargs):
+                handle = schedule(*args, **kwargs)
+                if self.closing.is_set():  # the loop thread waits in close
+                    scheduled.set()
+                return handle
+
+            def held_close():
+                self.closing.set()
+                scheduled.wait(10)
+                close()
+
+            loop.call_soon_threadsafe = call_soon_threadsafe
+            loop.close = held_close
+            await super()._amain()
+
+    return Held
+
+
+def stop_after_drain(runner):
+    """Wait until ``runner``'s drained loop is closing, ``stop()`` it,
+    and return how long the stop took plus every "never awaited"
+    warning it left behind."""
+    assert runner.closing.wait(10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        started = time.monotonic()
+        runner.stop()
+        elapsed = time.monotonic() - started
+        gc.collect()
+    assert not runner._thread.is_alive()
+    return elapsed, [str(w.message) for w in caught
+                     if "never awaited" in str(w.message)]
+
+
+def test_stop_after_a_client_drain_returns_promptly_and_leaks_nothing():
+    """Regression: stop() created the shutdown coroutine on the caller's
+    thread and passed it to a loop the client's drain was already
+    closing; close() dropped it unawaited and stop() waited out its
+    timeout for a result that never came."""
+    config = ServiceConfig(port=0, workers=1, pool="thread")
+    server = close_held_until_stop(ThreadedServer)(config,
+                                                   timeout_s=5.0).start()
+    with ServiceClient(port=server.port) as client:
+        assert client.drain()["drained"] is True
+    elapsed, leaked = stop_after_drain(server)
+    assert elapsed < 2.0
+    assert leaked == []
 
 
 # -- the process pool ---------------------------------------------------------
