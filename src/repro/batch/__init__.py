@@ -1,4 +1,4 @@
-"""Batch compilation: many programs, worker pools, memoized pipelines.
+"""Batch compilation: many programs, worker pools, a result cache.
 
 The plain pipeline recompiles everything from scratch on every call;
 this package makes corpus-scale compilation cheap (``docs/scaling.md``):

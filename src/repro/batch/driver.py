@@ -24,6 +24,7 @@ and stable traces to an uncached one (``docs/scaling.md``).
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -234,17 +235,11 @@ def _compile_plain(name, text, cache, options):
         max_splits=kwargs["max_splits"])
     # Fingerprint the intervals before annotation moves labels around.
     intervals = _interval_record(analyzed) if cache is not None else None
-    rest = _without_frontend(kwargs)
-    if options.trace:
-        with tracing() as collector:
-            result = annotate_prepared(
-                prepare_communication(analyzed, **rest),
-                split_messages=options.split_messages)
-        trace = stable_form(trace_payload(collector))
-    else:
-        result = annotate_prepared(prepare_communication(analyzed, **rest),
-                                   split_messages=options.split_messages)
-        trace = None
+    with tracing() if options.trace else nullcontext() as collector:
+        result = annotate_prepared(
+            prepare_communication(analyzed, **_without_frontend(kwargs)),
+            split_messages=options.split_messages)
+    trace = stable_form(trace_payload(collector)) if options.trace else None
     reads, writes = result.communication_count()
     entry = {"annotated_source": result.annotated_source(), "reads": reads,
              "writes": writes, "trace": trace}

@@ -231,6 +231,8 @@ def test_pickled_graph_round_trips_with_its_plans():
     plan_for(cached_view(analyzed.ifg, "after", blocked=False))
     # One dump keeps the graph/problem node identities shared.
     ifg, restored = pickle.loads(pickle.dumps((analyzed.ifg, problem)))
+    assert (set(ifg.solver_cache("plans"))
+            == set(analyzed.ifg.solver_cache("plans")))
     planned = solve(ifg, restored, backend="planned")
     reference = solve(ifg, restored, backend="reference")
     assert solutions_equal(planned, reference, ifg.nodes())
@@ -268,6 +270,7 @@ def test_pickled_solutions_answer_like_the_originals(source):
     for fresh, copied in solutions:
         assert copied.problem.direction is fresh.problem.direction
         assert copied.view.plan_key == fresh.view.plan_key
-        assert copied.plan.nodes[0].id == fresh.plan.nodes[0].id
+        assert ([node.id for node in copied.plan.nodes]
+                == [node.id for node in fresh.plan.nodes])
         assert (_answers(copied, restored.analyzed.ifg)
                 == _answers(fresh, prepared.analyzed.ifg))
