@@ -36,27 +36,6 @@ from repro.obs.collector import current_collector
 from repro.util.errors import SolverBudgetError, SolverError
 
 
-def build_operand_columns(plan, problem):
-    """Static per-slot operand bitsets for ``problem`` over ``plan``:
-    ``(take0, give0, steal0)`` with the whole-universe blocking terms of
-    Eq 1 (``steal_all`` headers, zero-trip blocking) baked into
-    ``steal0``."""
-    take0 = [problem.take_init(node) for node in plan.nodes]
-    give0 = [problem.give_init(node) for node in plan.nodes]
-    top = problem.universe.top
-    hoist = problem.hoist_zero_trip
-    root_slot = plan.root_slot
-    is_header = plan.is_header
-    steal_all = plan.steal_all
-    steal0 = []
-    for s, node in enumerate(plan.nodes):
-        bits = problem.steal_init(node)
-        if steal_all[s] or (not hoist and s != root_slot and is_header[s]):
-            bits |= top
-        steal0.append(bits)
-    return take0, give0, steal0
-
-
 def loc_stale(plan, cols, c):
     """Whether Eq 9 or 10 of child ``c``, recomputed against the stored
     state, would change its stored value (first mismatch wins).
@@ -86,7 +65,7 @@ def core_stale(plan, operands, trust, cols, s):
     probe's semantics), would change its stored value.
 
     ``operands`` is ``(take0, give0, steal0)`` from
-    :func:`build_operand_columns`."""
+    :meth:`PlannedSolver._build_operands`."""
     take0, give0, steal0 = operands
     ST, GV, BL, TO, TK, TI, BLl, TKl, GVl, STl = cols
     lc = plan.lastchild[s]
@@ -164,13 +143,26 @@ class PlannedSolver:
     # -- operand columns -----------------------------------------------------
 
     def _build_operands(self):
-        """Static per-node operand bitsets for this problem (see
-        :func:`build_operand_columns`)."""
-        take0, give0, steal0 = build_operand_columns(self.plan, self.problem)
-        self._take0 = take0
-        self._give0 = give0
+        """Static per-slot operand bitsets for this problem: ``take0``,
+        ``give0`` and ``steal0``, with the whole-universe blocking terms
+        of Eq 1 (``steal_all`` headers, zero-trip blocking) baked into
+        ``steal0``."""
+        plan, problem = self.plan, self.problem
+        self._take0 = [problem.take_init(node) for node in plan.nodes]
+        self._give0 = [problem.give_init(node) for node in plan.nodes]
+        top = problem.universe.top
+        hoist = problem.hoist_zero_trip
+        root_slot = plan.root_slot
+        is_header = plan.is_header
+        steal_all = plan.steal_all
+        steal0 = []
+        for s, node in enumerate(plan.nodes):
+            bits = problem.steal_init(node)
+            if steal_all[s] or (not hoist and s != root_slot and is_header[s]):
+                bits |= top
+            steal0.append(bits)
         self._steal0 = steal0
-        self._trust = self.problem.trust_loop_side_effects
+        self._trust = problem.trust_loop_side_effects
 
     # -- driver --------------------------------------------------------------
 

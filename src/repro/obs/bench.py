@@ -415,7 +415,7 @@ def incremental_bench(n_programs=4, size=30, seed=0, n_edits=5, repeats=3):
         name = f"incr-{seed + index:03}"
         base = format_program(
             ArrayProgramGenerator(seed=seed + index).program(size=size))
-        compiled, identical = measure(
+        compiled, _ = measure(
             name, base, lambda: compile_one(name, base, cache=cache))
         if not compiled.ok:
             raise RuntimeError(f"bench corpus program {name} failed: "
@@ -428,13 +428,13 @@ def incremental_bench(n_programs=4, size=30, seed=0, n_edits=5, repeats=3):
                 name, edited, lambda: compile_delta(
                     name, edited, cache,
                     base_digest=source_fingerprint(current)))
-            incr = delta.incremental or {}
             steps.append({
                 "kind": kind,
                 "identical": identical,
                 "cache_hit": delta.cache_hit,
-                "intervals_changed": incr.get("intervals_changed"),
-                "intervals_total": incr.get("intervals_total"),
+                "intervals_changed": delta.incremental.get(
+                    "intervals_changed"),
+                "intervals_total": delta.incremental.get("intervals_total"),
             })
             current = edited
 
@@ -451,7 +451,7 @@ def incremental_bench(n_programs=4, size=30, seed=0, n_edits=5, repeats=3):
             "name": name,
             "program_size": size,
             "steps": steps,
-            "speed_probes": probes,
+            "probes": probes,
         })
     miss_s, cacheless_s = totals["miss_s"], totals["cacheless_s"]
     ratio = miss_s / cacheless_s if cacheless_s > 0 else 0.0
