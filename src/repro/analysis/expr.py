@@ -5,6 +5,15 @@ with integer coefficients, enough to model every subscript in the
 paper's examples (``k + 10``, ``j + 5``, ``i``).  Anything beyond that
 (products of variables, division) raises :class:`NonAffineError` and is
 handled conservatively by the callers.
+
+Both classes are immutable once built: nothing assigns ``const``,
+``coeffs``, ``lo`` or ``hi`` after ``__init__``, and nothing mutates
+``coeffs``.  That contract lets each object build its sorted identity
+key — the tuple behind ``==`` and ``hash()`` — once, on first use, and
+keep it.  The cache holds the tuple, never the ``hash()`` int: a pickled
+expression carries its cached slots to another process, where string
+hashes differ (``PYTHONHASHSEED``), and the tuple is hashed afresh there
+while a stored int would be stale.
 """
 
 from repro.lang import ast
@@ -18,11 +27,12 @@ class NonAffineError(AnalysisError):
 class SymExpr:
     """An affine symbolic expression: ``const + Σ coeffs[var] * var``."""
 
-    __slots__ = ("const", "coeffs")
+    __slots__ = ("const", "coeffs", "_sorted_key")
 
     def __init__(self, const=0, coeffs=None):
         self.const = const
         self.coeffs = {v: c for v, c in (coeffs or {}).items() if c != 0}
+        self._sorted_key = None
 
     # -- constructors ----------------------------------------------------
 
@@ -59,13 +69,17 @@ class SymExpr:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        coeffs = dict(self.coeffs)
-        for var, coeff in other.coeffs.items():
-            coeffs[var] = coeffs.get(var, 0) + coeff
-        return SymExpr(self.const + other.const, coeffs)
+        return self._plus_scaled(other, 1)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self._plus_scaled(other, -1)
+
+    def _plus_scaled(self, other, factor):
+        """``self + factor * other``, built as one expression."""
+        coeffs = dict(self.coeffs)
+        for var, coeff in other.coeffs.items():
+            coeffs[var] = coeffs.get(var, 0) + factor * coeff
+        return SymExpr(self.const + factor * other.const, coeffs)
 
     def scaled(self, factor):
         return SymExpr(self.const * factor,
@@ -92,18 +106,25 @@ class SymExpr:
         coeff = self.coeffs.get(var, 0)
         if coeff == 0:
             return self
-        rest = SymExpr(self.const, {v: c for v, c in self.coeffs.items() if v != var})
-        return rest + replacement.scaled(coeff)
+        coeffs = dict(self.coeffs)
+        del coeffs[var]
+        for other, other_coeff in replacement.coeffs.items():
+            coeffs[other] = coeffs.get(other, 0) + coeff * other_coeff
+        return SymExpr(self.const + coeff * replacement.const, coeffs)
 
     def substitute_range(self, var, lo, hi):
         """Replace ``var`` ranging over [lo, hi] by the induced
         :class:`SymRange` (monotone in affine expressions)."""
+        return SymRange(self._extreme(var, lo, hi, upper=False),
+                        self._extreme(var, lo, hi, upper=True))
+
+    def _extreme(self, var, lo, hi, upper):
+        """The least (``upper``: greatest) value as ``var`` ranges over
+        [lo, hi]: the bound an affine term is monotone towards."""
         coeff = self.coeffs.get(var, 0)
         if coeff == 0:
-            return SymRange(self, self)
-        low = self.substitute(var, lo if coeff > 0 else hi)
-        high = self.substitute(var, hi if coeff > 0 else lo)
-        return SymRange(low, high)
+            return self
+        return self.substitute(var, hi if (coeff > 0) == upper else lo)
 
     def evaluate(self, env):
         """Concrete value under ``env`` (dict var -> int)."""
@@ -117,7 +138,11 @@ class SymExpr:
     # -- identity / printing ---------------------------------------------------
 
     def _key(self):
-        return (self.const, tuple(sorted(self.coeffs.items())))
+        key = self._sorted_key
+        if key is None:
+            key = self._sorted_key = (self.const,
+                                      tuple(sorted(self.coeffs.items())))
+        return key
 
     def __eq__(self, other):
         return isinstance(other, SymExpr) and self._key() == other._key()
@@ -146,26 +171,30 @@ class SymExpr:
 class SymRange:
     """A symbolic inclusive range ``lo:hi``."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo", "hi", "_sorted_key")
 
     def __init__(self, lo, hi):
         self.lo = lo
         self.hi = hi
+        self._sorted_key = None
 
     @property
     def is_point(self):
         return self.lo == self.hi
 
     def substitute_range(self, var, lo, hi):
-        return SymRange(self.lo.substitute_range(var, lo, hi).lo,
-                        self.hi.substitute_range(var, lo, hi).hi)
+        return SymRange(self.lo._extreme(var, lo, hi, upper=False),
+                        self.hi._extreme(var, lo, hi, upper=True))
 
     def size(self, env):
         """Number of elements under concrete bindings (>= 0)."""
         return max(0, self.hi.evaluate(env) - self.lo.evaluate(env) + 1)
 
     def _key(self):
-        return (self.lo._key(), self.hi._key())
+        key = self._sorted_key
+        if key is None:
+            key = self._sorted_key = (self.lo._key(), self.hi._key())
+        return key
 
     def __eq__(self, other):
         return isinstance(other, SymRange) and self._key() == other._key()

@@ -49,6 +49,7 @@ def build_read_problem(accesses, ownership, refine=True):
     universe_elements = communicated_descriptors(accesses, ownership)
     for descriptor in universe_elements:
         problem.universe.add(descriptor)
+    index = _invalidation_index(universe_elements)
 
     for access in accesses:
         if ownership.read_needs_communication(access):
@@ -61,9 +62,8 @@ def build_read_problem(accesses, ownership, refine=True):
             steal_own = (
                 not gives and ownership.is_communicated_array(access.array)
             )
-            _apply_def_effects(problem, access, universe_elements,
-                               gives=gives, steal_own=steal_own,
-                               refine=refine)
+            _apply_def_effects(problem, access, index, gives=gives,
+                               steal_own=steal_own, refine=refine)
     return problem
 
 
@@ -94,12 +94,13 @@ def build_write_problem(accesses, ownership, read_placement=None, refine=True):
     #: descriptor -> reduction name (or None) for the annotator
     problem.reduction_ops = {d: op for d, op in reduction_ops.items() if op}
 
+    index = _invalidation_index(write_elements)
     for access in accesses:
         if ownership.def_needs_writeback(access):
             problem.add_take(access.node, access.descriptor)
         if access.is_def:
-            _apply_def_effects(problem, access, write_elements,
-                               gives=False, steal_own=False, refine=refine)
+            _apply_def_effects(problem, access, index, gives=False,
+                               steal_own=False, refine=refine)
 
     if read_placement is not None:
         _couple_reads(problem, write_elements, read_placement, refine)
@@ -126,16 +127,30 @@ def _couple_reads(problem, write_elements, read_placement, refine=True):
                 problem.add_steal(production.node, write_descriptor)
 
 
-def _apply_def_effects(problem, access, universe_elements, gives, steal_own,
-                       refine=True):
-    """Steals (and optionally a give) induced by one definition."""
-    elements = set(universe_elements)
+def _invalidation_index(universe_elements):
+    """Array name -> the descriptors of ``universe_elements`` that a
+    definition of the array can invalidate, in universe order: each
+    descriptor under its own array and, if indirect, under its
+    indirection array too (once when the two coincide, ``x(x(i))``)."""
+    index = {}
     for descriptor in universe_elements:
-        if _def_invalidates(access, descriptor, refine):
-            problem.add_steal(access.node, descriptor)
-    if steal_own and access.descriptor in elements:
+        index.setdefault(descriptor.array, []).append(descriptor)
+        if (isinstance(descriptor, IndirectSection)
+                and descriptor.index_array != descriptor.array):
+            index.setdefault(descriptor.index_array, []).append(descriptor)
+    return index
+
+
+def _apply_def_effects(problem, access, index, gives, steal_own, refine=True):
+    """Steals (and optionally a give) induced by one definition, checked
+    against the problem's :func:`_invalidation_index` only."""
+    stolen = [descriptor for descriptor in index.get(access.array, ())
+              if _def_invalidates(access, descriptor, refine)]
+    if stolen:
+        problem.add_steal(access.node, *stolen)
+    if steal_own and access.descriptor in problem.universe:
         problem.add_steal(access.node, access.descriptor)
-    if gives and access.descriptor in elements:
+    if gives and access.descriptor in problem.universe:
         problem.add_give(access.node, access.descriptor)
 
 

@@ -154,6 +154,15 @@ class ControlFlowGraph:
         self._version += 1
         return node
 
+    @property
+    def id_bound(self):
+        """One past the largest node id handed out so far: every node's
+        id lies in ``range(id_bound)``, so a pass can keep per-node state
+        in a list indexed by id (a removed node leaves its slot unused)
+        instead of a dict keyed by :class:`Node`, whose ``__hash__`` runs
+        in Python."""
+        return self._next_id
+
     def nodes(self):
         """All nodes in tie-break order."""
         return [self._nodes[node_id] for node_id in self._order]
@@ -197,6 +206,12 @@ class ControlFlowGraph:
 
     def preds(self, node):
         return [self._nodes[node_id] for node_id in self._preds[node.id]]
+
+    def out_degree(self, node):
+        return len(self._succs[node.id])
+
+    def in_degree(self, node):
+        return len(self._preds[node.id])
 
     def edges(self):
         """All edges (src, dst) in deterministic order."""

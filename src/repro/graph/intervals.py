@@ -6,11 +6,13 @@ natural loops of distinct headers are either disjoint or properly nested,
 so they form a forest; :class:`LoopForest` materializes it together with
 the paper's ``LEVEL`` / ``CHILDREN`` / ``LASTCHILD`` accessors.
 
-:func:`dominators`, :func:`check_reducible` and :func:`loop_forest`
-answer from the graph's per-version memo
+:func:`dominators`, :func:`retreating_edges`, :func:`check_reducible`
+and :func:`loop_forest` answer from the graph's per-version memo
 (:meth:`~repro.graph.cfg.ControlFlowGraph.analysis`), so every pass
-that asks about an unchanged graph shares one dominator tree, one
-reducibility verdict and one forest.
+that asks about an unchanged graph shares one dominator tree, one DFS,
+one reducibility verdict and one forest.  Per-node scratch state lives
+in lists indexed by node id (:attr:`~repro.graph.cfg.ControlFlowGraph.id_bound`),
+not in dicts keyed by :class:`~repro.graph.cfg.Node`.
 """
 
 import hashlib
@@ -21,21 +23,20 @@ from repro.util.orderedset import OrderedSet
 
 def reverse_postorder(cfg):
     """Nodes in reverse postorder of a DFS from entry (iterative)."""
-    visited = set()
+    visited = [False] * cfg.id_bound  # by node id
     postorder = []
+    entry = cfg.entry
+    visited[entry.id] = True
     # Iterative DFS with explicit stack of (node, successor iterator).
-    stack = [(cfg.entry, iter(cfg.succs(cfg.entry)))]
-    visited.add(cfg.entry)
+    stack = [(entry, iter(cfg.succs(entry)))]
     while stack:
         node, successors = stack[-1]
-        advanced = False
         for succ in successors:
-            if succ not in visited:
-                visited.add(succ)
+            if not visited[succ.id]:
+                visited[succ.id] = True
                 stack.append((succ, iter(cfg.succs(succ))))
-                advanced = True
                 break
-        if not advanced:
+        else:
             postorder.append(node)
             stack.pop()
     postorder.reverse()
@@ -45,40 +46,43 @@ def reverse_postorder(cfg):
 def compute_dominators(cfg):
     """Immediate dominators via the Cooper–Harvey–Kennedy iteration.
 
-    Returns a dict node -> idom; the entry node maps to itself.  All nodes
-    must be reachable from entry.
+    Returns a dict node -> idom, in reverse postorder; the entry node
+    maps to itself.  All nodes must be reachable from entry.
     """
     order = reverse_postorder(cfg)
     if len(order) != len(cfg):
-        unreachable = [n for n in cfg.nodes() if n not in set(order)]
+        reached = set(order)
+        unreachable = [n for n in cfg.nodes() if n not in reached]
         raise GraphError(f"unreachable nodes present: {unreachable}")
-    position = {node: index for index, node in enumerate(order)}
-    idom = {cfg.entry: cfg.entry}
+    # Reverse-postorder positions and immediate dominators by node id.
+    position = [0] * cfg.id_bound
+    for index, node in enumerate(order):
+        position[node.id] = index
+    idom = [None] * cfg.id_bound
+    entry = order[0]
+    idom[entry.id] = entry
 
     def intersect(a, b):
         while a is not b:
-            while position[a] > position[b]:
-                a = idom[a]
-            while position[b] > position[a]:
-                b = idom[b]
+            while position[a.id] > position[b.id]:
+                a = idom[a.id]
+            while position[b.id] > position[a.id]:
+                b = idom[b.id]
         return a
 
     changed = True
     while changed:
         changed = False
-        for node in order:
-            if node is cfg.entry:
-                continue
-            candidates = [p for p in cfg.preds(node) if p in idom]
-            if not candidates:
-                continue
-            new_idom = candidates[0]
-            for pred in candidates[1:]:
-                new_idom = intersect(new_idom, pred)
-            if idom.get(node) is not new_idom:
-                idom[node] = new_idom
+        for node in order[1:]:
+            new_idom = None
+            for pred in cfg.preds(node):
+                if idom[pred.id] is not None:
+                    new_idom = (pred if new_idom is None
+                                else intersect(new_idom, pred))
+            if new_idom is not None and idom[node.id] is not new_idom:
+                idom[node.id] = new_idom
                 changed = True
-    return idom
+    return {node: idom[node.id] for node in order}
 
 
 def dominators(cfg):
@@ -111,30 +115,41 @@ def find_back_edges(cfg, idom=None):
     """Edges (u, v) whose target dominates their source, in edge order."""
     if idom is None:
         idom = dominators(cfg)
-    return [(u, v) for u, v in cfg.edges() if dominates(idom, v, u)]
+    # A target that dominates its source is the source's ancestor in
+    # every DFS tree, so only retreating edges need the dominance walk.
+    back = {(u.id, v.id) for u, v in retreating_edges(cfg)
+            if dominates(idom, v, u)}
+    if not back:
+        return []
+    return [(u, v) for u, v in cfg.edges() if (u.id, v.id) in back]
 
 
 def find_retreating_edges(cfg):
     """Edges into a DFS ancestor (the candidates for loop back edges)."""
-    state = {}  # 0 = on stack, 1 = finished
+    state = [0] * cfg.id_bound  # by node id: 1 = on stack, 2 = finished
     retreating = []
-    stack = [(cfg.entry, iter(cfg.succs(cfg.entry)))]
-    state[cfg.entry] = 0
+    entry = cfg.entry
+    state[entry.id] = 1
+    stack = [(entry, iter(cfg.succs(entry)))]
     while stack:
         node, successors = stack[-1]
-        advanced = False
         for succ in successors:
-            if succ not in state:
-                state[succ] = 0
+            mark = state[succ.id]
+            if not mark:
+                state[succ.id] = 1
                 stack.append((succ, iter(cfg.succs(succ))))
-                advanced = True
                 break
-            if state[succ] == 0:
+            if mark == 1:
                 retreating.append((node, succ))
-        if not advanced:
-            state[node] = 1
+        else:
+            state[node.id] = 2
             stack.pop()
     return retreating
+
+
+def retreating_edges(cfg):
+    """:func:`find_retreating_edges` of ``cfg``, built once per version."""
+    return cfg.analysis("retreating", find_retreating_edges)
 
 
 def improper_entries(cfg):
@@ -147,7 +162,7 @@ def improper_entries(cfg):
 def _improper_entries(cfg):
     idom = dominators(cfg)
     return [
-        (u, v) for u, v in find_retreating_edges(cfg) if not dominates(idom, v, u)
+        (u, v) for u, v in retreating_edges(cfg) if not dominates(idom, v, u)
     ]
 
 

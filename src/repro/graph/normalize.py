@@ -162,11 +162,7 @@ def split_critical_edges(cfg):
     """
     idom = dominators(cfg)
     forest = loop_forest(cfg)
-    critical = [
-        (src, dst)
-        for src, dst in cfg.edges()
-        if len(cfg.succs(src)) > 1 and len(cfg.preds(dst)) > 1
-    ]
+    critical = critical_edges(cfg)
 
     def is_jump(src, dst):
         return any(
@@ -185,6 +181,13 @@ def split_critical_edges(cfg):
         else:
             cfg.split_edge(src, dst, kind=NodeKind.SYNTH, name="synth",
                            order_before=dst)
+
+
+def critical_edges(cfg):
+    """Edges from a multi-successor node to a multi-predecessor node, in
+    edge order."""
+    return [(src, dst) for src in cfg.nodes() if cfg.out_degree(src) > 1
+            for dst in cfg.succs(src) if cfg.in_degree(dst) > 1]
 
 
 def validate_normalized(cfg):
@@ -208,7 +211,6 @@ def _validate(cfg):
         entries = [succ for succ in cfg.succs(header) if succ in members]
         if len(entries) != 1:
             raise GraphError(f"loop at {header} has {len(entries)} entry edges")
-    for src, dst in cfg.edges():
-        if len(cfg.succs(src)) > 1 and len(cfg.preds(dst)) > 1:
-            raise GraphError(f"critical edge ({src}, {dst}) remains")
+    for src, dst in critical_edges(cfg):
+        raise GraphError(f"critical edge ({src}, {dst}) remains")
     return forest

@@ -52,37 +52,45 @@ def preorder_numbering(ifg):
 
 
 def _topological_order(ifg, headers_first):
-    nodes = ifg.nodes()
-    constraints = {node: [] for node in nodes}
-    indegree = {node: 0 for node in nodes}
+    nodes = ifg.nodes()  # ROOT first, then the CFG's tie-break order
+    # A node's rank is its position in ``nodes``, so ranks order nodes
+    # as ``order_index`` does and the heap can hold bare ranks.  The
+    # ranks live in a list indexed by node id, whose extra last slot
+    # ROOT's id -1 selects.
+    rank = [0] * (ifg.cfg.id_bound + 1)
+    for index, node in enumerate(nodes):
+        rank[node.id] = index
+    constraints = [[] for _ in nodes]  # by rank
+    indegree = [0] * len(nodes)
 
     def add(before, after):
         constraints[before].append(after)
         indegree[after] += 1
 
-    for src, dst, _ in ifg.edges("FJS"):
-        add(src, dst)
-    for node in nodes:
-        if not ifg.is_header(node):
-            continue
-        for member in ifg.interval(node):
+    succs, _ = ifg.letter_adjacency()
+    for letter in "FJS":
+        for src, dsts in succs[letter].items():
+            for dst in dsts:
+                add(rank[src.id], rank[dst.id])
+    for header in [ifg.root] + ifg.forest.headers():
+        for member in ifg.interval(header):
             if headers_first:
-                add(node, member)
+                add(rank[header.id], rank[member.id])
             else:
-                add(member, node)
+                add(rank[member.id], rank[header.id])
 
-    heap = [(ifg.order_index(node), id(node), node) for node in nodes
-            if indegree[node] == 0]
-    heapq.heapify(heap)
+    # Ascending, so already a heap.
+    heap = [index for index, count in enumerate(indegree) if count == 0]
     order = []
     while heap:
-        _, _, node = heapq.heappop(heap)
-        order.append(node)
-        for succ in constraints[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(heap, (ifg.order_index(succ), id(succ), succ))
+        index = heapq.heappop(heap)
+        order.append(nodes[index])
+        for after in constraints[index]:
+            indegree[after] -= 1
+            if indegree[after] == 0:
+                heapq.heappush(heap, after)
     if len(order) != len(nodes):
-        stuck = [n for n in nodes if indegree[n] > 0]
+        stuck = [nodes[index] for index, count in enumerate(indegree)
+                 if count > 0]
         raise GraphError(f"cyclic ordering constraints involving {stuck}")
     return order

@@ -1,15 +1,42 @@
-"""Hand-written lexer for the mini-Fortran language.
+"""Regex lexer for the mini-Fortran language.
 
 The lexer is line oriented, as Fortran is: each physical line is a
 statement (there is no continuation syntax in this subset).  Comments start
 with ``!`` or a leading ``c``/``*`` column-1 marker and run to end of line.
 Identifiers and keywords are case-insensitive and normalized to lower case.
+
+The character set is Fortran's: names are ``[A-Za-z_][A-Za-z0-9_]*`` and
+integers ``[0-9]+``.  Any other character outside whitespace and the
+operators — a non-ASCII letter or digit included — is a
+:class:`ParseError` at its 1-based column.
 """
+
+import re
 
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 from repro.util.errors import ParseError
 
-_SINGLE_CHAR = {
+#: One token per match; the alternatives are tried in order, so ``...``
+#: and the two-character operators win over their one-character
+#: prefixes, and ``bad`` catches every character nothing else accepts.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<int>[0-9]+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>\.\.\.|==|/=|!=|<=|>=|[<>=(),+\-*/:])
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+_OPERATORS = {
+    "...": TokenKind.DOTS,
+    "==": TokenKind.EQ,
+    "/=": TokenKind.NE,
+    "!=": TokenKind.NE,
+    "<=": TokenKind.LE,
+    ">=": TokenKind.GE,
+    "<": TokenKind.LT,
+    ">": TokenKind.GT,
+    "=": TokenKind.ASSIGN,
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     ",": TokenKind.COMMA,
@@ -27,12 +54,28 @@ def tokenize(source):
     Raises :class:`ParseError` on unrecognized characters.
     """
     tokens = []
+    append = tokens.append
     for line_number, raw_line in enumerate(source.split("\n"), start=1):
-        line = _strip_comment(raw_line)
-        _tokenize_line(line, line_number, tokens)
-        if tokens and tokens[-1].kind != TokenKind.NEWLINE:
-            tokens.append(Token(TokenKind.NEWLINE, "\n", line_number, len(raw_line) + 1))
-    tokens.append(Token(TokenKind.EOF, "", source.count("\n") + 1, 1))
+        for match in _TOKEN.finditer(_strip_comment(raw_line)):
+            group = match.lastgroup
+            if group == "space":
+                continue
+            text = match.group()
+            if group == "name":
+                text = text.lower()
+                kind = KEYWORDS.get(text, TokenKind.NAME)
+            elif group == "int":
+                kind = TokenKind.INT
+            elif group == "op":
+                kind = _OPERATORS[text]
+            else:
+                raise ParseError(f"unexpected character {text!r}",
+                                 line_number, match.start() + 1)
+            append(Token(kind, text, line_number, match.start() + 1))
+        if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
+            append(Token(TokenKind.NEWLINE, "\n", line_number,
+                         len(raw_line) + 1))
+    append(Token(TokenKind.EOF, "", source.count("\n") + 1, 1))
     return tokens
 
 
@@ -53,65 +96,3 @@ def _strip_comment(line):
             cut += 2
             continue
         return line[:cut]
-
-
-def _tokenize_line(line, line_number, tokens):
-    position = 0
-    length = len(line)
-    while position < length:
-        char = line[position]
-        column = position + 1
-        if char in " \t\r":
-            position += 1
-        elif line.startswith("...", position):
-            tokens.append(Token(TokenKind.DOTS, "...", line_number, column))
-            position += 3
-        elif char.isdigit():
-            position = _lex_number(line, position, line_number, tokens)
-        elif char.isalpha() or char == "_":
-            position = _lex_name(line, position, line_number, tokens)
-        elif line.startswith("==", position):
-            tokens.append(Token(TokenKind.EQ, "==", line_number, column))
-            position += 2
-        elif line.startswith("/=", position) or line.startswith("!=", position):
-            tokens.append(Token(TokenKind.NE, line[position : position + 2], line_number, column))
-            position += 2
-        elif line.startswith("<=", position):
-            tokens.append(Token(TokenKind.LE, "<=", line_number, column))
-            position += 2
-        elif line.startswith(">=", position):
-            tokens.append(Token(TokenKind.GE, ">=", line_number, column))
-            position += 2
-        elif char == "<":
-            tokens.append(Token(TokenKind.LT, "<", line_number, column))
-            position += 1
-        elif char == ">":
-            tokens.append(Token(TokenKind.GT, ">", line_number, column))
-            position += 1
-        elif char == "=":
-            tokens.append(Token(TokenKind.ASSIGN, "=", line_number, column))
-            position += 1
-        elif char in _SINGLE_CHAR:
-            tokens.append(Token(_SINGLE_CHAR[char], char, line_number, column))
-            position += 1
-        else:
-            raise ParseError(f"unexpected character {char!r}", line_number, column)
-
-
-def _lex_number(line, position, line_number, tokens):
-    start = position
-    while position < len(line) and line[position].isdigit():
-        position += 1
-    text = line[start:position]
-    tokens.append(Token(TokenKind.INT, text, line_number, start + 1))
-    return position
-
-
-def _lex_name(line, position, line_number, tokens):
-    start = position
-    while position < len(line) and (line[position].isalnum() or line[position] == "_"):
-        position += 1
-    text = line[start:position].lower()
-    kind = KEYWORDS.get(text, TokenKind.NAME)
-    tokens.append(Token(kind, text, line_number, start + 1))
-    return position

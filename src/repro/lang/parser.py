@@ -23,17 +23,21 @@ from repro.lang.tokens import TokenKind
 from repro.lang.lexer import tokenize
 from repro.util.errors import ParseError
 
+#: Binary operators by token text, which only operator tokens spell
+#: this way.  String keys, because a ``TokenKind`` key costs a
+#: Python-level ``Enum.__hash__`` call on every lookup.
 _COMPARISON_OPS = {
-    TokenKind.LT: "<",
-    TokenKind.GT: ">",
-    TokenKind.LE: "<=",
-    TokenKind.GE: ">=",
-    TokenKind.EQ: "==",
-    TokenKind.NE: "!=",
+    "<": "<",
+    ">": ">",
+    "<=": "<=",
+    ">=": ">=",
+    "==": "==",
+    "/=": "!=",
+    "!=": "!=",
 }
 
-_ADDITIVE_OPS = {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
-_MULTIPLICATIVE_OPS = {TokenKind.STAR: "*", TokenKind.SLASH: "/"}
+_ADDITIVE_OPS = {"+": "+", "-": "-"}
+_MULTIPLICATIVE_OPS = {"*": "*", "/": "/"}
 
 
 def parse(source):
@@ -70,8 +74,9 @@ class _Parser:
         return self._advance()
 
     def _skip_newlines(self):
-        while self._at(TokenKind.NEWLINE):
-            self._advance()
+        tokens = self._tokens
+        while tokens[self._position].kind is TokenKind.NEWLINE:
+            self._position += 1
 
     def _end_of_statement(self):
         token = self._peek()
@@ -229,24 +234,24 @@ class _Parser:
 
     def _parse_comparison(self):
         left = self._parse_additive()
-        while self._peek().kind in _COMPARISON_OPS:
-            op = _COMPARISON_OPS[self._advance().kind]
+        while self._peek().text in _COMPARISON_OPS:
+            op = _COMPARISON_OPS[self._advance().text]
             right = self._parse_additive()
             left = ast.BinOp(op, left, right)
         return left
 
     def _parse_additive(self):
         left = self._parse_multiplicative()
-        while self._peek().kind in _ADDITIVE_OPS:
-            op = _ADDITIVE_OPS[self._advance().kind]
+        while self._peek().text in _ADDITIVE_OPS:
+            op = _ADDITIVE_OPS[self._advance().text]
             right = self._parse_multiplicative()
             left = ast.BinOp(op, left, right)
         return left
 
     def _parse_multiplicative(self):
         left = self._parse_unary()
-        while self._peek().kind in _MULTIPLICATIVE_OPS:
-            op = _MULTIPLICATIVE_OPS[self._advance().kind]
+        while self._peek().text in _MULTIPLICATIVE_OPS:
+            op = _MULTIPLICATIVE_OPS[self._advance().text]
             right = self._parse_unary()
             left = ast.BinOp(op, left, right)
         return left

@@ -1,7 +1,7 @@
 """Token kinds and the Token record for the mini-Fortran lexer."""
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -65,9 +65,11 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single token with its source position (1-based)."""
+class Token(NamedTuple):
+    """A single token with its source position (1-based).
+
+    A named tuple, not a frozen dataclass: a program lexes into a few
+    hundred tokens, and a tuple builds in well under half the time."""
 
     kind: TokenKind
     text: str

@@ -35,6 +35,14 @@ def test_compile_one_captures_parse_errors():
     assert compiled.annotated_source is None
 
 
+def test_compile_one_reports_a_non_ascii_digit_as_a_parse_error():
+    # str.isdigit() accepts a superscript two; int() does not.
+    compiled = compile_one("sup", "real x(10)\nx(1) = \u00b2\n")
+    assert not compiled.ok
+    assert compiled.error_type == "ParseError"
+    assert compiled.error == "line 2, column 8: unexpected character '\u00b2'"
+
+
 def test_compile_many_serial_preserves_order_and_counts():
     result = compile_many(small_corpus(), jobs=1)
     assert [p.name for p in result.programs] == ["fig11", "fig1"]

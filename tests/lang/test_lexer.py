@@ -107,3 +107,33 @@ def test_numbers_lex_as_integers():
 
 def test_eof_is_last():
     assert tokenize("")[-1].kind == TokenKind.EOF
+
+
+def test_names_and_integers_use_the_ascii_character_set():
+    tokens = tokenize("x_1 = A2 + 10b")
+    assert [(t.kind, t.text) for t in tokens[:6]] == [
+        (TokenKind.NAME, "x_1"), (TokenKind.ASSIGN, "="),
+        (TokenKind.NAME, "a2"), (TokenKind.PLUS, "+"),
+        (TokenKind.INT, "10"), (TokenKind.NAME, "b"),
+    ]
+
+
+@pytest.mark.parametrize("source, char, column", [
+    ("x(1) = \u00b2", "\u00b2", 8),     # superscript two: str.isdigit()
+    ("y = \u0663 + 1", "\u0663", 5),    # Arabic-Indic three: a digit too
+    ("\u00e9 = 1", "\u00e9", 1),        # a non-ASCII letter cannot start
+    ("x\u00e9 = 1", "\u00e9", 2),       # ... or continue a name
+    ("x = 1\u00a0+ 2", "\u00a0", 6),    # a no-break space is no blank
+])
+def test_non_ascii_characters_are_unexpected(source, char, column):
+    with pytest.raises(ParseError) as excinfo:
+        tokenize("real x(10)\n" + source)
+    assert (excinfo.value.line, excinfo.value.column) == (2, column)
+    assert str(excinfo.value).endswith(f"unexpected character {char!r}")
+
+
+def test_tokens_are_named_tuples_with_positions():
+    token = tokenize("do")[0]
+    assert token == (TokenKind.DO, "do", 1, 1)
+    assert (token.kind, token.text, token.line, token.column) == tuple(token)
+    assert repr(token) == "Token(DO, 'do', 1:1)"

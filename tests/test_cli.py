@@ -156,6 +156,12 @@ def test_explain_error_hygiene(capsys, bad_file):
     assert_clean_failure(capsys, ["explain", bad_file])
 
 
+def test_non_ascii_digit_error_hygiene(capsys, tmp_path):
+    path = tmp_path / "sup.f"
+    path.write_text("real x(10)\nx(1) = \u00b2\n", encoding="utf-8")
+    assert_clean_failure(capsys, ["annotate", str(path)])
+
+
 def test_bad_fault_spec_error_hygiene(capsys, fig11_file):
     assert_clean_failure(
         capsys, ["simulate", fig11_file, "--faults", "unknown=1"])
@@ -356,6 +362,16 @@ def test_batch_exit_code_on_per_program_failure(tmp_path, corpus_dir):
     assert "bad.f: error:" in output
     assert "2/3 programs ok" in output
     assert "fig11.f: reads=" in output  # the rest still compiled
+
+
+def test_batch_reports_a_non_ascii_digit_per_program(corpus_dir):
+    import os
+    with open(os.path.join(corpus_dir, "sup.f"), "w", encoding="utf-8") as f:
+        f.write("real x(10)\nx(1) = \u00b2\n")
+    code, output = run(["batch", corpus_dir])
+    assert code == 1
+    assert "sup.f: error: line 2, column 8: unexpected character" in output
+    assert "2/3 programs ok" in output
 
 
 def test_batch_quiet_prints_only_summary(corpus_dir):
