@@ -156,9 +156,6 @@ class IntervalFlowGraph:
     def real_nodes(self):
         return self.cfg.nodes()
 
-    def order_index(self, node):
-        return -1 if node is self.root else self.cfg.order_index(node)
-
     def level(self, node):
         """Loop nesting level; ``LEVEL(ROOT) = 0``."""
         return 0 if node is self.root else self.forest.level(node)

@@ -51,8 +51,7 @@ def compute_dominators(cfg):
     """
     order = reverse_postorder(cfg)
     if len(order) != len(cfg):
-        reached = set(order)
-        unreachable = [n for n in cfg.nodes() if n not in reached]
+        unreachable = [n for n in cfg.nodes() if n not in set(order)]
         raise GraphError(f"unreachable nodes present: {unreachable}")
     # Reverse-postorder positions and immediate dominators by node id.
     position = [0] * cfg.id_bound
@@ -119,8 +118,6 @@ def find_back_edges(cfg, idom=None):
     # every DFS tree, so only retreating edges need the dominance walk.
     back = {(u.id, v.id) for u, v in retreating_edges(cfg)
             if dominates(idom, v, u)}
-    if not back:
-        return []
     return [(u, v) for u, v in cfg.edges() if (u.id, v.id) in back]
 
 

@@ -53,10 +53,10 @@ def preorder_numbering(ifg):
 
 def _topological_order(ifg, headers_first):
     nodes = ifg.nodes()  # ROOT first, then the CFG's tie-break order
-    # A node's rank is its position in ``nodes``, so ranks order nodes
-    # as ``order_index`` does and the heap can hold bare ranks.  The
-    # ranks live in a list indexed by node id, whose extra last slot
-    # ROOT's id -1 selects.
+    # A node's rank is its position in ``nodes``: the heap holds bare
+    # ranks, and the smallest is the node the tie-break picks.  Ranks
+    # live in a list indexed by node id, whose extra last slot ROOT's
+    # id -1 selects.
     rank = [0] * (ifg.cfg.id_bound + 1)
     for index, node in enumerate(nodes):
         rank[node.id] = index
