@@ -69,7 +69,7 @@ class Token(NamedTuple):
     """A single token with its source position (1-based).
 
     A named tuple, not a frozen dataclass: a program lexes into a few
-    hundred tokens, and a tuple builds in well under half the time."""
+    hundred tokens, and a tuple builds in about half the time."""
 
     kind: TokenKind
     text: str
