@@ -2,10 +2,12 @@
 
 The fleet counterpart of :class:`~repro.service.runner.ThreadedServer`:
 everything runs in this process (each shard's event loop on its own
-daemon thread, the router's on another), but over real TCP sockets with
-real admission, real pools, and real failure modes — which is exactly
-what the chaos harness (:mod:`repro.fleet.chaos`) needs to kill things
-under load without managing subprocesses.
+daemon thread, the router's on another, each a
+:class:`~repro.service.lineserver.LineServer` run by the one
+:class:`~repro.service.runner.LoopThread` runner), but over real TCP
+sockets with real admission, real pools, and real failure modes — which
+is exactly what the chaos harness (:mod:`repro.fleet.chaos`) needs to
+kill things under load without managing subprocesses.
 
 ::
 
@@ -22,104 +24,29 @@ under load without managing subprocesses.
 :class:`~repro.fleet.chaos.ChaosPlan` events map onto.
 """
 
-import asyncio
 import contextlib
 import dataclasses
 import os
 import signal
-import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.fleet.router import FleetConfig, FleetRouter
+from repro.fleet.router import FleetRouter
 from repro.service.config import ServiceConfig
-from repro.service.runner import ThreadedServer, stop_loop_thread
+from repro.service.runner import LoopThread, ThreadedServer
 
 
-class ThreadedRouter:
+class ThreadedRouter(LoopThread):
     """Run a :class:`FleetRouter` on a private event-loop thread."""
 
     def __init__(self, shard_addresses, config=None, timeout_s=60.0):
-        self.shard_addresses = list(shard_addresses)
-        self.config = config
-        self.router = None
-        self._thread = None
-        self._loop = None
-        self._ready = threading.Event()
-        self._error = None
-        self._timeout = timeout_s
-
-    def start(self):
-        """Start the loop thread; returns once the socket is bound."""
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-fleet-router",
-                                        daemon=True)
-        self._thread.start()
-        if not self._ready.wait(self._timeout):
-            raise RuntimeError("fleet router did not start in time")
-        if self._error is not None:
-            raise self._error
-        return self
-
-    def _run(self):
-        try:
-            asyncio.run(self._amain())
-        except BaseException as error:  # pragma: no cover - defensive
-            self._error = error
-            self._ready.set()
-
-    async def _amain(self):
-        self.router = FleetRouter(self.shard_addresses, self.config)
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.router.start()
-        except Exception as error:
-            self._error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        await self.router.wait_closed()
+        shard_addresses = list(shard_addresses)
+        super().__init__(lambda: FleetRouter(shard_addresses, config),
+                         "repro-fleet-router", timeout_s)
 
     @property
-    def host(self):
-        return self.router.host
-
-    @property
-    def port(self):
-        return self.router.port
-
-    def _call(self, coroutine):
-        """Run ``coroutine`` on the router loop from this thread."""
-        try:
-            future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-            return future.result(timeout=self._timeout)
-        except RuntimeError:
-            return None  # loop already closed
-
-    def status(self):
-        """The router's status payload, read off the loop thread."""
-        return self.router.status()
-
-    def sever(self):
-        """Abort every client connection into the router."""
-        return self._call(self.router.sever_connections()) or 0
-
-    def stop(self):
-        """Shut the router down and join the loop thread (idempotent)."""
-        stop_loop_thread(self._thread, self._loop, self.router,
-                         lambda: self.router.shutdown(),
-                         self._timeout)
-
-    def join(self, timeout=None):
-        """Block until the router's loop thread exits (a client drain
-        shuts the router down; this is how ``repro fleet`` waits)."""
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    __enter__ = start
-
-    def __exit__(self, *exc_info):
-        self.stop()
+    def router(self):
+        return self.server
 
 
 class LocalFleet:
@@ -235,13 +162,7 @@ class LocalFleet:
         resets; the router re-routes, clients resend."""
         severed = self.router.sever()
         for index in self.alive_shards():
-            shard = self.shards[index]
-            try:
-                future = asyncio.run_coroutine_threadsafe(
-                    shard.service.sever_connections(), shard._loop)
-                severed += future.result(timeout=10.0)
-            except RuntimeError:
-                pass
+            severed += self.shards[index].sever()
         return f"severed {severed} connection(s)"
 
     def delay_shard(self, index, seconds=0.5):

@@ -37,6 +37,12 @@ tolerance (``docs/serving.md``):
 The router holds no compile state of its own: admission, deadlines, and
 caching all live in the shards, so the router stays O(1) per request
 and a router restart loses nothing but open sockets.
+
+The socket, the per-connection read loop, the dispatch, connection
+tracking and the shutdown-once contract are the
+:class:`~repro.service.lineserver.LineServer` core the router shares
+with the compile service; what is here is the routing role: the shard
+table, heartbeats, and the handlers.
 """
 
 import asyncio
@@ -47,6 +53,7 @@ from dataclasses import dataclass
 from repro.batch.cache import source_fingerprint
 from repro.fleet.health import CLOSED, CircuitBreaker, HashRing
 from repro.obs.collector import current_collector
+from repro.service.lineserver import LineServer
 from repro.service.protocol import (
     E_BAD_REQUEST,
     E_BUSY,
@@ -59,7 +66,6 @@ from repro.service.protocol import (
     encode_message,
     error_response,
     ok_response,
-    parse_request,
 )
 
 #: Error codes that mean "this shard is refusing work right now" —
@@ -149,6 +155,15 @@ class FleetMetrics:
         self.bad_requests = 0
         self.started_monotonic = time.monotonic()
 
+    def receive(self):
+        self.received += 1
+
+    def reject(self, code):
+        """One request refused with ``code``; the router counts only
+        bad requests (busy and draining refusals belong to shards)."""
+        if code == E_BAD_REQUEST:
+            self.bad_requests += 1
+
     def snapshot(self, breaker_opens=0):
         return {
             "received": self.received,
@@ -190,7 +205,7 @@ async def _within(awaitable, timeout):
     return await asyncio.wait_for(task, timeout)
 
 
-class FleetRouter:
+class FleetRouter(LineServer):
     """Route compile traffic across shards (see the module docstring).
 
     ``shards`` is a list of ``(host, port)`` addresses of running
@@ -200,7 +215,7 @@ class FleetRouter:
     def __init__(self, shards, config=None):
         if not shards:
             raise ValueError("a fleet needs at least one shard")
-        self.config = config if config is not None else FleetConfig()
+        super().__init__(config if config is not None else FleetConfig())
         self.shards = [
             ShardHandle(f"shard-{index}", host, port, self.config)
             for index, (host, port) in enumerate(shards)
@@ -209,26 +224,12 @@ class FleetRouter:
         self._ring = HashRing([shard.name for shard in self.shards],
                               virtual_nodes=self.config.virtual_nodes)
         self.metrics = FleetMetrics()
-        self.host = self.config.host
-        self.port = None
-        self._server = None
-        self._loop = None
         self._heartbeats = []
-        self._connections = set()
-        self._tasks = set()
-        self._draining = False
-        self._closing = False
-        self._stopped = None
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self):
-        self._loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._serve_client, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES)
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+        await super().start()
         self._heartbeats = [
             self._loop.create_task(self._heartbeat(shard))
             for shard in self.shards
@@ -239,40 +240,10 @@ class FleetRouter:
                       shards=len(self.shards))
         return self
 
-    def _spawn(self, coroutine):
-        """``create_task`` with a strong reference until done (the loop
-        only weak-refs tasks; a fire-and-forget handler could be
-        garbage-collected mid-await otherwise)."""
-        task = self._loop.create_task(coroutine)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
-
-    async def shutdown(self):
-        if self._closing:
-            await self._stopped.wait()
-            return
-        self._closing = True
-        self._draining = True
+    def _teardown(self, abort):
+        """Stop the heartbeats."""
         for task in self._heartbeats:
             task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._stopped.set()
-
-    async def wait_closed(self):
-        await self._stopped.wait()
-
-    async def sever_connections(self):
-        """Abruptly reset every open client connection — the chaos
-        harness's router-side torn-network primitive."""
-        severed = 0
-        for writer in list(self._connections):
-            with contextlib.suppress(Exception):
-                writer.transport.abort()
-                severed += 1
-        return severed
 
     # -- introspection -------------------------------------------------------
 
@@ -285,6 +256,10 @@ class FleetRouter:
         to — the base digest enters the ring verbatim (it already *is*
         the fingerprint the base compile was routed by)."""
         return self._by_name[self._ring.home(base_digest)]
+
+    def _ping_fields(self):
+        return {"protocol": PROTOCOL, "role": "fleet-router",
+                "shards": len(self.shards)}
 
     def status(self):
         """The ``status`` payload: fleet counters + shard table."""
@@ -481,61 +456,7 @@ class FleetRouter:
                 return reply
         raise first_error
 
-    # -- the wire ------------------------------------------------------------
-
-    async def _serve_client(self, reader, writer):
-        self._connections.add(writer)
-        write_lock = asyncio.Lock()
-
-        async def send(payload):
-            try:
-                async with write_lock:
-                    writer.write(encode_message(payload))
-                    await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass  # client went away mid-reply
-
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except asyncio.CancelledError:
-                    break
-                except ConnectionError:
-                    break  # peer vanished without a FIN (reset, severed)
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send(error_response(
-                        {}, E_BAD_REQUEST,
-                        f"request line over {MAX_LINE_BYTES} bytes"))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                self.metrics.received += 1
-                try:
-                    request = parse_request(line)
-                except ProtocolError as error:
-                    self.metrics.bad_requests += 1
-                    await send(error_response({}, E_BAD_REQUEST, str(error)))
-                    continue
-                rtype = request["type"]
-                if rtype == "ping":
-                    await send(ok_response(request, protocol=PROTOCOL,
-                                           role="fleet-router",
-                                           shards=len(self.shards)))
-                elif rtype == "status":
-                    await send(ok_response(request, status=self.status()))
-                elif rtype == "drain":
-                    self._spawn(self._handle_drain(request, send))
-                elif rtype == "batch":
-                    self._spawn(self._handle_batch(request, send))
-                else:
-                    self._spawn(self._handle_compile(request, send))
-        finally:
-            self._connections.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
+    # -- request handlers ----------------------------------------------------
 
     async def _handle_compile(self, request, send):
         if self._draining:
@@ -544,7 +465,7 @@ class FleetRouter:
             return
         source = request.get("source")
         if not isinstance(source, str):
-            self.metrics.bad_requests += 1
+            self.metrics.reject(E_BAD_REQUEST)
             await send(error_response(
                 request, E_BAD_REQUEST,
                 "compile requests need a string 'source' field"))
@@ -562,16 +483,8 @@ class FleetRouter:
             await send(error_response(
                 request, E_DRAINING, "fleet router is draining"))
             return
-        programs = request.get("programs")
-        if (not isinstance(programs, list) or not programs
-                or not all(isinstance(p, dict)
-                           and isinstance(p.get("source"), str)
-                           for p in programs)):
-            self.metrics.bad_requests += 1
-            await send(error_response(
-                request, E_BAD_REQUEST,
-                "batch requests need a non-empty 'programs' list of "
-                "{name, source} objects"))
+        programs = await self._batch_programs(request, send)
+        if programs is None:
             return
         subrequests = []
         for index, program in enumerate(programs):

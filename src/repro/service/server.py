@@ -43,6 +43,12 @@ generation counter), resubmits each affected request once, and counts
 the event in :class:`~repro.service.metrics.ServiceMetrics`
 (``pool_rebuilds`` / ``requeued``).  Only a request that fails on the
 *fresh* pool too surfaces an ``internal`` error.
+
+The socket, the per-connection read loop, the dispatch, connection
+tracking and the shutdown-once contract are the
+:class:`~repro.service.lineserver.LineServer` core this class shares
+with the fleet router; what is here is the compile role: admission,
+the supervised pool, the cache, and the handlers.
 """
 
 import asyncio
@@ -66,6 +72,7 @@ from repro.batch.driver import (
 )
 from repro.obs.collector import current_collector
 from repro.service.config import ServiceConfig
+from repro.service.lineserver import LineServer
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     E_BAD_REQUEST,
@@ -74,13 +81,10 @@ from repro.service.protocol import (
     E_DRAINING,
     E_INTERNAL,
     E_UNAVAILABLE,
-    MAX_LINE_BYTES,
     PROTOCOL,
     ProtocolError,
-    encode_message,
     error_response,
     ok_response,
-    parse_request,
     request_deadline,
     request_options,
 )
@@ -92,7 +96,7 @@ ADMISSION_MESSAGES = {
 }
 
 
-class CompileService:
+class CompileService(LineServer):
     """One resident compile service (see the module docstring).
 
     Lifecycle: ``await start()`` binds the socket and spins the pool up,
@@ -102,52 +106,27 @@ class CompileService:
     """
 
     def __init__(self, config=None):
-        self.config = config if config is not None else ServiceConfig()
+        super().__init__(config if config is not None else ServiceConfig())
         self.metrics = ServiceMetrics()
         self.workers = resolve_jobs(self.config.workers)
         self.pool_kind = None
         self.cache = None
-        self.host = self.config.host
-        self.port = None
         self._cache_tmp = None
         self._executor = None
-        self._server = None
-        self._loop = None
-        self._draining = False
-        self._closing = False
         self._idle = None
-        self._stopped = None
-        self._connections = set()
-        self._tasks = set()
         self._pool_lock = None
         self._pool_generation = 0
-
-    def _spawn(self, coroutine):
-        """``create_task`` with a strong reference until done — the
-        event loop only weak-refs its tasks, so a fire-and-forget
-        handler with no other reference can be garbage-collected
-        mid-await (the task dies with ``GeneratorExit``, the client
-        never gets a reply)."""
-        task = self._loop.create_task(coroutine)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self):
         """Bind the socket, start the pool, warm the cache layer."""
-        self._loop = asyncio.get_running_loop()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._stopped = asyncio.Event()
         self._pool_lock = asyncio.Lock()
         self._executor, self.pool_kind = self._build_executor()
         self._build_cache()
-        self._server = await asyncio.start_server(
-            self._serve_client, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES)
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+        await super().start()
         obs = current_collector()
         if obs.enabled:
             obs.event("service", "start", host=self.host, port=self.port,
@@ -189,64 +168,27 @@ class CompileService:
         self._draining = True
         if drain:
             await self._idle.wait()
-        if self._closing:
-            await self._stopped.wait()
-            return
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._executor is not None:
-            # In-flight work is done (idle) or abandoned past its
-            # deadline; cancel anything still queued and reap workers.
-            self._executor.shutdown(wait=True, cancel_futures=True)
-        if self._cache_tmp is not None:
-            self._cache_tmp.cleanup()
-        self._stopped.set()
+        await super().shutdown()
 
-    async def wait_closed(self):
-        await self._stopped.wait()
+    def _teardown(self, abort):
+        """Reap the worker pool and remove the private cache directory.
 
-    async def abort(self):
-        """Die like a crashed shard: no drain, no goodbyes.
-
-        The listening socket closes, every open connection is reset
-        (clients see ``ECONNRESET``, not a clean EOF), and pool workers
-        are killed outright.  This is the fleet chaos harness's
-        ``kill_shard`` primitive — production code wants
-        :meth:`shutdown`."""
-        self._draining = True
-        if self._closing:
-            await self._stopped.wait()
-            return
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._connections):
-            with contextlib.suppress(Exception):
-                writer.transport.abort()
+        A graceful stop finds in-flight work done (idle) or abandoned
+        past its deadline: it cancels anything still queued and waits
+        for the workers.  An abort kills pool workers outright."""
         if self._executor is not None:
             processes = getattr(self._executor, "_processes", None)
-            if processes:
+            if abort and processes:
                 for process in list(processes.values()):
                     with contextlib.suppress(Exception):
                         process.kill()
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor.shutdown(wait=not abort, cancel_futures=True)
         if self._cache_tmp is not None:
-            with contextlib.suppress(Exception):
+            try:
                 self._cache_tmp.cleanup()
-        self._stopped.set()
-
-    async def sever_connections(self):
-        """Abruptly reset every open client connection (in-flight work
-        keeps running and stays accounted for) — the chaos harness's
-        torn-network primitive."""
-        severed = 0
-        for writer in list(self._connections):
-            with contextlib.suppress(Exception):
-                writer.transport.abort()
-                severed += 1
-        return severed
+            except Exception:
+                if not abort:
+                    raise
 
     def status(self):
         """The ``status`` payload: live metrics plus server facts."""
@@ -386,75 +328,6 @@ class CompileService:
             return await awaitable
         return await asyncio.wait_for(asyncio.shield(awaitable), deadline)
 
-    # -- the wire ------------------------------------------------------------
-
-    async def _serve_client(self, reader, writer):
-        self._connections.add(writer)
-        write_lock = asyncio.Lock()
-
-        async def send(payload):
-            try:
-                async with write_lock:
-                    writer.write(encode_message(payload))
-                    await writer.drain()
-            except (ConnectionError, RuntimeError):
-                # Client went away; the work stays accounted for.
-                pass
-
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except asyncio.CancelledError:
-                    # Loop shutdown cancelled a connection parked in
-                    # readline (a client that never disconnected before
-                    # a drain finished).  End the handler quietly: the
-                    # asyncio.start_server completion callback would
-                    # otherwise log the CancelledError as an "Exception
-                    # in callback" traceback.  Nothing awaits this task,
-                    # so absorbing the cancellation is safe.
-                    break
-                except ConnectionError:
-                    # Peer vanished without a FIN (reset, severed by
-                    # chaos, router hung up mid-forward) — same as a
-                    # clean disconnect from our side.
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send(error_response(
-                        {}, E_BAD_REQUEST,
-                        f"request line over {MAX_LINE_BYTES} bytes"))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                self.metrics.receive()
-                try:
-                    request = parse_request(line)
-                except ProtocolError as error:
-                    self.metrics.reject(E_BAD_REQUEST)
-                    await send(error_response({}, E_BAD_REQUEST, str(error)))
-                    continue
-                rtype = request["type"]
-                if rtype == "ping":
-                    await send(ok_response(request, protocol=PROTOCOL))
-                elif rtype == "status":
-                    await send(ok_response(request, status=self.status()))
-                elif rtype == "drain":
-                    self._spawn(self._handle_drain(request, send))
-                elif rtype == "batch":
-                    self._spawn(self._handle_batch(request, send))
-                else:
-                    self._spawn(self._handle_compile(request, send))
-        finally:
-            # In-flight tasks keep running (their sends no-op if the
-            # client is gone); just tear the connection down.  No await
-            # here: this finally also runs when the task is cancelled
-            # during server close, and awaiting would re-raise there.
-            self._connections.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
-
     # -- request handlers ----------------------------------------------------
 
     async def _handle_compile(self, request, send):
@@ -524,16 +397,8 @@ class CompileService:
 
     async def _handle_batch(self, request, send):
         received = time.monotonic()
-        programs = request.get("programs")
-        if (not isinstance(programs, list) or not programs
-                or not all(isinstance(p, dict)
-                           and isinstance(p.get("source"), str)
-                           for p in programs)):
-            self.metrics.reject(E_BAD_REQUEST)
-            await send(error_response(
-                request, E_BAD_REQUEST,
-                "batch requests need a non-empty 'programs' list of "
-                "{name, source} objects"))
+        programs = await self._batch_programs(request, send)
+        if programs is None:
             return
         try:
             options = request_options(request, self.config)
@@ -612,8 +477,7 @@ async def _serve_main(config, out):
         with contextlib.suppress(NotImplementedError, RuntimeError,
                                  ValueError):
             loop.add_signal_handler(
-                signum,
-                lambda: service._spawn(service.shutdown(drain=True)))
+                signum, service.begin_shutdown, service.shutdown)
     await service.wait_closed()
 
 

@@ -17,17 +17,20 @@ import warnings
 import pytest
 
 from repro.commgen.pipeline import generate_communication
+from repro.fleet import ThreadedRouter
 from repro.lang.printer import format_program
 from repro.service import (
     E_BAD_REQUEST,
     E_BUSY,
     E_DEADLINE,
     E_DRAINING,
+    MAX_LINE_BYTES,
     PROTOCOL,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     ThreadedServer,
+    decode_message,
 )
 from repro.testing.generator import ArrayProgramGenerator
 from repro.testing.programs import FIG1_SOURCE, FIG11_SOURCE
@@ -46,6 +49,22 @@ def server():
     config = ServiceConfig(port=0, workers=2, pool="thread")
     with ThreadedServer(config) as threaded:
         yield threaded
+
+
+@pytest.fixture(scope="module")
+def router():
+    """A fleet router in front of one private shard."""
+    config = ServiceConfig(port=0, workers=1, pool="thread")
+    with ThreadedServer(config) as shard:
+        with ThreadedRouter([(shard.host, shard.port)]) as threaded:
+            yield threaded
+
+
+@pytest.fixture(params=["service", "router"])
+def line_server(request):
+    """The compile service or the fleet router: one wire, two roles."""
+    return request.getfixturevalue(
+        "server" if request.param == "service" else request.param)
 
 
 @pytest.fixture()
@@ -353,6 +372,25 @@ def stop_after_drain(runner):
                      if "never awaited" in str(w.message)]
 
 
+@pytest.mark.parametrize("role", ["service", "router"])
+def test_drain_stops_the_server_while_another_client_idles(role):
+    """Regression: since Python 3.12.1, ``asyncio.Server.wait_closed``
+    waits for every open connection, so a drain did not stop a server
+    while another client held an idle one."""
+    config = ServiceConfig(port=0, workers=1, pool="thread")
+    with ThreadedServer(config) as shard:
+        runner = (shard if role == "service"
+                  else ThreadedRouter([(shard.host, shard.port)]).start())
+        with socket.create_connection(("127.0.0.1", runner.port),
+                                      timeout=5) as idle:
+            with ServiceClient(port=runner.port) as drainer:
+                assert drainer.drain()["drained"] is True
+            runner._thread.join(2.0)
+            assert not runner._thread.is_alive()
+            assert idle.recv(1) == b""
+        runner.stop()
+
+
 def test_stop_after_a_client_drain_returns_promptly_and_leaks_nothing():
     """Regression: stop() created the shutdown coroutine on the caller's
     thread and passed it to a loop the client's drain was already
@@ -395,20 +433,46 @@ def test_process_pool_round_trip_shares_warmth_on_disk(tmp_path):
 
 # -- protocol abuse over a live socket ----------------------------------------
 
-def test_malformed_lines_get_bad_request_replies(server):
-    with ServiceClient(port=server.port) as connection:
+def test_malformed_lines_get_bad_request_replies(line_server):
+    with ServiceClient(port=line_server.port) as connection:
         # raw non-JSON line down the same socket
         connection._file.write(b"this is not json\n")
         connection._file.flush()
-        from repro.service import decode_message
         reply = decode_message(connection._file.readline())
         assert reply["ok"] is False
         assert reply["error"]["code"] == E_BAD_REQUEST
 
 
-def test_unknown_request_type_is_rejected(client):
-    with pytest.raises(ServiceError) as excinfo:
-        client.request({"type": "explode"})
+def wire_counters(status):
+    """``(received, bad_requests)`` of a service's or a router's
+    status."""
+    if "fleet" in status:
+        return status["fleet"]["received"], status["fleet"]["bad_requests"]
+    return status["requests"]["received"], status["admission"]["bad_requests"]
+
+
+def test_over_long_line_is_refused_counted_and_closes(line_server):
+    with ServiceClient(port=line_server.port) as connection:
+        received, bad = wire_counters(connection.status())
+        connection._file.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+        connection._file.flush()
+        reply = decode_message(connection._file.readline())
+        assert reply["error"]["code"] == E_BAD_REQUEST
+        assert "bytes" in reply["error"]["message"]
+        try:
+            rest = connection._file.readline()
+        except ConnectionResetError:  # the unread tail of the line
+            rest = b""
+        assert rest == b""
+    with ServiceClient(port=line_server.port) as connection:
+        # the long line and this status request
+        assert wire_counters(connection.status()) == (received + 2, bad + 1)
+
+
+def test_unknown_request_type_is_rejected(line_server):
+    with ServiceClient(port=line_server.port) as client:
+        with pytest.raises(ServiceError) as excinfo:
+            client.request({"type": "explode"})
     assert excinfo.value.code == E_BAD_REQUEST
 
 
@@ -431,17 +495,18 @@ def test_bad_deadline_and_options_are_rejected(client):
     assert "unknown option" in str(excinfo.value)
 
 
-def test_empty_batch_is_rejected(client):
-    with pytest.raises(ServiceError) as excinfo:
-        client.request({"type": "batch", "programs": []})
+def test_empty_batch_is_rejected(line_server):
+    with ServiceClient(port=line_server.port) as client:
+        with pytest.raises(ServiceError) as excinfo:
+            client.request({"type": "batch", "programs": []})
     assert excinfo.value.code == E_BAD_REQUEST
 
 
-def test_blank_lines_are_ignored(client):
-    connection = client
-    connection._file.write(b"\n")
-    connection._file.flush()
-    assert connection.ping()["ok"]  # server skipped the blank line
+def test_blank_lines_are_ignored(line_server):
+    with ServiceClient(port=line_server.port) as connection:
+        connection._file.write(b"\n")
+        connection._file.flush()
+        assert connection.ping()["ok"]  # server skipped the blank line
 
 
 # -- backpressure hints -------------------------------------------------------
