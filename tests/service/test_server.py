@@ -61,10 +61,13 @@ def router():
 
 
 @pytest.fixture(params=["service", "router"])
-def line_server(request):
-    """The compile service or the fleet router: one wire, two roles."""
-    return request.getfixturevalue(
+def line_client(request):
+    """A client of the compile service or of the fleet router: one wire,
+    two roles."""
+    threaded = request.getfixturevalue(
         "server" if request.param == "service" else request.param)
+    with ServiceClient(port=threaded.port) as connection:
+        yield connection
 
 
 @pytest.fixture()
@@ -433,14 +436,14 @@ def test_process_pool_round_trip_shares_warmth_on_disk(tmp_path):
 
 # -- protocol abuse over a live socket ----------------------------------------
 
-def test_malformed_lines_get_bad_request_replies(line_server):
-    with ServiceClient(port=line_server.port) as connection:
-        # raw non-JSON line down the same socket
-        connection._file.write(b"this is not json\n")
-        connection._file.flush()
-        reply = decode_message(connection._file.readline())
-        assert reply["ok"] is False
-        assert reply["error"]["code"] == E_BAD_REQUEST
+def test_malformed_lines_get_bad_request_replies(line_client):
+    connection = line_client
+    # raw non-JSON line down the same socket
+    connection._file.write(b"this is not json\n")
+    connection._file.flush()
+    reply = decode_message(connection._file.readline())
+    assert reply["ok"] is False
+    assert reply["error"]["code"] == E_BAD_REQUEST
 
 
 def wire_counters(status):
@@ -451,28 +454,27 @@ def wire_counters(status):
     return status["requests"]["received"], status["admission"]["bad_requests"]
 
 
-def test_over_long_line_is_refused_counted_and_closes(line_server):
-    with ServiceClient(port=line_server.port) as connection:
-        received, bad = wire_counters(connection.status())
-        connection._file.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
-        connection._file.flush()
-        reply = decode_message(connection._file.readline())
-        assert reply["error"]["code"] == E_BAD_REQUEST
-        assert "bytes" in reply["error"]["message"]
-        try:
-            rest = connection._file.readline()
-        except ConnectionResetError:  # the unread tail of the line
-            rest = b""
-        assert rest == b""
-    with ServiceClient(port=line_server.port) as connection:
-        # the long line and this status request
-        assert wire_counters(connection.status()) == (received + 2, bad + 1)
+def test_over_long_line_is_refused_counted_and_closes(line_client):
+    connection = line_client
+    received, bad = wire_counters(connection.status())
+    connection._file.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+    connection._file.flush()
+    reply = decode_message(connection._file.readline())
+    assert reply["error"]["code"] == E_BAD_REQUEST
+    assert "bytes" in reply["error"]["message"]
+    try:
+        rest = connection._file.readline()
+    except ConnectionResetError:  # closed with the line's tail unread
+        rest = b""
+    assert rest == b""
+    connection.reconnect()
+    # the long line and this status request
+    assert wire_counters(connection.status()) == (received + 2, bad + 1)
 
 
-def test_unknown_request_type_is_rejected(line_server):
-    with ServiceClient(port=line_server.port) as client:
-        with pytest.raises(ServiceError) as excinfo:
-            client.request({"type": "explode"})
+def test_unknown_request_type_is_rejected(line_client):
+    with pytest.raises(ServiceError) as excinfo:
+        line_client.request({"type": "explode"})
     assert excinfo.value.code == E_BAD_REQUEST
 
 
@@ -495,18 +497,17 @@ def test_bad_deadline_and_options_are_rejected(client):
     assert "unknown option" in str(excinfo.value)
 
 
-def test_empty_batch_is_rejected(line_server):
-    with ServiceClient(port=line_server.port) as client:
-        with pytest.raises(ServiceError) as excinfo:
-            client.request({"type": "batch", "programs": []})
+def test_empty_batch_is_rejected(line_client):
+    with pytest.raises(ServiceError) as excinfo:
+        line_client.request({"type": "batch", "programs": []})
     assert excinfo.value.code == E_BAD_REQUEST
 
 
-def test_blank_lines_are_ignored(line_server):
-    with ServiceClient(port=line_server.port) as connection:
-        connection._file.write(b"\n")
-        connection._file.flush()
-        assert connection.ping()["ok"]  # server skipped the blank line
+def test_blank_lines_are_ignored(line_client):
+    connection = line_client
+    connection._file.write(b"\n")
+    connection._file.flush()
+    assert connection.ping()["ok"]  # server skipped the blank line
 
 
 # -- backpressure hints -------------------------------------------------------
