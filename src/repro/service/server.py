@@ -173,9 +173,8 @@ class CompileService(LineServer):
     def _teardown(self, abort):
         """Reap the worker pool and remove the private cache directory.
 
-        A graceful stop finds in-flight work done (idle) or abandoned
-        past its deadline: it cancels anything still queued and waits
-        for the workers.  An abort kills pool workers outright."""
+        A graceful stop cancels anything still queued and waits for the
+        workers; an abort kills them outright."""
         if self._executor is not None:
             processes = getattr(self._executor, "_processes", None)
             if abort and processes:
