@@ -9,10 +9,9 @@ one-pass-vs-fixpoint ratios, the PRE comparison, and the extension
 results.  (The pytest benchmarks assert the same shapes; this script is
 the human-readable view.)
 
-It also measures the solver-observability ladder into the
-machine-readable ``BENCH_solver.json`` (``--bench-json PATH`` to move
-it, ``--no-bench-json`` to skip); CI runs ``python -m repro.obs.bench``
-directly and uploads the same artifact.
+Its solver-observability table measures the same ladder as
+``BENCH_solver.json``; ``python -m repro.obs.bench`` writes that
+artifact.
 """
 
 import argparse
@@ -129,8 +128,8 @@ def pre_table():
     print()
 
 
-def observability_table(bench_json):
-    from repro.obs.bench import solver_scaling, write_bench_json
+def observability_table():
+    from repro.obs.bench import solver_scaling
 
     print("## Solver observability — BENCH_solver.json\n")
     report = solver_scaling()
@@ -143,26 +142,19 @@ def observability_table(bench_json):
               f"{'yes' if row['each_equation_once'] else 'NO'} |")
     print(f"\nlinear within {report['tolerance']:.0f}x tolerance: "
           f"{report['linear_within_tolerance']}")
-    if bench_json:
-        write_bench_json(bench_json, report)
-        print(f"wrote {bench_json}")
     print()
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bench-json", default="BENCH_solver.json",
-                        help="where to write the solver-scaling artifact")
-    parser.add_argument("--no-bench-json", action="store_true",
-                        help="print the table without writing the artifact")
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
     print("# Reproduction report (regenerated)\n")
     fig2_table()
     fig3_row()
     fig14_row()
     scaling_table()
     pre_table()
-    observability_table(None if args.no_bench_json else args.bench_json)
+    observability_table()
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ and the ``repro.obs`` tracer (the instrumentation under test).  The
 timing runs execute *untraced* — they exercise, and therefore guard,
 the zero-cost disabled-collector path.
 
-``python -m repro.obs.bench`` measures the same ladder into
-``BENCH_solver.json`` (uploaded by CI; see docs/observability.md).
+``python -m repro.obs.bench`` measures the same ladder (``SIZES`` and
+``build_instance`` come from there) into ``BENCH_solver.json``
+(uploaded by CI; see docs/observability.md).
 """
 
 import time
@@ -24,15 +25,8 @@ from repro.core import Problem, solve
 from repro.core.solver import GiveNTakeSolver
 from repro.graph.views import ForwardView
 from repro.obs import tracing
+from repro.obs.bench import SIZES, build_instance
 from repro.testing.generator import random_analyzed_program, random_problem
-
-SIZES = [40, 160, 640]
-
-
-def build_instance(size, seed=11):
-    analyzed = random_analyzed_program(seed, size=size, max_depth=3)
-    problem = random_problem(analyzed, seed=seed, n_elements=8)
-    return analyzed, problem
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -307,21 +307,16 @@ def _without_frontend(kwargs):
 
 
 def _compile_hardened(name, text, options):
-    budget = ResourceBudget(
-        solver_rounds=options.prepare_kwargs()["solver_rounds"] or 64)
+    kwargs = options.prepare_kwargs()
     pipeline = HardenedPipeline(
-        budget=budget,
-        owner_computes=options.prepare_kwargs()["owner_computes"],
+        budget=ResourceBudget(solver_rounds=kwargs["solver_rounds"] or 64),
+        owner_computes=kwargs["owner_computes"],
         split_messages=options.split_messages,
-        solver_backend=options.prepare_kwargs()["solver_backend"],
+        solver_backend=kwargs["solver_backend"],
     )
-    if options.trace:
-        with tracing() as collector:
-            hardened = pipeline.run(text)
-        trace = stable_form(trace_payload(collector))
-    else:
+    with tracing() if options.trace else nullcontext() as collector:
         hardened = pipeline.run(text)
-        trace = None
+    trace = stable_form(trace_payload(collector)) if options.trace else None
     result = hardened.result
     reads = writes = 0
     if hasattr(result, "communication_count"):

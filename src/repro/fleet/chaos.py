@@ -80,45 +80,12 @@ class ChaosPlan:
     delays: int = 0
     delay_s: float = 0.5
 
-    #: spec keys accepted by :meth:`parse`, mapped to field names
-    SPEC_KEYS = {
-        "seed": "seed",
-        "kills": "kills",
-        "crashes": "worker_crashes",
-        "severs": "severs",
-        "delays": "delays",
-        "delay_s": "delay_s",
-    }
-
     def __post_init__(self):
         for name in ("kills", "worker_crashes", "severs", "delays"):
             if getattr(self, name) < 0:
                 raise FaultSpecError(f"{name} must be >= 0")
         if self.delay_s < 0:
             raise FaultSpecError("delay_s must be >= 0")
-
-    @classmethod
-    def parse(cls, spec):
-        """Build a plan from a CLI spec like ``"kills=1,severs=2,seed=7"``.
-
-        Accepted keys: ``kills``, ``crashes``, ``severs``, ``delays``,
-        ``delay_s``, ``seed``.  Raises :class:`FaultSpecError` on
-        unknown keys or malformed values."""
-        values = {}
-        for part in filter(None, (p.strip() for p in spec.split(","))):
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in cls.SPEC_KEYS:
-                known = ", ".join(sorted(cls.SPEC_KEYS))
-                raise FaultSpecError(
-                    f"bad chaos spec item {part!r} (known keys: {known})")
-            try:
-                number = float(raw) if key == "delay_s" else int(raw)
-            except ValueError:
-                raise FaultSpecError(
-                    f"bad chaos spec value {raw!r} for {key!r}") from None
-            values[cls.SPEC_KEYS[key]] = number
-        return cls(**values)
 
     @property
     def active(self):

@@ -1,5 +1,15 @@
-"""Machine-readable benchmark artifacts: ``BENCH_solver.json``,
-``BENCH_batch.json`` and ``BENCH_kernel.json``.
+"""Machine-readable benchmark artifacts: one ``BENCH_<scenario>.json``
+per scenario of :data:`SCENARIOS` (``solver``, ``batch``, ``kernel``,
+``incr``, ``service``, ``fleet`` and ``overlap``)::
+
+    python -m repro.obs.bench [--batch | --kernel | --incr | --service
+                               | --fleet | --overlap] [--output PATH] [--check]
+
+Without a scenario flag it measures ``solver``.  The scenario's measure
+function runs with its own defaults and its payload is written to
+``--output`` (default ``BENCH_<scenario>.json``).  ``--check`` exits 1
+when any of the scenario's gates — the boolean payload keys its
+registry entry lists — is false, and names the false ones on stderr.
 
 **Solver scaling** — the paper's §5.2 complexity claim (every equation
 evaluated exactly once per node, O(E) total) is asserted by
@@ -7,7 +17,7 @@ evaluated exactly once per node, O(E) total) is asserted by
 into an artifact CI uploads on every run, so future PRs have a
 trajectory to regress against::
 
-    python -m repro.obs.bench --output BENCH_solver.json --check
+    python -m repro.obs.bench --check
 
 For each size on the ladder it records the node count, the best
 wall-clock solve (instrumentation disabled — the production fast path),
@@ -19,7 +29,7 @@ tolerance the pytest benchmark enforces.
 **Batch throughput** — the ``repro.batch`` layer's reason to exist
 (``docs/scaling.md``)::
 
-    python -m repro.obs.bench --batch --output BENCH_batch.json --check
+    python -m repro.obs.bench --batch --check
 
 compiles a generator corpus three ways — serially with no cache,
 parallel with a cold content-addressed cache, and parallel again with
@@ -32,7 +42,7 @@ speedup).
 **Kernel speedup** — the planned solver backend's reason to exist
 (``docs/scaling.md``)::
 
-    python -m repro.obs.bench --kernel --output BENCH_kernel.json --check
+    python -m repro.obs.bench --kernel --check
 
 solves each ladder instance in both directions with the reference and
 the planned backend (views prebuilt and plans warmed, so only the solve
@@ -45,11 +55,11 @@ single bit.
 **Service throughput** — the resident compile service's reason to exist
 (``docs/serving.md``)::
 
-    python -m repro.obs.bench --service --output BENCH_service.json --check
+    python -m repro.obs.bench --service --check
 
 stands up a real in-process :class:`~repro.service.server.CompileService`
-(TCP, worker pool, warm cache) and drives it with ``--clients``
-concurrent load-generator threads, comparing against a cold
+(TCP, worker pool, warm cache) and drives it with 8 concurrent
+load-generator threads of 12 requests each, comparing against a cold
 one-shot-per-request baseline (every request pays the full pipeline
 with no resident cache — what the pre-service entry points cost).
 Client-side latencies are recorded exactly (p50/p90/p99), every
@@ -63,7 +73,7 @@ unfinished.
 **Fleet chaos** — the fault-tolerant fleet's reason to exist
 (``docs/robustness.md``)::
 
-    python -m repro.obs.bench --fleet --output BENCH_fleet.json --check
+    python -m repro.obs.bench --fleet --check
 
 stands up a :class:`~repro.fleet.harness.LocalFleet` (K real shards
 behind a :class:`~repro.fleet.router.FleetRouter`) and drives a request
@@ -78,7 +88,7 @@ happened *and* nothing was lost to them.
 **Edit streams through the cache** — what a cache miss costs and
 that deltas stay exact (``docs/scaling.md``)::
 
-    python -m repro.obs.bench --incr --output BENCH_incr.json --check
+    python -m repro.obs.bench --incr --check
 
 compiles each corpus program through one shared in-memory cache, drives
 a seeded sequence of mixed edits (scalar-RHS bumps, distributed-array
@@ -93,7 +103,7 @@ cacheless compiles of the same texts.
 **Overlap scheduling** — the ``repro.sched`` scheduler's reason to
 exist (``docs/scheduling.md``)::
 
-    python -m repro.obs.bench --overlap --output BENCH_overlap.json --check
+    python -m repro.obs.bench --overlap --check
 
 runs every :data:`~repro.sched.scenarios.SCENARIOS` row — each a
 program whose EAGER/LAZY slack the scheduler can (or, for the control
@@ -114,10 +124,13 @@ carry the suffix too); everything else is deterministic.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import tempfile
 import time
+from typing import Callable, Iterable, NamedTuple, Tuple
 
 from repro.core.solver import solve
 from repro.obs.collector import tracing
@@ -135,7 +148,7 @@ OVERLAP_SCHEMA = "repro-bench-overlap/1"
 #: The --check gate on the geomean speedup over latency-bound rows.
 OVERLAP_TARGET = 1.5
 
-#: The size ladder — kept in sync with benchmarks/test_bench_scaling_linear.py.
+#: The size ladder, shared with benchmarks/test_bench_scaling_linear.py.
 SIZES = (40, 160, 640)
 
 #: Allowed time-per-node growth between consecutive ladder steps (the
@@ -143,7 +156,9 @@ SIZES = (40, 160, 640)
 TOLERANCE = 4.0
 
 
-def _build_instance(size, seed, n_elements):
+def build_instance(size, seed=11, n_elements=8):
+    """One rung of the ladder: a random structured program of ``size``
+    statements and a random problem over it."""
     analyzed = random_analyzed_program(seed, size=size, max_depth=3)
     problem = random_problem(analyzed, seed=seed, n_elements=n_elements)
     return analyzed, problem
@@ -153,7 +168,7 @@ def solver_scaling(sizes=SIZES, seed=11, n_elements=8, repeats=3):
     """Measure the ladder; return the ``BENCH_solver.json`` payload."""
     rows = []
     for size in sizes:
-        analyzed, problem = _build_instance(size, seed, n_elements)
+        analyzed, problem = build_instance(size, seed, n_elements)
         nodes = len(analyzed.ifg.real_nodes())
         best = float("inf")
         for _ in range(repeats):
@@ -485,8 +500,6 @@ def overlap_bench():
     clock units — fully deterministic, so the gates are exact, not
     tolerance-banded.
     """
-    import math
-
     from repro.commgen import generate_communication
     from repro.core.checker import check_placement
     from repro.sched.runner import compare_schedules
@@ -556,14 +569,37 @@ def overlap_bench():
     }
 
 
-def _exact_percentile(sorted_values, q):
-    """Exact sample quantile (nearest-rank) of a sorted list."""
-    if not sorted_values:
-        return 0.0
-    import math
+def _expected_outputs(programs):
+    """Compile each ``(name, text)`` without a cache; return the
+    annotated source by name.  A corpus program that fails to compile
+    breaks the bench, so it raises."""
+    from repro.batch.driver import compile_one
 
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
+    expected = {}
+    for name, text in programs:
+        compiled = compile_one(name, text, cache=None)
+        if not compiled.ok:
+            raise RuntimeError(f"bench corpus program {name} failed: "
+                               f"{compiled.error}")
+        expected[name] = compiled.annotated_source
+    return expected
+
+
+def _latency_summary(latencies):
+    """Exact client-side latencies: nearest-rank p50/p90/p99, mean and
+    max (all 0.0 without samples)."""
+    ordered = sorted(latencies) or [0.0]
+
+    def percentile(q):
+        return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+    return {
+        "p50_s": percentile(0.5),
+        "p90_s": percentile(0.9),
+        "p99_s": percentile(0.99),
+        "mean_s": sum(ordered) / len(ordered),
+        "max_s": ordered[-1],
+    }
 
 
 def service_throughput(n_clients=8, requests_per_client=12, corpus_size=8,
@@ -587,22 +623,15 @@ def service_throughput(n_clients=8, requests_per_client=12, corpus_size=8,
     """
     import threading
 
-    from repro.batch.driver import compile_one
     from repro.service import ServiceClient, ServiceConfig, ThreadedServer
 
     corpus = batch_corpus(n_programs=corpus_size, size=size, seed=seed)
     total_requests = n_clients * requests_per_client
 
     # Phase 1: the cold baseline, which doubles as the oracle.
-    expected = {}
     start = time.perf_counter()
-    for index in range(total_requests):
-        name, text = corpus[index % len(corpus)]
-        compiled = compile_one(name, text, cache=None)
-        if not compiled.ok:
-            raise RuntimeError(f"bench corpus program {name} failed: "
-                               f"{compiled.error}")
-        expected[name] = compiled.annotated_source
+    expected = _expected_outputs(corpus[index % len(corpus)]
+                                 for index in range(total_requests))
     cold_elapsed = time.perf_counter() - start
 
     config = ServiceConfig(
@@ -640,6 +669,9 @@ def service_throughput(n_clients=8, requests_per_client=12, corpus_size=8,
                         elif result.get("annotated_source") != expected[name]:
                             counts["corrupted"] += 1
         except Exception:
+            # A client that failed to connect never reached the
+            # barrier; break it so no other party waits for it.
+            barrier.abort()
             with lock:
                 counts["dropped"] += requests_per_client
 
@@ -654,7 +686,10 @@ def service_throughput(n_clients=8, requests_per_client=12, corpus_size=8,
                    for index in range(n_clients)]
         for thread in threads:
             thread.start()
-        barrier.wait()
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # a load client failed; its requests count as dropped
         start = time.perf_counter()
         for thread in threads:
             thread.join()
@@ -663,7 +698,6 @@ def service_throughput(n_clients=8, requests_per_client=12, corpus_size=8,
             status = client.status()
         drain = _drain_probe(port, seed=seed)
 
-    latencies.sort()
     completed = len(latencies)
     cold_rps = total_requests / cold_elapsed if cold_elapsed > 0 else 0.0
     warm_rps = completed / warm_elapsed if warm_elapsed > 0 else 0.0
@@ -697,13 +731,7 @@ def service_throughput(n_clients=8, requests_per_client=12, corpus_size=8,
             "failed": counts["failed"],
             "busy_retries": counts["busy_retries"],
         },
-        "latency": {
-            "p50_s": _exact_percentile(latencies, 0.5),
-            "p90_s": _exact_percentile(latencies, 0.9),
-            "p99_s": _exact_percentile(latencies, 0.99),
-            "mean_s": sum(latencies) / completed if completed else 0.0,
-            "max_s": latencies[-1] if latencies else 0.0,
-        },
+        "latency": _latency_summary(latencies),
         "service_status": status,
         "drain": drain,
         "speedup_warm_vs_cold_s": speedup,
@@ -784,7 +812,6 @@ def fleet_chaos(n_shards=3, n_requests=24, corpus_size=8, size=14, seed=0,
        oracle; the gates are *zero lost, zero corrupted, zero failed*
        and *every scripted chaos event executed*.
     """
-    from repro.batch.driver import compile_one
     from repro.fleet import ChaosPlan, FleetConfig, LocalFleet, run_chaos
     from repro.service import ServiceConfig
 
@@ -792,13 +819,7 @@ def fleet_chaos(n_shards=3, n_requests=24, corpus_size=8, size=14, seed=0,
     corpus = batch_corpus(n_programs=corpus_size, size=size, seed=seed)
 
     # Phase 1: the oracle.
-    expected = {}
-    for name, text in corpus:
-        compiled = compile_one(name, text, cache=None)
-        if not compiled.ok:
-            raise RuntimeError(f"bench corpus program {name} failed: "
-                               f"{compiled.error}")
-        expected[name] = compiled.annotated_source
+    expected = _expected_outputs(corpus)
 
     # Phase 2: the chaos run.
     stream = [corpus[index % len(corpus)] for index in range(n_requests)]
@@ -821,7 +842,6 @@ def fleet_chaos(n_shards=3, n_requests=24, corpus_size=8, size=14, seed=0,
             failed += 1
         elif result.get("annotated_source") != expected[row["name"]]:
             corrupted += 1
-    latencies.sort()
     scripted = plan.script(n_shards, n_requests)
     executed = [event for event in report["events"] if "error" not in event]
     chaos_executed = (len(executed) == len(scripted)
@@ -835,14 +855,7 @@ def fleet_chaos(n_shards=3, n_requests=24, corpus_size=8, size=14, seed=0,
         "corpus_size": corpus_size,
         "program_size": size,
         "seed": seed,
-        "chaos_plan": {
-            "seed": plan.seed,
-            "kills": plan.kills,
-            "worker_crashes": plan.worker_crashes,
-            "severs": plan.severs,
-            "delays": plan.delays,
-            "delay_s": plan.delay_s,
-        },
+        "chaos_plan": dataclasses.asdict(plan),
         "events": report["events"],
         "elapsed_s": report["elapsed_s"],
         "requests": {
@@ -852,13 +865,7 @@ def fleet_chaos(n_shards=3, n_requests=24, corpus_size=8, size=14, seed=0,
             "corrupted": corrupted,
             "failed": failed,
         },
-        "latency": {
-            "p50_s": _exact_percentile(latencies, 0.5),
-            "p90_s": _exact_percentile(latencies, 0.9),
-            "p99_s": _exact_percentile(latencies, 0.99),
-            "mean_s": sum(latencies) / len(latencies) if latencies else 0.0,
-            "max_s": latencies[-1] if latencies else 0.0,
-        },
+        "latency": _latency_summary(latencies),
         "router": report["router"],
         "supervision": report["supervision"],
         # the two --check gates
@@ -867,294 +874,200 @@ def fleet_chaos(n_shards=3, n_requests=24, corpus_size=8, size=14, seed=0,
     }
 
 
-def write_bench_json(path, report=None):
-    """Write (and return) the payload; ``report=None`` measures fresh."""
-    if report is None:
-        report = solver_scaling()
+def write_bench_json(path, report):
+    """Write (and return) the payload."""
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return report
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.bench",
-        description="measure the solver's O(E) trajectory "
-                    "(BENCH_solver.json), the batch layer's throughput "
-                    "(--batch, BENCH_batch.json), or the planned "
-                    "kernel's speedup (--kernel, BENCH_kernel.json), "
-                    "the resident service's throughput (--service, "
-                    "BENCH_service.json), or the fleet's behavior under "
-                    "chaos (--fleet, BENCH_fleet.json)")
-    parser.add_argument("--output", default=None,
-                        help="where to write the JSON payload (default: "
-                             "BENCH_solver.json, BENCH_batch.json with "
-                             "--batch, or BENCH_kernel.json with "
-                             "--kernel)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when the measured trajectory "
-                             "regresses (solver: super-linear growth; "
-                             "batch: parallel slower than serial, or a "
-                             "warm cache giving no speedup; kernel: "
-                             "planned slower than reference, under 2x "
-                             "overall, or not bit-identical)")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats (default: 3 solver, "
-                             "2 batch, 5 kernel)")
-    parser.add_argument("--batch", action="store_true",
-                        help="measure batch compilation throughput "
-                             "instead of solver scaling")
-    parser.add_argument("--kernel", action="store_true",
-                        help="measure the planned solver backend "
-                             "against the reference solver")
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="worker processes for --batch")
-    parser.add_argument("--programs", type=int, default=None,
-                        help="corpus size (default 32 for --batch, "
-                             "4 for --incr)")
-    parser.add_argument("--incr", action="store_true",
-                        help="measure edit streams (compile_delta) "
-                             "through a shared cache against cacheless "
-                             "compiles")
-    parser.add_argument("--edits", type=int, default=5,
-                        help="edits per program in the --incr "
-                             "differential sequence")
-    parser.add_argument("--service", action="store_true",
-                        help="load-test a resident compile service "
-                             "against the cold one-shot baseline")
-    parser.add_argument("--clients", type=int, default=8,
-                        help="concurrent client threads for --service")
-    parser.add_argument("--requests", type=int, default=None,
-                        help="requests per client for --service "
-                             "(default 12); total requests for --fleet "
-                             "(default 24)")
-    parser.add_argument("--fleet", action="store_true",
-                        help="drive a local compile fleet through "
-                             "scripted chaos (shard kill, worker crash, "
-                             "severed connections) and verify every "
-                             "response byte-identical")
-    parser.add_argument("--shards", type=int, default=3,
-                        help="shard count for --fleet")
-    parser.add_argument("--overlap", action="store_true",
-                        help="differentially measure the overlap "
-                             "scheduler against the naive schedule on "
-                             "the repro.sched scenario suite")
-    parser.add_argument("--chaos", metavar="SPEC", default=None,
-                        help="chaos plan for --fleet, e.g. "
-                             "'kills=1,crashes=1,severs=2,seed=7'")
-    args = parser.parse_args(argv)
-    if args.kernel:
-        return _main_kernel(args)
-    if args.batch:
-        return _main_batch(args)
-    if args.service:
-        return _main_service(args)
-    if args.fleet:
-        return _main_fleet(args)
-    if args.incr:
-        return _main_incr(args)
-    if args.overlap:
-        return _main_overlap(args)
-    return _main_solver(args)
+# -- console rows, one formatter per scenario --------------------------------
+
+def _solver_rows(report):
+    for row in report["rows"]:
+        yield (f"size={row['size']} nodes={row['nodes']} "
+               f"per_node={row['time_per_node_s'] * 1e6:.1f}us "
+               f"sweeps={row['consumption_sweeps']} "
+               f"each_equation_once={row['each_equation_once']}")
 
 
-def _main_overlap(args):
-    output = args.output or "BENCH_overlap.json"
-    report = overlap_bench()
-    write_bench_json(output, report)
+def _batch_rows(report):
+    for mode, row in report["modes"].items():
+        yield (f"{mode}: {row['programs_per_second_s']:.1f} programs/s "
+               f"(jobs={row['jobs']}, hits={row['cache_hits']}, "
+               f"errors={row['errors']})")
+    yield (f"speedup warm vs serial uncached: "
+           f"{report['speedup_warm_vs_serial_s']:.2f}x, warm hit rate: "
+           f"{report['warm_cache_hit_rate']:.0%}")
+
+
+def _kernel_rows(report):
+    for row in report["rows"]:
+        yield (f"size={row['size']} direction={row['direction']} "
+               f"reference={row['reference_median_s'] * 1e3:.2f}ms "
+               f"planned={row['planned_median_s'] * 1e3:.2f}ms "
+               f"speedup={row['speedup_s']:.2f}x "
+               f"identical={row['identical']}")
+    yield f"planned overall {report['overall_speedup_s']:.2f}x"
+
+
+def _incr_rows(report):
+    for row in report["rows"]:
+        kinds = ",".join(step["kind"] for step in row["steps"])
+        yield (f"{row['name']}: edits=[{kinds}] "
+               f"identical={all(s['identical'] for s in row['steps'])}")
+    yield (f"{report['cache_misses']} misses cost "
+           f"{report['miss_overhead_s']:.2f}x their cacheless compiles "
+           f"(limit {MISS_OVERHEAD_LIMIT}x)")
+
+
+def _latency_row(latency):
+    return (f"latency: p50={latency['p50_s'] * 1e3:.1f}ms "
+            f"p90={latency['p90_s'] * 1e3:.1f}ms "
+            f"p99={latency['p99_s'] * 1e3:.1f}ms")
+
+
+def _service_rows(report):
+    for mode, row in report["modes"].items():
+        yield (f"{mode}: {row['requests_per_second_s']:.1f} requests/s "
+               f"({row['elapsed_s'] * 1e3:.0f}ms total)")
+    requests = report["requests"]
+    yield (f"{_latency_row(report['latency'])} "
+           f"(completed={requests['completed']}/{requests['total']}, "
+           f"dropped={requests['dropped']}, "
+           f"corrupted={requests['corrupted']}, "
+           f"busy_retries={requests['busy_retries']})")
+    yield f"speedup warm vs cold: {report['speedup_warm_vs_cold_s']:.2f}x"
+
+
+def _fleet_rows(report):
+    for event in report["events"]:
+        verdict = event.get("error") or event.get("detail", "")
+        yield (f"chaos @request {event['at_request']}: {event['action']} "
+               f"-> {verdict}")
+    counts = report["requests"]
+    yield (f"requests: {counts['completed']}/{counts['total']} completed "
+           f"(lost={counts['lost']}, corrupted={counts['corrupted']}, "
+           f"failed={counts['failed']}) in {report['elapsed_s']:.2f}s")
+    yield _latency_row(report["latency"])
+    fleet = report["router"]["fleet"]
+    yield (f"router: forwards={fleet['forwards']} "
+           f"rerouted={fleet['rerouted']} spilled={fleet['spilled']} "
+           f"breaker_opens={fleet['breaker_opens']}; supervision: "
+           f"pool_rebuilds={report['supervision']['pool_rebuilds']} "
+           f"requeued={report['supervision']['requeued']}")
+
+
+def _overlap_rows(report):
     for row in report["rows"]:
         transforms = ",".join(f"{k}={v}"
                               for k, v in sorted(row["transforms"].items())
                               if v)
-        print(f"{row['scenario']:9s} faults={row['faults']:34s} "
-              f"{row['overlap_makespan']:.0f} vs "
-              f"{row['naive_makespan']:.0f} naive "
-              f"({row['speedup']:.2f}x) "
-              f"state={'identical' if row['state_identical'] else 'DIVERGED'} "
-              f"certified={'ok' if row['certified'] else 'VIOLATED'}"
-              f"{' [' + transforms + ']' if transforms else ''}")
-    print(f"wrote {output} "
-          f"(geomean latency-bound speedup: "
-          f"{report['geomean_latency_bound_speedup']:.2f}x, "
-          f"target {report['target']}x met: {report['meets_target']}; "
-          f"all states identical: {report['all_states_identical']})")
-    if args.check and not (report["all_states_identical"]
-                           and report["never_slower"]
-                           and report["all_certified"]
-                           and report["placements_certified"]
-                           and report["meets_target"]):
-        print("error: overlap scheduling regressed (a transformed "
-              "schedule diverged from the naive machine state, ran "
-              "slower than naive, failed C1/C3 certification, or the "
-              "suite fell under its geomean speedup target)",
+        yield (f"{row['scenario']:9s} faults={row['faults']:34s} "
+               f"{row['overlap_makespan']:.0f} vs "
+               f"{row['naive_makespan']:.0f} naive "
+               f"({row['speedup']:.2f}x) "
+               f"state={'identical' if row['state_identical'] else 'DIVERGED'} "
+               f"certified={'ok' if row['certified'] else 'VIOLATED'}"
+               f"{' [' + transforms + ']' if transforms else ''}")
+    yield (f"geomean latency-bound speedup: "
+           f"{report['geomean_latency_bound_speedup']:.2f}x "
+           f"(target {report['target']}x)")
+
+
+# -- the scenario registry and its one command line --------------------------
+
+class Scenario(NamedTuple):
+    """One bench scenario of ``python -m repro.obs.bench``."""
+
+    #: one line of ``--help``
+    summary: str
+    #: measures and returns the payload, called with its own defaults
+    measure: Callable[[], dict]
+    #: payload keys that must all be true under ``--check``
+    gates: Tuple[str, ...]
+    #: the console lines printed above the closing ``wrote`` line
+    rows: Callable[[dict], Iterable[str]]
+
+
+#: Every scenario by name; each writes ``BENCH_<name>.json``.
+SCENARIOS = {
+    "solver": Scenario(
+        "the solver's O(E) size ladder, each equation once per node",
+        solver_scaling, ("linear_within_tolerance", "each_equation_once"),
+        _solver_rows),
+    "batch": Scenario(
+        "batch compilation throughput: serial, parallel cold, parallel warm",
+        batch_throughput,
+        ("all_ok", "parallel_beats_serial", "cache_gives_speedup"),
+        _batch_rows),
+    "kernel": Scenario(
+        "the planned solver backend against the reference solver",
+        kernel_scaling,
+        ("all_identical", "planned_beats_reference", "meets_2x_target"),
+        _kernel_rows),
+    "incr": Scenario(
+        "edit streams through a shared cache against cacheless compiles",
+        incremental_bench, ("all_identical", "miss_overhead_ok"),
+        _incr_rows),
+    "service": Scenario(
+        "a resident compile service under load against one-shot compiles",
+        service_throughput,
+        ("zero_dropped_or_corrupted", "warm_beats_cold_2x",
+         "drain_completed_in_flight"),
+        _service_rows),
+    "fleet": Scenario(
+        "a local fleet under scripted chaos, every reply byte-checked",
+        fleet_chaos, ("zero_lost_or_corrupted", "all_chaos_executed"),
+        _fleet_rows),
+    "overlap": Scenario(
+        "the overlap scheduler against the naive schedule",
+        overlap_bench,
+        ("all_states_identical", "never_slower", "all_certified",
+         "placements_certified", "meets_target"),
+        _overlap_rows),
+}
+
+#: The scenario measured without a scenario flag.
+DEFAULT_SCENARIO = "solver"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs.bench",
+        description=f"Measure one scenario into BENCH_<scenario>.json. "
+                    f"Without a scenario flag: {DEFAULT_SCENARIO}, "
+                    f"{SCENARIOS[DEFAULT_SCENARIO].summary}.")
+    flags = parser.add_mutually_exclusive_group()
+    for name, scenario in SCENARIOS.items():
+        if name != DEFAULT_SCENARIO:
+            flags.add_argument(f"--{name}", dest="scenario",
+                               action="store_const", const=name,
+                               help=scenario.summary)
+    parser.set_defaults(scenario=DEFAULT_SCENARIO)
+    parser.add_argument(
+        "--output",
+        help=f"where to write the JSON payload (default: "
+             f"BENCH_<scenario>.json, <scenario> one of "
+             f"{', '.join(SCENARIOS)})")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 when a gate of the scenario is false ("
+             + "; ".join(f"{name}: {', '.join(scenario.gates)}"
+                         for name, scenario in SCENARIOS.items()) + ")")
+    args = parser.parse_args(argv)
+    scenario = SCENARIOS[args.scenario]
+    output = args.output or f"BENCH_{args.scenario}.json"
+    report = write_bench_json(output, scenario.measure())
+    for line in scenario.rows(report):
+        print(line)
+    gates = ", ".join(f"{gate}={report[gate]}" for gate in scenario.gates)
+    print(f"wrote {output} ({gates})")
+    failed = [gate for gate in scenario.gates if not report[gate]]
+    if args.check and failed:
+        print(f"error: {args.scenario} gate(s) false: {', '.join(failed)}",
               file=sys.stderr)
-        return 1
-    return 0
-
-
-def _main_solver(args):
-    output = args.output or "BENCH_solver.json"
-    repeats = 3 if args.repeats is None else args.repeats
-    report = solver_scaling(sizes=tuple(args.sizes), repeats=repeats)
-    write_bench_json(output, report)
-    for row in report["rows"]:
-        print(f"size={row['size']} nodes={row['nodes']} "
-              f"per_node={row['time_per_node_s'] * 1e6:.1f}us "
-              f"sweeps={row['consumption_sweeps']} "
-              f"each_equation_once={row['each_equation_once']}")
-    print(f"wrote {output} "
-          f"(linear_within_tolerance={report['linear_within_tolerance']})")
-    if args.check and not (report["linear_within_tolerance"]
-                           and report["each_equation_once"]):
-        print("error: solver scaling regressed beyond tolerance",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _main_kernel(args):
-    output = args.output or "BENCH_kernel.json"
-    repeats = 5 if args.repeats is None else args.repeats
-    report = kernel_scaling(sizes=tuple(args.sizes), repeats=repeats)
-    write_bench_json(output, report)
-    for row in report["rows"]:
-        print(f"size={row['size']} direction={row['direction']} "
-              f"reference={row['reference_median_s'] * 1e3:.2f}ms "
-              f"planned={row['planned_median_s'] * 1e3:.2f}ms "
-              f"speedup={row['speedup_s']:.2f}x "
-              f"identical={row['identical']}")
-    print(f"wrote {output} "
-          f"(planned overall {report['overall_speedup_s']:.2f}x, "
-          f"2x target met: {report['meets_2x_target']})")
-    if args.check and not (report["all_identical"]
-                           and report["planned_beats_reference"]
-                           and report["meets_2x_target"]):
-        print("error: kernel regressed (planned slower than the "
-              "reference solver on a row, below 2x overall, or a "
-              "solution not bit-identical to the oracle)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _main_incr(args):
-    output = args.output or "BENCH_incr.json"
-    repeats = 3 if args.repeats is None else args.repeats
-    programs = 4 if args.programs is None else args.programs
-    report = incremental_bench(n_programs=programs, n_edits=args.edits,
-                               repeats=repeats)
-    write_bench_json(output, report)
-    for row in report["rows"]:
-        kinds = ",".join(step["kind"] for step in row["steps"])
-        print(f"{row['name']}: edits=[{kinds}] "
-              f"identical={all(s['identical'] for s in row['steps'])}")
-    print(f"wrote {output} "
-          f"(all_identical={report['all_identical']}, "
-          f"{report['cache_misses']} misses cost "
-          f"{report['miss_overhead_s']:.2f}x their cacheless compiles)")
-    if args.check and not (report["all_identical"]
-                           and report["miss_overhead_ok"]):
-        print(f"error: an edit stream regressed (a compile through the "
-              f"cache differed from its cacheless compile, or cache "
-              f"misses cost more than {MISS_OVERHEAD_LIMIT}x cacheless "
-              f"compiles)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _main_batch(args):
-    output = args.output or "BENCH_batch.json"
-    repeats = 2 if args.repeats is None else args.repeats
-    programs = 32 if args.programs is None else args.programs
-    report = batch_throughput(n_programs=programs, jobs=args.jobs,
-                              repeats=repeats)
-    write_bench_json(output, report)
-    for mode, row in report["modes"].items():
-        print(f"{mode}: {row['programs_per_second_s']:.1f} programs/s "
-              f"(jobs={row['jobs']}, hits={row['cache_hits']}, "
-              f"errors={row['errors']})")
-    print(f"wrote {output} "
-          f"(speedup warm vs serial uncached: "
-          f"{report['speedup_warm_vs_serial_s']:.2f}x, warm hit rate: "
-          f"{report['warm_cache_hit_rate']:.0%})")
-    if args.check and not (report["all_ok"]
-                           and report["parallel_beats_serial"]
-                           and report["cache_gives_speedup"]):
-        print("error: batch throughput regressed (parallel slower than "
-              "serial, or warm cache gives no speedup)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _main_service(args):
-    output = args.output or "BENCH_service.json"
-    requests = 12 if args.requests is None else args.requests
-    report = service_throughput(n_clients=args.clients,
-                                requests_per_client=requests)
-    write_bench_json(output, report)
-    for mode, row in report["modes"].items():
-        print(f"{mode}: {row['requests_per_second_s']:.1f} requests/s "
-              f"({row['elapsed_s'] * 1e3:.0f}ms total)")
-    latency = report["latency"]
-    requests = report["requests"]
-    print(f"latency: p50={latency['p50_s'] * 1e3:.1f}ms "
-          f"p90={latency['p90_s'] * 1e3:.1f}ms "
-          f"p99={latency['p99_s'] * 1e3:.1f}ms "
-          f"(completed={requests['completed']}/{requests['total']}, "
-          f"dropped={requests['dropped']}, "
-          f"corrupted={requests['corrupted']}, "
-          f"busy_retries={requests['busy_retries']})")
-    print(f"wrote {output} "
-          f"(speedup warm vs cold: {report['speedup_warm_vs_cold_s']:.2f}x, "
-          f"drain ok: {report['drain_completed_in_flight']})")
-    if args.check and not (report["zero_dropped_or_corrupted"]
-                           and report["warm_beats_cold_2x"]
-                           and report["drain_completed_in_flight"]):
-        print("error: service throughput regressed (a request was "
-              "dropped, corrupted, or failed; the warm service did not "
-              "double the cold baseline; or drain left admitted work "
-              "unfinished)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _main_fleet(args):
-    from repro.fleet import ChaosPlan
-
-    output = args.output or "BENCH_fleet.json"
-    requests = 24 if args.requests is None else args.requests
-    plan = ChaosPlan.parse(args.chaos) if args.chaos else None
-    report = fleet_chaos(n_shards=args.shards, n_requests=requests,
-                         plan=plan)
-    write_bench_json(output, report)
-    for event in report["events"]:
-        verdict = event.get("error") or event.get("detail", "")
-        print(f"chaos @request {event['at_request']}: {event['action']} "
-              f"-> {verdict}")
-    counts = report["requests"]
-    latency = report["latency"]
-    print(f"requests: {counts['completed']}/{counts['total']} completed "
-          f"(lost={counts['lost']}, corrupted={counts['corrupted']}, "
-          f"failed={counts['failed']}) in {report['elapsed_s']:.2f}s")
-    print(f"latency: p50={latency['p50_s'] * 1e3:.1f}ms "
-          f"p90={latency['p90_s'] * 1e3:.1f}ms "
-          f"p99={latency['p99_s'] * 1e3:.1f}ms")
-    fleet = report["router"]["fleet"]
-    print(f"router: forwards={fleet['forwards']} "
-          f"rerouted={fleet['rerouted']} spilled={fleet['spilled']} "
-          f"breaker_opens={fleet['breaker_opens']}; supervision: "
-          f"pool_rebuilds={report['supervision']['pool_rebuilds']} "
-          f"requeued={report['supervision']['requeued']}")
-    print(f"wrote {output} "
-          f"(zero_lost_or_corrupted={report['zero_lost_or_corrupted']}, "
-          f"all_chaos_executed={report['all_chaos_executed']})")
-    if args.check and not (report["zero_lost_or_corrupted"]
-                           and report["all_chaos_executed"]):
-        print("error: fleet chaos regressed (a request was lost, "
-              "corrupted, or failed under chaos, or a scripted chaos "
-              "event did not execute)", file=sys.stderr)
         return 1
     return 0
 

@@ -134,6 +134,21 @@ def test_hardened_mode_reports_rung():
     assert result.degraded_count == 0
 
 
+def test_hardened_trace_holds_the_rung_events_and_is_stable():
+    traced = BatchOptions(hardened=True, trace=True)
+    first = compile_one("fig11", FIG11_SOURCE, options=traced)
+    second = compile_one("fig11", FIG11_SOURCE, options=traced)
+    assert first.ok and first.trace is not None
+    rungs = [event for event in first.trace["events"]
+             if event["category"] == "hardened"]
+    assert [event["name"] for event in rungs] == ["rung_attempt", "result"]
+    assert all(event["rung"] == "balanced" for event in rungs)
+    assert first.trace == second.trace
+    untraced = compile_one("fig11", FIG11_SOURCE,
+                           options=BatchOptions(hardened=True))
+    assert untraced.ok and untraced.trace is None
+
+
 def test_trace_option_attaches_stable_payloads():
     options = BatchOptions(trace=True)
     compiled = compile_one("fig11", FIG11_SOURCE, options=options)

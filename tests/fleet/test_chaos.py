@@ -14,28 +14,7 @@ def generated_source(size, seed=0):
     return format_program(ArrayProgramGenerator(seed=seed).program(size=size))
 
 
-# -- plan parsing and validation ----------------------------------------------
-
-def test_parse_full_spec():
-    plan = ChaosPlan.parse("kills=2,crashes=3,severs=1,delays=1,"
-                           "delay_s=0.25,seed=7")
-    assert plan == ChaosPlan(seed=7, kills=2, worker_crashes=3, severs=1,
-                             delays=1, delay_s=0.25)
-
-
-def test_parse_empty_spec_gives_defaults():
-    assert ChaosPlan.parse("") == ChaosPlan()
-
-
-def test_parse_rejects_unknown_keys():
-    with pytest.raises(FaultSpecError, match="known keys"):
-        ChaosPlan.parse("kills=1,explosions=2")
-
-
-def test_parse_rejects_malformed_values():
-    with pytest.raises(FaultSpecError, match="bad chaos spec value"):
-        ChaosPlan.parse("kills=many")
-
+# -- plan validation ----------------------------------------------------------
 
 def test_plan_rejects_negative_counts():
     with pytest.raises(FaultSpecError):
