@@ -21,13 +21,12 @@ Three properties are load-bearing:
   served or raised.
 * **Keys are content addresses.** The same text with the same options
   always maps to the same key, across processes and across runs (with a
-  ``directory``), so a warm disk cache is shared by every worker of
-  :func:`repro.batch.compile_many`.
+  ``directory``), so a warm disk cache survives restarts.
 
 The cache is in-memory by default; give it a ``directory`` to persist
 entries (one file per entry, written atomically via rename so a crashed
-worker never leaves a torn entry behind; the ``*.tmp`` staging file a
-worker killed mid-write leaks is swept the next time a cache opens the
+writer never leaves a torn entry behind; the ``*.tmp`` staging file a
+writer killed mid-write leaks is swept the next time a cache opens the
 directory).
 """
 
@@ -45,8 +44,9 @@ from collections import OrderedDict
 #: structural version, interval graphs keyed by edge letter; ``/5``:
 #: letter-major interval adjacency, and snapshots without solver views
 #: or plans; ``/6``: compile results instead of solver snapshots, each
-#: payload behind its digest).
-CACHE_SCHEMA = "repro-batch-cache/6"
+#: payload behind its digest; ``/7``: ``hardened`` in the result key,
+#: and each result holds its rung).
+CACHE_SCHEMA = "repro-batch-cache/7"
 
 #: Size of the BLAKE2b digest stored in front of every pickled payload.
 DIGEST_BYTES = 16
@@ -116,10 +116,14 @@ def _digest(body):
 class PipelineCache:
     """Content-addressed, namespaced pickle store with hit/miss stats.
 
-    ``directory=None`` keeps entries in memory only (fastest, private to
-    the process); with a directory every entry is also written to disk,
-    making the cache shared across worker processes and warm across
-    runs.  ``max_memory_entries`` bounds the in-memory layer with LRU
+    Not thread-safe: a cache has one owner, and only the owner's thread
+    calls it — :func:`~repro.batch.driver.compile_one`'s caller,
+    :func:`~repro.batch.driver.compile_many`'s parent process, or the
+    compile service's event loop; pool workers never see it.
+
+    ``directory=None`` keeps entries in memory only (fastest); with a
+    directory every entry is also written to disk, keeping the cache
+    warm across runs.  ``max_memory_entries`` bounds the in-memory layer with LRU
     eviction — a hit refreshes recency, so hot entries survive no matter
     how early they were inserted; disk entries are never evicted here.
     """
@@ -142,7 +146,7 @@ class PipelineCache:
         """Remove ``*.tmp`` staging files a crashed writer left behind.
 
         :meth:`put` writes entries to a ``mkstemp`` file and renames it
-        into place; a worker killed between the two leaves the
+        into place; a writer killed between the two leaves the
         temporary behind forever (the atomic rename means it never
         becomes an entry — it just leaks disk).  Sweeping on open heals
         the directory; the age gate keeps a concurrently *live* writer

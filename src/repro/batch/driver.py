@@ -14,21 +14,31 @@ per-program outcomes into one :class:`BatchResult`:
   degradation summaries.
 
 With a cache, a compile stores its *result* — annotated source,
-placement counts and stable trace — under the content address of the
-text and every option that shapes the output, and a hit returns that
-result.  No pipeline object is ever cached, so the in-place AST
-mutation of :func:`~repro.commgen.pipeline.annotate_prepared` cannot
-leak between compiles, and a cached run reports byte-identical sources
-and stable traces to an uncached one (``docs/scaling.md``).
+placement counts, stable trace and, for a hardened compile, its rung —
+under the content address of the text and every option that shapes the
+output, and a hit returns that result.  No pipeline object is ever
+cached, so the in-place AST mutation of
+:func:`~repro.commgen.pipeline.annotate_prepared` cannot leak between
+compiles, and a cached run reports byte-identical sources and stable
+traces to an uncached one (``docs/scaling.md``).
+
+A cached compile is three steps, each callable on its own:
+:func:`lookup_compiled`, :func:`compile_uncached` on a miss, and
+:func:`store_compiled`.  Whoever receives the work owns the cache and
+runs the first and last step — :func:`compile_one` in the calling
+thread, :func:`compile_many` in the parent process, the compile service
+on its event loop (:mod:`repro.service.server`); pool workers run only
+:func:`compile_uncached`, which takes no cache.
 """
 
 import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
-from repro.batch.cache import PipelineCache, source_fingerprint
+from repro.batch.cache import source_fingerprint
 from repro.commgen.hardened import HardenedPipeline, ResourceBudget
 from repro.commgen.pipeline import annotate_prepared, prepare_communication
 from repro.core.solver import check_backend
@@ -38,8 +48,8 @@ from repro.obs.collector import tracing
 from repro.obs.trace import stable_form, trace_payload
 from repro.util.errors import ReproError
 
-#: Cache namespace for compile results: ``{annotated_source, reads,
-#: writes, trace}``.
+#: Cache namespace for compile results: the :data:`ENTRY_FIELDS` of a
+#: :class:`CompiledProgram`.
 COMPILED_NAMESPACE = "compiled"
 
 #: Cache namespace for per-program Merkle interval fingerprints, keyed
@@ -47,9 +57,9 @@ COMPILED_NAMESPACE = "compiled"
 #: ``compile_delta`` request names as its ``base``.
 MERKLE_NAMESPACE = "interval-merkle"
 
-#: prepare_communication keyword defaults — with ``split_messages`` and
-#: ``trace``, the options that participate in the content address of a
-#: "compiled" entry.
+#: prepare_communication keyword defaults — with ``hardened``,
+#: ``split_messages`` and ``trace``, the options that participate in the
+#: content address of a "compiled" entry.
 PREPARE_DEFAULTS = {
     "owner_computes": False,
     "postpass": True,
@@ -61,6 +71,12 @@ PREPARE_DEFAULTS = {
     "solver_rounds": None,
     "solver_backend": None,
 }
+
+#: Pipeline options the hardened ladder sets itself, rung by rung (and
+#: irreducible repair on first contact), so a hardened compile rejects
+#: any other value instead of silently ignoring it.
+HARDENED_FIXED = ("postpass", "hoist_zero_trip", "after_jumps",
+                  "refine_sections", "split_irreducible")
 
 
 def resolve_jobs(jobs):
@@ -81,9 +97,10 @@ class BatchOptions:
     """Knobs of one batch run (picklable, shipped to pool workers).
 
     ``pipeline`` holds :func:`~repro.commgen.pipeline.
-    prepare_communication` keyword overrides; unknown keys and unknown
-    solver backends are rejected eagerly so typos fail fast rather than
-    silently compiling with defaults."""
+    prepare_communication` keyword overrides; unknown keys, unknown
+    solver backends and, with ``hardened``, overrides of
+    :data:`HARDENED_FIXED` are rejected eagerly so mistakes fail fast
+    rather than silently compiling with defaults."""
 
     split_messages: bool = True
     hardened: bool = False
@@ -95,6 +112,12 @@ class BatchOptions:
         if unknown:
             raise ValueError(f"unknown pipeline option(s): {sorted(unknown)}")
         check_backend(self.pipeline.get("solver_backend"))
+        kwargs = self.prepare_kwargs()
+        ignored = [key for key in HARDENED_FIXED
+                   if kwargs[key] != PREPARE_DEFAULTS[key]]
+        if self.hardened and ignored:
+            raise ValueError(f"hardened compiles set {ignored} themselves; "
+                             f"drop the override(s)")
 
     def prepare_kwargs(self):
         merged = dict(PREPARE_DEFAULTS)
@@ -201,52 +224,103 @@ class BatchResult:
 
 # ---------------------------------------------------------------------------
 
+#: The :class:`CompiledProgram` fields a "compiled" entry holds: a hit
+#: rebuilds the program from them, named after the caller's request.
+ENTRY_FIELDS = ("annotated_source", "reads", "writes", "trace", "rung",
+                "degraded")
+
 
 def compile_one(name, text, cache=None, options=None):
     """Compile one program; never raises for per-program
-    :class:`~repro.util.errors.ReproError` failures."""
+    :class:`~repro.util.errors.ReproError` failures.
+
+    It runs the three steps in the calling thread:
+    :func:`lookup_compiled`, on a miss :func:`compile_uncached`, then
+    :func:`store_compiled` (the first and last do nothing without a
+    ``cache``)."""
     options = options if options is not None else BatchOptions()
     start = time.perf_counter()
-    try:
-        if options.hardened:
-            compiled = _compile_hardened(name, text, options)
-        else:
-            compiled = _compile_plain(name, text, cache, options)
-    except ReproError as error:
-        compiled = CompiledProgram(name=name, ok=False, error=str(error),
-                                   error_type=type(error).__name__)
+    compiled = lookup_compiled(cache, name, text, options)
+    if compiled is None:
+        compiled, intervals = compile_uncached(
+            name, text, options, record_intervals=cache is not None)
+        store_compiled(cache, text, options, compiled, intervals)
     compiled.duration_s = time.perf_counter() - start
     return compiled
 
 
-def _compile_plain(name, text, cache, options):
+def _result_key(cache, text, options):
+    return cache.key(text, hardened=options.hardened,
+                     split_messages=options.split_messages,
+                     trace=options.trace, **options.prepare_kwargs())
+
+
+def lookup_compiled(cache, name, text, options):
+    """The cached result of compiling ``text`` under ``options`` as a
+    hit named ``name``, or ``None`` on a miss (always, for
+    ``cache=None``)."""
+    if cache is None:
+        return None
+    start = time.perf_counter()
+    entry = cache.get(COMPILED_NAMESPACE, _result_key(cache, text, options))
+    if entry is None:
+        return None
+    return CompiledProgram(name=name, ok=True, cache_hit=True,
+                           duration_s=time.perf_counter() - start, **entry)
+
+
+def compile_uncached(name, text, options, record_intervals=False):
+    """Compile one program without touching a cache: the step a pool
+    worker runs.  Returns ``(compiled, intervals)``, where
+    ``intervals`` is the program's Merkle interval record when
+    ``record_intervals`` asks for it and a plain compile succeeded
+    (``None`` otherwise); never raises for per-program
+    :class:`~repro.util.errors.ReproError` failures."""
+    start = time.perf_counter()
+    intervals = None
+    try:
+        if options.hardened:
+            compiled = _compile_hardened(name, text, options)
+        else:
+            compiled, intervals = _compile_plain(name, text, options,
+                                                 record_intervals)
+    except ReproError as error:
+        compiled = CompiledProgram(name=name, ok=False, error=str(error),
+                                   error_type=type(error).__name__)
+    compiled.duration_s = time.perf_counter() - start
+    return compiled, intervals
+
+
+def store_compiled(cache, text, options, compiled, intervals=None):
+    """Store a successful compile's result, and its interval record
+    when there is one; a failed compile (or ``cache=None``) stores
+    nothing."""
+    if cache is None or not compiled.ok:
+        return
+    cache.put(COMPILED_NAMESPACE, _result_key(cache, text, options),
+              {key: getattr(compiled, key) for key in ENTRY_FIELDS})
+    if intervals is not None:
+        cache.put(MERKLE_NAMESPACE, source_fingerprint(text), intervals)
+
+
+def _compile_plain(name, text, options, record_intervals):
     kwargs = options.prepare_kwargs()
-    if cache is not None:
-        key = cache.key(text, split_messages=options.split_messages,
-                        trace=options.trace, **kwargs)
-        entry = cache.get(COMPILED_NAMESPACE, key)
-        if entry is not None:
-            return CompiledProgram(name=name, ok=True, cache_hit=True,
-                                   **entry)
     # The frontend is built outside the trace scope, so a traced compile
     # records the prepare and annotate phases only.
     analyzed = analyzed_program_for(
         text, split_irreducible=kwargs["split_irreducible"],
         max_splits=kwargs["max_splits"])
     # Fingerprint the intervals before annotation moves labels around.
-    intervals = _interval_record(analyzed) if cache is not None else None
+    intervals = _interval_record(analyzed) if record_intervals else None
     with tracing() if options.trace else nullcontext() as collector:
         result = annotate_prepared(
             prepare_communication(analyzed, **_without_frontend(kwargs)),
             split_messages=options.split_messages)
     trace = stable_form(trace_payload(collector)) if options.trace else None
     reads, writes = result.communication_count()
-    entry = {"annotated_source": result.annotated_source(), "reads": reads,
-             "writes": writes, "trace": trace}
-    if cache is not None:
-        cache.put(COMPILED_NAMESPACE, key, entry)
-        cache.put(MERKLE_NAMESPACE, source_fingerprint(text), intervals)
-    return CompiledProgram(name=name, ok=True, **entry)
+    return CompiledProgram(name=name, ok=True,
+                           annotated_source=result.annotated_source(),
+                           reads=reads, writes=writes, trace=trace), intervals
 
 
 def _render_interval_node(node):
@@ -275,14 +349,21 @@ def compile_delta(name, text, cache, options=None, base_digest=None):
     plain :func:`~repro.batch.cache.source_fingerprint` of the base text
     a previous compile through ``cache`` stored.  The compile itself is
     :func:`compile_one`, so the result is byte-identical to a cold
-    compile of the same text; the base digest adds the diagnostics: how
-    many of the edited program's intervals are missing from the base's
-    Merkle interval record.
+    compile of the same text; the base digest adds the diagnostics
+    (:func:`interval_diff`).
     """
     if cache is None:
         raise ValueError("compile_delta requires a PipelineCache to read "
                          "interval records from")
-    compiled = compile_one(name, text, cache, options)
+    return interval_diff(cache, compile_one(name, text, cache, options),
+                         text, base_digest)
+
+
+def interval_diff(cache, compiled, text, base_digest):
+    """Set ``compiled.incremental`` for a delta compile of ``text``:
+    its digest, the base digest and, when ``cache`` holds both interval
+    records, how many of the edited program's intervals are missing
+    from the base's.  Returns ``compiled``."""
     incremental = {"digest": source_fingerprint(text), "base": base_digest}
     if compiled.ok and base_digest:
         base_fps = cache.get(MERKLE_NAMESPACE, base_digest)
@@ -309,7 +390,8 @@ def _without_frontend(kwargs):
 def _compile_hardened(name, text, options):
     kwargs = options.prepare_kwargs()
     pipeline = HardenedPipeline(
-        budget=ResourceBudget(solver_rounds=kwargs["solver_rounds"] or 64),
+        budget=ResourceBudget(solver_rounds=kwargs["solver_rounds"] or 64,
+                              max_splits=kwargs["max_splits"]),
         owner_computes=kwargs["owner_computes"],
         split_messages=options.split_messages,
         solver_backend=kwargs["solver_backend"],
@@ -331,39 +413,6 @@ def _compile_hardened(name, text, options):
 
 # -- the worker pool --------------------------------------------------------
 
-#: Per-process cache instances, keyed by directory (None = memory-only).
-#: Worker processes keep them across tasks, so duplicates within one
-#: worker's share of the corpus hit even without a disk cache.
-_worker_caches = {}
-
-
-def _worker_cache(cache_dir, use_cache):
-    if not use_cache:
-        return None
-    cache = _worker_caches.get(cache_dir)
-    if cache is None:
-        cache = PipelineCache(directory=cache_dir)
-        _worker_caches[cache_dir] = cache
-    return cache
-
-
-def _pool_compile(item, cache_dir, use_cache, options):
-    name, text = item
-    return compile_one(name, text, _worker_cache(cache_dir, use_cache),
-                       options)
-
-
-def _pool_compile_delta(item, cache_dir, use_cache, options, base_digest):
-    name, text = item
-    # compile_delta needs a cache to read interval records from; a
-    # worker without one (memory-only service config) degrades to its
-    # private per-process cache — still correct, just cold until that
-    # worker warms it.
-    cache = (_worker_cache(cache_dir, use_cache)
-             or _worker_cache(None, True))
-    return compile_delta(name, text, cache, options=options,
-                         base_digest=base_digest)
-
 
 def compile_many(sources, jobs=1, cache=None, options=None):
     """Compile a corpus; return a :class:`BatchResult`.
@@ -371,13 +420,12 @@ def compile_many(sources, jobs=1, cache=None, options=None):
     * ``sources`` — an iterable of ``(name, text)`` pairs or a
       ``{name: text}`` mapping; result order follows input order.
     * ``jobs`` — worker process count.  ``1`` compiles serially in this
-      process (using ``cache`` directly); ``0`` means one worker per CPU
-      (:func:`resolve_jobs`); higher values fan out over a
-      :class:`~concurrent.futures.ProcessPoolExecutor`.  A cache with a
-      ``directory`` is then shared by all workers through the
-      filesystem; a memory-only cache degrades to one private cache per
-      worker process (hits still happen within a worker, warmth is not
-      shared across runs).
+      process; ``0`` means one worker per CPU (:func:`resolve_jobs`);
+      higher values look every program up in ``cache`` here, fan only
+      the misses out over a
+      :class:`~concurrent.futures.ProcessPoolExecutor` (none is spawned
+      when every program hits), and store what comes back — the workers
+      never see the cache.
     * ``options`` — a :class:`BatchOptions` (or ``None`` for defaults).
     """
     items = list(sources.items()) if isinstance(sources, dict) else list(sources)
@@ -388,34 +436,38 @@ def compile_many(sources, jobs=1, cache=None, options=None):
     if jobs == 1 or len(items) <= 1:
         programs = [compile_one(name, text, cache, options)
                     for name, text in items]
-        elapsed = time.perf_counter() - start
-        stats = cache.stats() if cache is not None else None
-        return BatchResult(programs, elapsed, jobs=1, cache_stats=stats)
-
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    cache_dir = cache.directory if cache is not None else None
-    worker = partial(_pool_compile, cache_dir=cache_dir,
-                     use_cache=cache is not None, options=options)
-    chunksize = max(1, len(items) // (jobs * 4))
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            programs = list(pool.map(worker, items, chunksize=chunksize))
-    except (OSError, ImportError):
-        # No usable multiprocessing primitives (restricted sandboxes):
-        # degrade to a serial run rather than failing the corpus.
-        programs = [compile_one(name, text, cache, options)
-                    for name, text in items]
         jobs = 1
+    else:
+        programs = [lookup_compiled(cache, name, text, options)
+                    for name, text in items]
+        misses = [index for index, program in enumerate(programs)
+                  if program is None]
+        work = partial(compile_uncached, options=options,
+                       record_intervals=cache is not None)
+        try:
+            outcomes = _pool_map(work, [items[i] for i in misses], jobs)
+        except (OSError, ImportError):
+            # No usable multiprocessing primitives (restricted sandboxes):
+            # degrade to a serial run rather than failing the corpus.
+            outcomes = [work(*items[i]) for i in misses]
+            jobs = 1
+        for index, (compiled, intervals) in zip(misses, outcomes):
+            store_compiled(cache, items[index][1], options, compiled,
+                           intervals)
+            programs[index] = compiled
     elapsed = time.perf_counter() - start
     stats = cache.stats() if cache is not None else None
-    if stats is not None and jobs > 1:
-        # The parent's counters saw nothing; reconstruct lookup totals
-        # from the per-program hit flags the workers reported.
-        hits = sum(1 for p in programs if p.cache_hit)
-        lookups = sum(1 for p in programs if p.ok)
-        stats = dict(stats)
-        stats.update(hits=hits, misses=lookups - hits,
-                     hit_rate=hits / lookups if lookups else 0.0)
     return BatchResult(programs, elapsed, jobs=jobs, cache_stats=stats)
+
+
+def _pool_map(work, items, jobs):
+    """``work(name, text)`` over ``items`` on a process pool, in order;
+    no pool is spawned for an empty list."""
+    if not items:
+        return []
+    from concurrent.futures import ProcessPoolExecutor
+
+    names, texts = zip(*items)
+    chunksize = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(work, names, texts, chunksize=chunksize))

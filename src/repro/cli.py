@@ -359,6 +359,10 @@ def command_annotate(args, out):
 
 def _annotate(args, out):
     if args.hardened:
+        if args.no_hoist or args.conservative_jumps:
+            raise ReproError("--hardened picks hoisting and jump handling "
+                             "per rung; drop --no-hoist and "
+                             "--conservative-jumps")
         pipeline = HardenedPipeline(owner_computes=args.owner_computes,
                                     split_messages=not args.atomic,
                                     solver_backend=args.solver_backend)

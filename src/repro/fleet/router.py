@@ -19,7 +19,7 @@ tolerance (``docs/serving.md``):
   :class:`~repro.fleet.health.CircuitBreaker`; an open breaker takes
   the shard out of rotation until a half-open probe succeeds;
 * **failover** — a forward that fails at the connection level (shard
-  died, connection severed, attempt timed out) is transparently
+  died, connection severed, dial timed out) is transparently
   re-routed down the ring's deterministic failover sequence and
   recompiled (compiles are pure functions of source + options, so a
   request that may or may not have completed on the dead shard is
@@ -73,6 +73,10 @@ from repro.service.protocol import (
 #: through.
 REFUSAL_CODES = (E_BUSY, E_DRAINING)
 
+#: Bound on forward attempts per request (re-routes and spills both
+#: consume attempts).
+MAX_ATTEMPTS = 3
+
 
 @dataclass
 class FleetConfig:
@@ -82,15 +86,16 @@ class FleetConfig:
     * ``heartbeat_s`` — shard ping interval.
     * ``probe_timeout_s`` — heartbeat ping reply timeout.
     * ``connect_timeout_s`` — dialing a shard.
-    * ``attempt_timeout_s`` — optional cap on one forwarded attempt's
-      full round-trip (``None``: rely on resets and hedging).
-    * ``failure_threshold`` / ``reset_timeout_s`` — breaker tuning
-      (consecutive failures to trip; seconds until a half-open probe).
+    * ``reset_timeout_s`` — seconds until an open breaker lets a
+      half-open probe through (it trips after the
+      :class:`~repro.fleet.health.CircuitBreaker` default of three
+      consecutive failures).
     * ``hedge_delay_s`` — duplicate an unanswered forward on another
       shard after this many seconds (``None`` disables hedging).
-    * ``max_attempts`` — bound on forward attempts per request
-      (re-routes and spills both consume attempts).
-    * ``virtual_nodes`` — hash-ring replicas per shard.
+
+    A request gets at most :data:`MAX_ATTEMPTS` forwards; the hash ring
+    keeps the :class:`~repro.fleet.health.HashRing` default replica
+    count.
     """
 
     host: str = "127.0.0.1"
@@ -98,16 +103,10 @@ class FleetConfig:
     heartbeat_s: float = 0.25
     probe_timeout_s: float = 1.0
     connect_timeout_s: float = 2.0
-    attempt_timeout_s: float = None
-    failure_threshold: int = 3
     reset_timeout_s: float = 1.0
     hedge_delay_s: float = None
-    max_attempts: int = 3
-    virtual_nodes: int = 64
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         if self.heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive")
 
@@ -119,9 +118,7 @@ class ShardHandle:
         self.name = name
         self.host = host
         self.port = port
-        self.breaker = CircuitBreaker(
-            failure_threshold=config.failure_threshold,
-            reset_timeout_s=config.reset_timeout_s)
+        self.breaker = CircuitBreaker(reset_timeout_s=config.reset_timeout_s)
         self.inflight = 0
         self.forwards = 0
         self.failures = 0
@@ -221,8 +218,7 @@ class FleetRouter(LineServer):
             for index, (host, port) in enumerate(shards)
         ]
         self._by_name = {shard.name: shard for shard in self.shards}
-        self._ring = HashRing([shard.name for shard in self.shards],
-                              virtual_nodes=self.config.virtual_nodes)
+        self._ring = HashRing([shard.name for shard in self.shards])
         self.metrics = FleetMetrics()
         self._heartbeats = []
 
@@ -272,7 +268,7 @@ class FleetRouter(LineServer):
                 "shards": len(self.shards),
                 "heartbeat_s": self.config.heartbeat_s,
                 "hedge_delay_s": self.config.hedge_delay_s,
-                "max_attempts": self.config.max_attempts,
+                "max_attempts": MAX_ATTEMPTS,
                 "draining": self._draining,
             },
             "fleet": self.metrics.snapshot(
@@ -294,10 +290,7 @@ class FleetRouter(LineServer):
                 self.config.connect_timeout_s)
             writer.write(encode_message(payload))
             await writer.drain()
-            read = reader.readline()
-            if self.config.attempt_timeout_s is not None:
-                read = _within(read, self.config.attempt_timeout_s)
-            line = await read
+            line = await reader.readline()
             if not line:
                 raise ConnectionResetError("shard closed the connection")
             return decode_message(line)
@@ -383,7 +376,7 @@ class FleetRouter(LineServer):
         refusal = None
         attempts = 0
         rerouting = False
-        while attempts < self.config.max_attempts and candidates:
+        while attempts < MAX_ATTEMPTS and candidates:
             shard = None
             for index, candidate in enumerate(candidates):
                 if candidate.breaker.allow():

@@ -10,9 +10,9 @@ amortize across requests instead of dying with each invocation:
   / ``drain``), with a bounded admission queue and explicit
   ``retry_after_s`` backpressure, per-request deadlines, an optional
   hardened mode (over-budget programs degrade down the
-  :mod:`~repro.commgen.hardened` ladder instead of failing), a
-  process-wide warm :class:`~repro.batch.cache.PipelineCache`, and a
-  worker pool reusing the :mod:`repro.batch.driver` workers;
+  :mod:`~repro.commgen.hardened` ladder instead of failing), a warm
+  :class:`~repro.batch.cache.PipelineCache` its event loop owns, and a
+  worker pool that compiles only the misses;
 * :class:`ServiceConfig` — every knob of one instance;
 * :class:`ServiceClient` — the blocking client library (and
   ``repro request``, its CLI face; ``repro serve`` runs the server);

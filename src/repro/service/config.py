@@ -46,11 +46,10 @@ class ServiceConfig:
       semantics as :class:`~repro.batch.driver.BatchOptions` (unknown
       pipeline keys are rejected eagerly).
     * ``cache_dir`` — persist the warm
-      :class:`~repro.batch.cache.PipelineCache` here (shared across
-      restarts and across pool workers); ``None`` keeps it
-      service-private (a temporary directory when a process pool needs
-      filesystem sharing).  ``use_cache=False`` disables caching.
-    * ``max_retry_after_s`` — cap on the backpressure hint.
+      :class:`~repro.batch.cache.PipelineCache` here (kept across
+      restarts); ``None`` keeps it in the service's memory.  Either way
+      the event loop owns it and pool workers never see it.
+      ``use_cache=False`` disables caching.
     """
 
     host: str = "127.0.0.1"
@@ -64,7 +63,6 @@ class ServiceConfig:
     pipeline: dict = field(default_factory=dict)
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    max_retry_after_s: float = 2.0
 
     def __post_init__(self):
         if self.pool not in POOL_KINDS:
@@ -74,9 +72,12 @@ class ServiceConfig:
             raise ValueError("queue_limit must be at least 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive (or None)")
-        # Reject pipeline-option typos at configuration time, not on the
-        # first request.
-        BatchOptions(pipeline=dict(self.pipeline))
+        # Reject bad compile defaults (pipeline-option typos, overrides a
+        # hardened compile would ignore) at configuration time, not on
+        # the first request.
+        BatchOptions(hardened=self.hardened,
+                     split_messages=self.split_messages,
+                     pipeline=dict(self.pipeline))
 
     def as_dict(self):
         return {
@@ -91,5 +92,4 @@ class ServiceConfig:
             "pipeline": dict(self.pipeline),
             "cache_dir": self.cache_dir,
             "use_cache": self.use_cache,
-            "max_retry_after_s": self.max_retry_after_s,
         }

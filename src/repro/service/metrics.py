@@ -153,9 +153,10 @@ class ServiceMetrics:
     def snapshot(self, cache=None, server=None):
         """The JSON payload behind the ``status`` request type.
 
-        ``cache`` merges a :class:`~repro.batch.cache.PipelineCache`'s
-        own store-level stats (the parent process view; pool workers
-        keep their own counters); ``server`` carries static facts the
+        ``cache`` merges the service's
+        :class:`~repro.batch.cache.PipelineCache` store-level stats
+        (every lookup and store runs on the event loop, so they count
+        every request); ``server`` carries static facts the
         owning service wants surfaced (address, pool kind, limits)."""
         payload = {
             "uptime_s": time.monotonic() - self.started_monotonic,

@@ -11,23 +11,24 @@ itself.
 
 Division of labor:
 
-* the **event loop** owns admission, metrics, deadlines, and the wire
-  protocol — it never compiles anything, so a slow program cannot stall
-  accept/status/drain handling;
-* the **worker pool** (a ``ProcessPoolExecutor`` reusing
-  :func:`repro.batch.driver._pool_compile` workers, or a thread pool
-  where multiprocessing is unavailable) does the compiles, sharing
-  cache warmth through the service's cache directory (process pool) or
-  the service's own in-memory cache (thread pool).
+* the **event loop** owns admission, metrics, deadlines, the wire
+  protocol and the cache — it looks every admitted request up, answers
+  a hit at once, stores what the pool returns, and never compiles
+  anything, so a slow program cannot stall accept/status/drain
+  handling;
+* the **worker pool** (a ``ProcessPoolExecutor``, or a thread pool
+  where multiprocessing is unavailable) compiles the misses with
+  :func:`repro.batch.driver.compile_uncached`, which takes no cache.
 
 Admission is a hard bound, not a silent queue: once ``queue_limit``
 requests are in flight, new work is refused immediately with a ``busy``
 error carrying ``retry_after_s`` — the client-visible backpressure that
 keeps latency bounded under overload.  Per-request deadlines cancel the
 *wait*, not the worker: an expired request gets its ``deadline`` reply
-at once, the abandoned compile still releases its admission slot when
-it finishes (so capacity accounting stays truthful), and a not-yet-
-started pool task is cancelled outright.  ``drain`` flips the service
+at once, the abandoned compile still releases its admission slot and
+stores its result when it finishes (so capacity accounting stays
+truthful and the work is not wasted), and a not-yet-started pool task
+is cancelled outright.  ``drain`` flips the service
 into refusing new work, waits for every in-flight request to complete,
 replies, and shuts down — the graceful exit both the CLI's signal
 handlers and the CI smoke job use.
@@ -54,7 +55,6 @@ the supervised pool, the cache, and the handlers.
 import asyncio
 import contextlib
 import functools
-import tempfile
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -64,11 +64,11 @@ from concurrent.futures import (
 
 from repro.batch.cache import PipelineCache
 from repro.batch.driver import (
-    _pool_compile,
-    _pool_compile_delta,
-    compile_delta,
-    compile_one,
+    compile_uncached,
+    interval_diff,
+    lookup_compiled,
     resolve_jobs,
+    store_compiled,
 )
 from repro.obs.collector import current_collector
 from repro.service.config import ServiceConfig
@@ -88,6 +88,9 @@ from repro.service.protocol import (
     request_deadline,
     request_options,
 )
+
+#: Cap on the ``retry_after_s`` backpressure hint, in seconds.
+MAX_RETRY_AFTER_S = 2.0
 
 #: Human messages for admission refusals.
 ADMISSION_MESSAGES = {
@@ -111,7 +114,6 @@ class CompileService(LineServer):
         self.workers = resolve_jobs(self.config.workers)
         self.pool_kind = None
         self.cache = None
-        self._cache_tmp = None
         self._executor = None
         self._idle = None
         self._pool_lock = None
@@ -120,12 +122,13 @@ class CompileService(LineServer):
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self):
-        """Bind the socket, start the pool, warm the cache layer."""
+        """Bind the socket, start the pool, open the cache."""
         self._idle = asyncio.Event()
         self._idle.set()
         self._pool_lock = asyncio.Lock()
         self._executor, self.pool_kind = self._build_executor()
-        self._build_cache()
+        if self.config.use_cache:
+            self.cache = PipelineCache(directory=self.config.cache_dir)
         await super().start()
         obs = current_collector()
         if obs.enabled:
@@ -150,19 +153,6 @@ class CompileService(LineServer):
                                   thread_name_prefix="repro-service")
         return pool, "thread"
 
-    def _build_cache(self):
-        if not self.config.use_cache:
-            return
-        directory = self.config.cache_dir
-        if directory is None and self.pool_kind == "process":
-            # Pool workers are separate processes: warmth is shared
-            # through the filesystem, so give the service-private cache
-            # a service-lifetime directory.
-            self._cache_tmp = tempfile.TemporaryDirectory(
-                prefix="repro-service-cache-")
-            directory = self._cache_tmp.name
-        self.cache = PipelineCache(directory=directory)
-
     async def shutdown(self, drain=True):
         """Stop the service; with ``drain`` wait for in-flight work."""
         self._draining = True
@@ -171,7 +161,7 @@ class CompileService(LineServer):
         await super().shutdown()
 
     def _teardown(self, abort):
-        """Reap the worker pool and remove the private cache directory.
+        """Reap the worker pool.
 
         A graceful stop cancels anything still queued and waits for the
         workers; an abort kills them outright."""
@@ -182,12 +172,6 @@ class CompileService(LineServer):
                     with contextlib.suppress(Exception):
                         process.kill()
             self._executor.shutdown(wait=not abort, cancel_futures=True)
-        if self._cache_tmp is not None:
-            try:
-                self._cache_tmp.cleanup()
-            except Exception:
-                if not abort:
-                    raise
 
     def status(self):
         """The ``status`` payload: live metrics plus server facts."""
@@ -215,15 +199,11 @@ class CompileService(LineServer):
         self._idle.clear()
         return None
 
-    def _release_slot(self, future):
-        """Done-callback on every pool future: free the admission slot
-        (even for abandoned, deadline-expired work) and swallow the
-        exception of a future nobody awaits anymore."""
+    def _release(self):
+        """Free one admission slot."""
         self.metrics.release(1)
         if self.metrics.queue_depth == 0:
             self._idle.set()
-        if not future.cancelled():
-            future.exception()
 
     def _retry_after(self):
         """Backpressure hint: roughly one median request per queued unit
@@ -239,53 +219,61 @@ class CompileService(LineServer):
         median = (0.05 if histogram.count == 0
                   else histogram.percentile(0.5))
         estimate = median * max(1, self.metrics.queue_depth) / self.workers
-        return round(min(self.config.max_retry_after_s,
-                         max(0.01, estimate)), 4)
+        return round(min(MAX_RETRY_AFTER_S, max(0.01, estimate)), 4)
 
     # -- execution -----------------------------------------------------------
 
-    def _submit(self, name, source, options, base=None):
-        """Schedule one compile on the pool; returns an asyncio future
-        whose admission slot is released when the work truly finishes.
+    async def _compile(self, name, source, options):
+        """One admitted compile.  A cache hit is answered here on the
+        loop and returns its slot at once; a miss goes to the pool."""
+        compiled = lookup_compiled(self.cache, name, source, options)
+        if compiled is not None:
+            self._release()
+            return compiled
+        return await self._run_supervised(name, source, options)
 
-        ``base=<digest or "">`` marks an incremental (``compile_delta``)
-        request; a plain compile passes ``base=None``.  A pool so broken
-        that ``submit`` itself raises releases the slot synchronously,
-        so every attempt frees exactly one slot no matter how it dies."""
-        if self.pool_kind == "process":
-            cache_dir = self.cache.directory if self.cache is not None else None
-            if base is not None:
-                call = functools.partial(
-                    _pool_compile_delta, (name, source), cache_dir=cache_dir,
-                    use_cache=self.cache is not None, options=options,
-                    base_digest=base or None)
-            else:
-                call = functools.partial(
-                    _pool_compile, (name, source), cache_dir=cache_dir,
-                    use_cache=self.cache is not None, options=options)
-        elif base is not None:
-            call = functools.partial(compile_delta, name, source, self.cache,
-                                     options=options,
-                                     base_digest=base or None)
-        else:
-            call = functools.partial(compile_one, name, source, self.cache,
-                                     options)
+    def _submit(self, name, source, options):
+        """Schedule one uncached compile on the pool; returns an asyncio
+        future of its ``(compiled, intervals)`` pair.
+
+        Whenever the work truly ends — done, failed, or cancelled before
+        it started — :meth:`_settle` runs on the loop, even for a request
+        a deadline abandoned.  A pool so broken that ``submit`` itself
+        raises releases the slot synchronously, so every attempt frees
+        exactly one slot no matter how it dies."""
         try:
-            future = self._loop.run_in_executor(self._executor, call)
+            work = self._executor.submit(compile_uncached, name, source,
+                                         options, self.cache is not None)
         except BrokenExecutor:
-            self.metrics.release(1)
-            if self.metrics.queue_depth == 0:
-                self._idle.set()
+            self._release()
             raise
-        future.add_done_callback(self._release_slot)
-        return future
+        # Registered before wrap_future's own callback, so the store
+        # lands before the awaiting task resumes.
+        work.add_done_callback(functools.partial(self._settle_threadsafe,
+                                                 source, options))
+        return asyncio.wrap_future(work, loop=self._loop)
 
-    async def _run_supervised(self, name, source, options, base=None):
+    def _settle_threadsafe(self, source, options, work):
+        """Pool-thread side of :meth:`_settle`.  Only after an aborting
+        teardown can work outlive the loop, and then nothing is left to
+        account for."""
+        with contextlib.suppress(RuntimeError):  # the loop is closed
+            self._loop.call_soon_threadsafe(self._settle, source, options,
+                                            work)
+
+    def _settle(self, source, options, work):
+        """Free the admission slot of finished pool work and store its
+        result, so even a deadline-expired miss warms the cache."""
+        self._release()
+        if not work.cancelled() and work.exception() is None:
+            store_compiled(self.cache, source, options, *work.result())
+
+    async def _run_supervised(self, name, source, options):
         """One compile under worker-pool supervision: a broken executor
         (a worker crashed mid-compile) is rebuilt and the request
         requeued once instead of failing the connection."""
         try:
-            return await self._submit(name, source, options, base=base)
+            compiled, _ = await self._submit(name, source, options)
         except BrokenExecutor:
             if self._closing:
                 raise
@@ -296,7 +284,8 @@ class CompileService(LineServer):
             self.metrics.admit(1)
             self._idle.clear()
             self.metrics.requeue(1)
-            return await self._submit(name, source, options, base=base)
+            compiled, _ = await self._submit(name, source, options)
+        return compiled
 
     async def _supervise_pool_failure(self):
         """Replace a broken executor exactly once per failure: every
@@ -321,8 +310,9 @@ class CompileService(LineServer):
             broken.shutdown(wait=False, cancel_futures=True)
 
     async def _await_with_deadline(self, awaitable, deadline):
-        """``await`` under the request deadline; the underlying pool
-        futures are shielded so abandoned work still settles slots."""
+        """``await`` under the request deadline; the compile is shielded,
+        so an expiry answers at once and the abandoned pool work still
+        settles through :meth:`_settle`."""
         if deadline is None:
             return await awaitable
         return await asyncio.wait_for(asyncio.shield(awaitable), deadline)
@@ -341,12 +331,11 @@ class CompileService(LineServer):
                 f"{request.get('type')} requests need a string 'source' "
                 f"field"))
             return
-        base = None
+        # No base digest: still a delta compile, just without
+        # changed-interval diagnostics.
+        base = request.get("base") or None
         if delta:
-            # The empty string marks "delta with no base digest": still
-            # a delta compile, just without changed-interval diagnostics.
-            base = request.get("base") or ""
-            if not isinstance(base, str):
+            if base is not None and not isinstance(base, str):
                 self.metrics.reject(E_BAD_REQUEST)
                 await send(error_response(
                     request, E_BAD_REQUEST,
@@ -372,8 +361,7 @@ class CompileService(LineServer):
             await send(error_response(request, code, ADMISSION_MESSAGES[code],
                                       retry_after_s=self._retry_after()))
             return
-        future = self._loop.create_task(
-            self._run_supervised(name, source, options, base=base))
+        future = self._loop.create_task(self._compile(name, source, options))
         try:
             compiled = await self._await_with_deadline(future, deadline)
         except asyncio.TimeoutError:
@@ -391,6 +379,8 @@ class CompileService(LineServer):
             await send(error_response(request, E_INTERNAL,
                                       f"{type(error).__name__}: {error}"))
             return
+        if delta:
+            interval_diff(self.cache, compiled, source, base)
         self.metrics.observe(compiled, time.monotonic() - received)
         await send(ok_response(request, result=compiled.as_dict()))
 
@@ -414,7 +404,7 @@ class CompileService(LineServer):
                                       retry_after_s=self._retry_after()))
             return
         futures = [
-            self._loop.create_task(self._run_supervised(
+            self._loop.create_task(self._compile(
                 p.get("name") or f"<batch-{index}>", p["source"], options))
             for index, p in enumerate(programs)
         ]

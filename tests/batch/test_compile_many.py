@@ -102,7 +102,7 @@ def test_parallel_equals_serial(tmp_path):
     for s, p in zip(serial.programs, parallel.programs):
         assert p.name == s.name
         assert p.annotated_source == s.annotated_source
-    # the parent reconstructs hit totals from worker-reported flags
+    # the parent owns the cache: its own counters are the stats
     assert parallel.cache_stats is not None
     warm = compile_many(small_corpus(), jobs=2, cache=cache)
     assert warm.cache_hits == 2
@@ -204,3 +204,97 @@ def test_result_options_participate_in_the_cache_key(option):
         default.annotated_source, default.trace)
     assert compile_one("fig11", FIG11_SOURCE, cache=cache,
                        options=options).cache_hit
+
+
+# -- one owner: the caller looks up and stores, workers only compile ----------
+
+def test_parallel_runs_store_in_the_parent_cache():
+    """A memory-only cache warms under ``jobs=2``: the parent stores
+    what the workers return, so the second run is all hits."""
+    cache = PipelineCache()
+    first = compile_many(small_corpus(), jobs=2, cache=cache)
+    second = compile_many(small_corpus(), jobs=2, cache=cache)
+    assert first.cache_hits == 0
+    assert second.cache_hits == len(small_corpus())
+    # each miss stores its result and its interval record
+    assert cache.stats()["stores"] == 2 * len(small_corpus())
+    assert second.cache_stats["hits"] == len(small_corpus())
+    for fresh, cached in zip(first.programs, second.programs):
+        assert cached.annotated_source == fresh.annotated_source
+
+
+def test_an_all_hit_parallel_run_spawns_no_pool(monkeypatch):
+    import concurrent.futures
+
+    cache = PipelineCache()
+    compile_many(small_corpus(), jobs=1, cache=cache)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was spawned for an all-hit run")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    warm = compile_many(small_corpus(), jobs=2, cache=cache)
+    assert warm.cache_hits == len(small_corpus())
+
+
+# -- hardened compiles share the cache path -----------------------------------
+
+@pytest.mark.parametrize("degrade", [False, True])
+def test_hardened_repeat_is_a_cache_hit(monkeypatch, degrade):
+    if degrade:
+        import repro.commgen.hardened as hardened_mod
+        from repro.util.errors import SolverError
+
+        real = hardened_mod.generate_communication
+
+        def explode(source, **kwargs):
+            if kwargs.get("after_jumps") != "conservative":
+                raise SolverError("injected failure")
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(hardened_mod, "generate_communication", explode)
+    options = BatchOptions(hardened=True, trace=True)
+    cache = PipelineCache()
+    fresh = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
+    # a hardened miss stores its result but no interval record
+    assert cache.stats()["stores"] == 1
+    again = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
+    assert [fresh.cache_hit, again.cache_hit] == [False, True]
+    assert fresh.degraded is degrade
+    assert fresh.rung == ("conservative" if degrade else "balanced")
+    for field in ("annotated_source", "reads", "writes", "rung", "degraded",
+                  "trace"):
+        assert getattr(again, field) == getattr(fresh, field), field
+    # hardened and plain results never alias
+    plain = compile_one("fig11", FIG11_SOURCE, cache=cache,
+                        options=BatchOptions(trace=True))
+    assert not plain.cache_hit and plain.rung is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("postpass", False),
+    ("hoist_zero_trip", False),
+    ("after_jumps", "conservative"),
+    ("refine_sections", False),
+    ("split_irreducible", True),
+])
+def test_hardened_options_reject_what_the_ladder_sets(key, value):
+    BatchOptions(pipeline={key: value})  # fine for a plain compile
+    with pytest.raises(ValueError, match=key):
+        BatchOptions(hardened=True, pipeline={key: value})
+
+
+def test_hardened_compiles_spend_the_max_splits_budget(monkeypatch):
+    import repro.batch.driver as driver_mod
+
+    budgets = []
+
+    class Recording(driver_mod.HardenedPipeline):
+        def __init__(self, budget=None, **kwargs):
+            budgets.append(budget)
+            super().__init__(budget=budget, **kwargs)
+
+    monkeypatch.setattr(driver_mod, "HardenedPipeline", Recording)
+    options = BatchOptions(hardened=True, pipeline={"max_splits": 2})
+    assert compile_one("fig11", FIG11_SOURCE, options=options).ok
+    assert budgets[0].max_splits == 2

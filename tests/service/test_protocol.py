@@ -158,6 +158,9 @@ def test_config_validates_eagerly():
         ServiceConfig(deadline_s=-1)
     with pytest.raises(ValueError, match="owner_compute"):
         ServiceConfig(pipeline={"owner_compute": True})  # typo'd key
+    # a hardened service would silently ignore these defaults
+    with pytest.raises(ValueError, match="after_jumps"):
+        ServiceConfig(hardened=True, pipeline={"after_jumps": "conservative"})
 
 
 def test_config_as_dict_is_complete():
@@ -169,5 +172,4 @@ def test_config_as_dict_is_complete():
     assert set(payload) == {
         "host", "port", "workers", "pool", "queue_limit", "deadline_s",
         "hardened", "split_messages", "pipeline", "cache_dir", "use_cache",
-        "max_retry_after_s",
     }

@@ -2,9 +2,8 @@
 
 Every test here talks to a genuine TCP server via
 :class:`~repro.service.runner.ThreadedServer`; the shared module fixture
-uses a thread pool (cheap, and warmth is the server's own in-memory
-cache), while one dedicated test exercises the process-pool path with
-its filesystem-shared cache.
+uses a thread pool (cheap), while dedicated tests exercise the process
+pool.  Either way the event loop owns the cache.
 """
 
 import asyncio
@@ -16,6 +15,7 @@ import warnings
 
 import pytest
 
+from repro.batch import BatchOptions, compile_one
 from repro.commgen.pipeline import generate_communication
 from repro.fleet import ThreadedRouter
 from repro.lang.printer import format_program
@@ -32,6 +32,7 @@ from repro.service import (
     ThreadedServer,
     decode_message,
 )
+from repro.service.server import MAX_RETRY_AFTER_S
 from repro.testing.generator import ArrayProgramGenerator
 from repro.testing.programs import FIG1_SOURCE, FIG11_SOURCE
 
@@ -427,11 +428,113 @@ def test_process_pool_round_trip_shares_warmth_on_disk(tmp_path):
             assert first["ok"] and second["ok"]
             assert first["annotated_source"] == direct.annotated_source()
             assert second["annotated_source"] == direct.annotated_source()
-            # warmth crossed the process boundary through cache_dir
+            # the loop stored the worker's result and answered the repeat
             assert not first["cache_hit"]
             assert second["cache_hit"]
     finally:
         threaded.stop()
+
+
+def test_process_pool_service_counts_hits_in_its_own_cache():
+    """The loop answers the repeat from the service's cache, so the
+    store-level stats and the request metrics agree."""
+    try:
+        config = ServiceConfig(port=0, workers=1, pool="process")
+        threaded = ThreadedServer(config).start()
+    except Exception:
+        pytest.skip("multiprocessing unavailable in this sandbox")
+    try:
+        assert threaded.service.pool_kind == "process"
+        with ServiceClient(port=threaded.port, timeout_s=120) as connection:
+            first = connection.compile(FIG11_SOURCE, name="fig11")
+            second = connection.compile(FIG11_SOURCE, name="fig11")
+            status = connection.status()
+    finally:
+        threaded.stop()
+    assert [first["cache_hit"], second["cache_hit"]] == [False, True]
+    assert status["cache"]["store"]["hits"] == status["cache"]["hits"] == 1
+
+
+# -- the cache: the event loop owns it ----------------------------------------
+
+def test_every_cache_call_runs_on_the_loop_thread(monkeypatch):
+    from repro.batch.cache import PipelineCache
+
+    callers = []
+    real_get, real_put = PipelineCache.get, PipelineCache.put
+
+    def get(self, *args):
+        callers.append(threading.get_ident())
+        return real_get(self, *args)
+
+    def put(self, *args):
+        callers.append(threading.get_ident())
+        return real_put(self, *args)
+
+    monkeypatch.setattr(PipelineCache, "get", get)
+    monkeypatch.setattr(PipelineCache, "put", put)
+    corpus = [(f"gen-{seed}", generated_source(14, seed=60 + seed))
+              for seed in range(8)]
+    config = ServiceConfig(port=0, workers=4, pool="thread", queue_limit=64)
+    with ThreadedServer(config) as threaded:
+
+        def send(programs):
+            with ServiceClient(port=threaded.port) as connection:
+                for name, text in programs:
+                    assert connection.compile(text, name=name)["ok"]
+
+        for _ in range(2):  # distinct programs, then their repeats
+            clients = [threading.Thread(target=send, args=(corpus[i::4],))
+                       for i in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join()
+        with ServiceClient(port=threaded.port) as connection:
+            status = connection.status()
+        loop_thread = threaded._thread.ident
+    assert status["cache"]["hits"] == len(corpus)
+    assert callers and set(callers) == {loop_thread}
+
+
+def test_hardened_repeat_through_the_service_is_a_hit():
+    config = ServiceConfig(port=0, workers=2, pool="thread")
+    with ThreadedServer(config) as threaded:
+        with ServiceClient(port=threaded.port) as connection:
+            first, second = [
+                connection.compile(FIG11_SOURCE, name="fig11",
+                                   options={"hardened": True})
+                for _ in range(2)]
+    fresh = compile_one("fig11", FIG11_SOURCE,
+                        options=BatchOptions(hardened=True))
+    assert [first["cache_hit"], second["cache_hit"]] == [False, True]
+    for key in ("annotated_source", "reads", "writes", "rung", "degraded"):
+        assert first[key] == second[key] == getattr(fresh, key), key
+
+
+def test_a_deadline_expired_miss_still_warms_the_cache():
+    config = ServiceConfig(port=0, workers=1, pool="thread")
+    with ThreadedServer(config) as threaded:
+        with ServiceClient(port=threaded.port) as connection:
+            with pytest.raises(ServiceError) as excinfo:
+                connection.compile(SLOW_SOURCE, name="slow",
+                                   deadline_s=0.005)
+            assert excinfo.value.code == E_DEADLINE
+            # the abandoned compile holds its slot until it ends, and
+            # then stores its result
+            deadline = time.monotonic() + 60
+            while (connection.status()["requests"]["inflight"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert connection.compile(SLOW_SOURCE, name="slow")["cache_hit"]
+
+
+def test_hardened_request_overriding_a_rung_option_is_a_bad_request(client):
+    with pytest.raises(ServiceError) as excinfo:
+        client.compile(FIG11_SOURCE, name="fig11", options={
+            "hardened": True, "pipeline": {"hoist_zero_trip": False}})
+    assert excinfo.value.code == E_BAD_REQUEST
+    assert "hoist_zero_trip" in str(excinfo.value)
 
 
 # -- protocol abuse over a live socket ----------------------------------------
@@ -547,7 +650,7 @@ def test_retry_after_scales_with_queue_depth_and_median():
     try:
         median = service.metrics.latency["total_s"].percentile(0.5)
         assert median > 0.0
-        expected = round(min(service.config.max_retry_after_s,
+        expected = round(min(MAX_RETRY_AFTER_S,
                              max(0.01, median * 3 / service.workers)), 4)
         assert service._retry_after() == pytest.approx(expected)
     finally:

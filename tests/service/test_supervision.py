@@ -100,7 +100,9 @@ def test_request_failing_on_the_fresh_pool_too_is_internal_error():
 
 
 def test_service_keeps_serving_after_repeated_pool_failures():
-    with ThreadedServer(ServiceConfig(pool="thread", workers=2)) as server:
+    # Cacheless: each repeat must reach the pool, not the loop-side cache.
+    config = ServiceConfig(pool="thread", workers=2, use_cache=False)
+    with ThreadedServer(config) as server:
         with ServiceClient(port=server.port) as client:
             for round_trip in range(3):
                 induce_broken_submits(server.service._executor)
@@ -114,7 +116,9 @@ def test_service_keeps_serving_after_repeated_pool_failures():
 
 def test_sigkilled_process_pool_worker_is_supervised():
     try:
-        config = ServiceConfig(port=0, workers=1, pool="process")
+        # Cacheless: the compile after the kill must reach the pool.
+        config = ServiceConfig(port=0, workers=1, pool="process",
+                               use_cache=False)
         threaded = ThreadedServer(config).start()
     except Exception:
         pytest.skip("multiprocessing unavailable in this sandbox")

@@ -226,6 +226,14 @@ def test_annotate_no_hoist(fig11_file):
     assert "READ_Send" not in top
 
 
+@pytest.mark.parametrize("flag", ["--no-hoist", "--conservative-jumps"])
+def test_annotate_hardened_rejects_the_options_its_ladder_sets(
+        capsys, fig11_file, flag):
+    """The ladder picks hoisting and jump handling per rung, so these
+    flags would be silently ignored under ``--hardened``."""
+    assert_clean_failure(capsys, ["annotate", fig11_file, "--hardened", flag])
+
+
 def test_annotate_conservative_jumps(fig11_file):
     code, output = run(["annotate", fig11_file, "--conservative-jumps"])
     assert code == 0
