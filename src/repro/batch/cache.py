@@ -64,7 +64,7 @@ _FINGERPRINT_SCALARS = (bool, int, float, str, type(None))
 TMP_SWEEP_AGE_S = 60.0
 
 
-def _validate_fingerprint_value(name, value):
+def validate_fingerprint_value(name, value):
     """Reject option values whose ``repr`` is not a stable content
     address.
 
@@ -104,7 +104,7 @@ def source_fingerprint(text, **options):
     digest.update(b"\x00")
     digest.update(text.encode())
     for name in sorted(options):
-        _validate_fingerprint_value(name, options[name])
+        validate_fingerprint_value(name, options[name])
         digest.update(f"\x00{name}={options[name]!r}".encode())
     return digest.hexdigest()
 

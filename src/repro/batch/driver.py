@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from repro.batch.cache import source_fingerprint
+from repro.batch.cache import source_fingerprint, validate_fingerprint_value
 from repro.commgen.hardened import HardenedPipeline, ResourceBudget
 from repro.commgen.pipeline import annotate_prepared, prepare_communication
 from repro.core.solver import check_backend
@@ -97,10 +97,11 @@ class BatchOptions:
     """Knobs of one batch run (picklable, shipped to pool workers).
 
     ``pipeline`` holds :func:`~repro.commgen.pipeline.
-    prepare_communication` keyword overrides; unknown keys, unknown
-    solver backends and, with ``hardened``, overrides of
-    :data:`HARDENED_FIXED` are rejected eagerly so mistakes fail fast
-    rather than silently compiling with defaults."""
+    prepare_communication` keyword overrides; unknown keys, values no
+    cache key can hold (:class:`TypeError`), unknown solver backends
+    and, with ``hardened``, overrides of :data:`HARDENED_FIXED` are
+    rejected eagerly so mistakes fail fast rather than silently
+    compiling with defaults or failing mid-compile."""
 
     split_messages: bool = True
     hardened: bool = False
@@ -111,6 +112,8 @@ class BatchOptions:
         unknown = set(self.pipeline) - set(PREPARE_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown pipeline option(s): {sorted(unknown)}")
+        for key, value in self.pipeline.items():
+            validate_fingerprint_value(key, value)
         check_backend(self.pipeline.get("solver_backend"))
         kwargs = self.prepare_kwargs()
         ignored = [key for key in HARDENED_FIXED
@@ -306,15 +309,16 @@ def store_compiled(cache, text, options, compiled, intervals=None):
 def _compile_plain(name, text, options, record_intervals):
     kwargs = options.prepare_kwargs()
     # The frontend is built outside the trace scope, so a traced compile
-    # records the prepare and annotate phases only.
+    # records the prepare and annotate phases only.  It consumes the two
+    # frontend options; prepare_communication gets the rest.
     analyzed = analyzed_program_for(
-        text, split_irreducible=kwargs["split_irreducible"],
-        max_splits=kwargs["max_splits"])
+        text, split_irreducible=kwargs.pop("split_irreducible"),
+        max_splits=kwargs.pop("max_splits"))
     # Fingerprint the intervals before annotation moves labels around.
     intervals = _interval_record(analyzed) if record_intervals else None
     with tracing() if options.trace else nullcontext() as collector:
         result = annotate_prepared(
-            prepare_communication(analyzed, **_without_frontend(kwargs)),
+            prepare_communication(analyzed, **kwargs),
             split_messages=options.split_messages)
     trace = stable_form(trace_payload(collector)) if options.trace else None
     reads, writes = result.communication_count()
@@ -375,16 +379,6 @@ def interval_diff(cache, compiled, text, base_digest):
                 1 for fp in edited_fps if fp not in known)
     compiled.incremental = incremental
     return compiled
-
-
-def _without_frontend(kwargs):
-    """Prepare kwargs minus the two the frontend already consumed
-    (``prepare_communication`` ignores them for a pre-analyzed input,
-    but keeping them out makes that explicit)."""
-    rest = dict(kwargs)
-    rest.pop("split_irreducible")
-    rest.pop("max_splits")
-    return rest
 
 
 def _compile_hardened(name, text, options):

@@ -358,11 +358,18 @@ def command_annotate(args, out):
 
 
 def _annotate(args, out):
+    rung_options = {
+        "hoist_zero_trip": not args.no_hoist,
+        "after_jumps": ("conservative" if args.conservative_jumps
+                        else "optimistic"),
+    }
     if args.hardened:
-        if args.no_hoist or args.conservative_jumps:
-            raise ReproError("--hardened picks hoisting and jump handling "
-                             "per rung; drop --no-hoist and "
-                             "--conservative-jumps")
+        from repro.batch import BatchOptions
+
+        try:  # refuses the options the ladder sets itself
+            BatchOptions(hardened=True, pipeline=rung_options)
+        except ValueError as error:
+            raise ReproError(f"--hardened: {error}") from None
         pipeline = HardenedPipeline(owner_computes=args.owner_computes,
                                     split_messages=not args.atomic,
                                     solver_backend=args.solver_backend)
@@ -374,9 +381,8 @@ def _annotate(args, out):
         read_source(args.file),
         owner_computes=args.owner_computes,
         split_messages=not args.atomic,
-        hoist_zero_trip=not args.no_hoist,
-        after_jumps="conservative" if args.conservative_jumps else "optimistic",
         solver_backend=args.solver_backend,
+        **rung_options,
     )
     out.write(result.annotated_source())
     reads, writes = result.communication_count()

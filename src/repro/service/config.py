@@ -47,8 +47,10 @@ class ServiceConfig:
       pipeline keys are rejected eagerly).
     * ``cache_dir`` — persist the warm
       :class:`~repro.batch.cache.PipelineCache` here (kept across
-      restarts); ``None`` keeps it in the service's memory.  Either way
-      the event loop owns it and pool workers never see it.
+      restarts, never evicted); ``None`` keeps it in the service's
+      memory, an LRU of 1,024 entries (a plain miss stores its result
+      and its interval record, so about 512 programs stay warm).
+      Either way the event loop owns it and pool workers never see it.
       ``use_cache=False`` disables caching.
     """
 

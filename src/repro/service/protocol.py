@@ -40,7 +40,7 @@ replies, and shuts the server down.
 
 import json
 
-from repro.batch.driver import BatchOptions
+from repro.batch.driver import HARDENED_FIXED, BatchOptions
 from repro.util.errors import ReproError
 
 #: Protocol identifier, echoed by ``ping`` (bump on breaking changes).
@@ -137,7 +137,9 @@ def raise_for_error(response):
 
 def request_options(request, config):
     """The :class:`~repro.batch.driver.BatchOptions` for one request:
-    request-level overrides applied on top of the service defaults."""
+    request-level overrides applied on top of the service defaults.
+    Any option the compile would refuse raises :class:`ProtocolError`
+    here, before the request takes an admission slot."""
     raw = request.get("options") or {}
     if not isinstance(raw, dict):
         raise ProtocolError("options must be a JSON object")
@@ -145,19 +147,24 @@ def request_options(request, config):
     if unknown:
         raise ProtocolError(f"unknown option(s): {sorted(unknown)} "
                             f"(expected {', '.join(OPTION_KEYS)})")
-    pipeline = dict(config.pipeline)
     overrides = raw.get("pipeline") or {}
     if not isinstance(overrides, dict):
         raise ProtocolError("options.pipeline must be a JSON object")
+    hardened = bool(raw.get("hardened", config.hardened))
+    # The hardened ladder sets HARDENED_FIXED itself: a plain service's
+    # defaults for those keys do not apply to a request that turns it
+    # on, and only the request's own overrides of them are refused.
+    pipeline = {key: value for key, value in config.pipeline.items()
+                if not (hardened and key in HARDENED_FIXED)}
     pipeline.update(overrides)
     try:
         return BatchOptions(
-            hardened=bool(raw.get("hardened", config.hardened)),
+            hardened=hardened,
             split_messages=bool(raw.get("split_messages",
                                         config.split_messages)),
             pipeline=pipeline,
         )
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         raise ProtocolError(str(error)) from error
 
 

@@ -225,12 +225,17 @@ class CompileService(LineServer):
 
     async def _compile(self, name, source, options):
         """One admitted compile.  A cache hit is answered here on the
-        loop and returns its slot at once; a miss goes to the pool."""
-        compiled = lookup_compiled(self.cache, name, source, options)
-        if compiled is not None:
+        loop and returns its slot at once, as does a lookup that raises;
+        a miss goes to the pool, whose work frees the slot when it ends."""
+        try:
+            compiled = lookup_compiled(self.cache, name, source, options)
+        except BaseException:
             self._release()
-            return compiled
-        return await self._run_supervised(name, source, options)
+            raise
+        if compiled is None:
+            return await self._run_supervised(name, source, options)
+        self._release()
+        return compiled
 
     def _submit(self, name, source, options):
         """Schedule one uncached compile on the pool; returns an asyncio

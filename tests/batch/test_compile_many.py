@@ -164,6 +164,15 @@ def test_batch_options_reject_unknown_pipeline_keys():
         BatchOptions(pipeline={"owner_compute": True})  # typo'd key
 
 
+def test_batch_options_reject_values_no_cache_key_can_hold():
+    """Refused when the options are built, not when a cached compile
+    first computes its key."""
+    for value in ([1], {"rounds": 1}):
+        with pytest.raises(TypeError, match="solver_rounds"):
+            BatchOptions(pipeline={"solver_rounds": value})
+    BatchOptions(pipeline={"solver_rounds": 8, "max_splits": None})
+
+
 def test_pipeline_options_participate_in_the_cache_key():
     cache = PipelineCache()
     compile_one("fig11", FIG11_SOURCE, cache=cache,

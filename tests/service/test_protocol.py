@@ -123,6 +123,22 @@ def test_request_options_reject_unknown_keys():
                         config)
 
 
+def test_a_hardened_request_drops_the_service_defaults_its_ladder_sets():
+    """A plain service's rung-option defaults do not bind a request that
+    turns hardening on; the request's own overrides of them still fail."""
+    config = ServiceConfig(pipeline={"hoist_zero_trip": False,
+                                     "solver_rounds": 8})
+    plain = request_options({"type": "compile"}, config)
+    assert plain.pipeline == {"hoist_zero_trip": False, "solver_rounds": 8}
+    hardened = request_options({"options": {"hardened": True}}, config)
+    assert hardened.hardened
+    assert hardened.pipeline == {"solver_rounds": 8}
+    with pytest.raises(ProtocolError, match="hoist_zero_trip"):
+        request_options({"options": {
+            "hardened": True, "pipeline": {"hoist_zero_trip": False}}},
+            config)
+
+
 def test_request_options_reject_unknown_solver_backends():
     """A backend the solver does not know is a bad request up front, not
     a compile that takes a pool slot and then fails."""
@@ -158,6 +174,8 @@ def test_config_validates_eagerly():
         ServiceConfig(deadline_s=-1)
     with pytest.raises(ValueError, match="owner_compute"):
         ServiceConfig(pipeline={"owner_compute": True})  # typo'd key
+    with pytest.raises(TypeError, match="solver_rounds"):
+        ServiceConfig(pipeline={"solver_rounds": [1]})
     # a hardened service would silently ignore these defaults
     with pytest.raises(ValueError, match="after_jumps"):
         ServiceConfig(hardened=True, pipeline={"after_jumps": "conservative"})

@@ -24,6 +24,7 @@ from repro.service import (
     E_BUSY,
     E_DEADLINE,
     E_DRAINING,
+    E_INTERNAL,
     MAX_LINE_BYTES,
     PROTOCOL,
     ServiceClient,
@@ -522,11 +523,53 @@ def test_a_deadline_expired_miss_still_warms_the_cache():
             assert excinfo.value.code == E_DEADLINE
             # the abandoned compile holds its slot until it ends, and
             # then stores its result
+            assert connection.status()["requests"]["inflight"] == 1
             deadline = time.monotonic() + 60
             while (connection.status()["requests"]["inflight"]
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
             assert connection.compile(SLOW_SOURCE, name="slow")["cache_hit"]
+
+
+def test_a_pipeline_value_no_cache_key_can_hold_is_a_bad_request():
+    """A list-valued option is refused before admission, so it takes
+    no slot and a drain still completes."""
+    options = {"pipeline": {"solver_rounds": [1]}}
+    config = ServiceConfig(port=0, workers=1, pool="thread", queue_limit=2)
+    with ThreadedServer(config) as threaded:
+        with ServiceClient(port=threaded.port) as connection:
+            for _ in range(config.queue_limit + 1):
+                for send in (
+                        lambda: connection.compile(FIG11_SOURCE,
+                                                   options=options),
+                        lambda: connection.batch(
+                            [{"name": "fig11", "source": FIG11_SOURCE}],
+                            options=options)):
+                    with pytest.raises(ServiceError) as excinfo:
+                        send()
+                    assert excinfo.value.code == E_BAD_REQUEST
+                    assert "solver_rounds" in str(excinfo.value)
+            assert connection.status()["requests"]["inflight"] == 0
+            assert connection.compile(FIG11_SOURCE)["ok"]
+            assert connection.drain()["drained"]
+
+
+def test_a_cache_lookup_that_raises_frees_its_admission_slot():
+    config = ServiceConfig(port=0, workers=1, pool="thread", queue_limit=2)
+    with ThreadedServer(config) as threaded:
+
+        def get(namespace, key):
+            raise OSError("cache unreadable")
+
+        threaded.service.cache.get = get
+        with ServiceClient(port=threaded.port) as connection:
+            for _ in range(config.queue_limit + 1):
+                with pytest.raises(ServiceError) as excinfo:
+                    connection.compile(FIG11_SOURCE)
+                assert excinfo.value.code == E_INTERNAL
+                assert "cache unreadable" in str(excinfo.value)
+            assert connection.status()["requests"]["inflight"] == 0
+            assert connection.drain()["drained"]
 
 
 def test_hardened_request_overriding_a_rung_option_is_a_bad_request(client):
