@@ -45,8 +45,10 @@ from collections import OrderedDict
 #: letter-major interval adjacency, and snapshots without solver views
 #: or plans; ``/6``: compile results instead of solver snapshots, each
 #: payload behind its digest; ``/7``: ``hardened`` in the result key,
-#: and each result holds its rung).
-CACHE_SCHEMA = "repro-batch-cache/7"
+#: and each result holds its rung; ``/8``: stored traces whose solver
+#: events lost the sparse-fixpoint fields, and result keys without a
+#: backend option).
+CACHE_SCHEMA = "repro-batch-cache/8"
 
 #: Size of the BLAKE2b digest stored in front of every pickled payload.
 DIGEST_BYTES = 16

@@ -41,7 +41,6 @@ from typing import Optional
 from repro.batch.cache import source_fingerprint, validate_fingerprint_value
 from repro.commgen.hardened import HardenedPipeline, ResourceBudget
 from repro.commgen.pipeline import annotate_prepared, prepare_communication
-from repro.core.solver import check_backend
 from repro.graph.pipeline import analyzed_program_for
 from repro.lang.printer import format_first_line
 from repro.obs.collector import tracing
@@ -69,7 +68,6 @@ PREPARE_DEFAULTS = {
     "split_irreducible": False,
     "max_splits": None,
     "solver_rounds": None,
-    "solver_backend": None,
 }
 
 #: Pipeline options the hardened ladder sets itself, rung by rung (and
@@ -98,10 +96,10 @@ class BatchOptions:
 
     ``pipeline`` holds :func:`~repro.commgen.pipeline.
     prepare_communication` keyword overrides; unknown keys, values no
-    cache key can hold (:class:`TypeError`), unknown solver backends
-    and, with ``hardened``, overrides of :data:`HARDENED_FIXED` are
-    rejected eagerly so mistakes fail fast rather than silently
-    compiling with defaults or failing mid-compile."""
+    cache key can hold (:class:`TypeError`) and, with ``hardened``,
+    overrides of :data:`HARDENED_FIXED` are rejected eagerly so
+    mistakes fail fast rather than silently compiling with defaults or
+    failing mid-compile."""
 
     split_messages: bool = True
     hardened: bool = False
@@ -114,7 +112,6 @@ class BatchOptions:
             raise ValueError(f"unknown pipeline option(s): {sorted(unknown)}")
         for key, value in self.pipeline.items():
             validate_fingerprint_value(key, value)
-        check_backend(self.pipeline.get("solver_backend"))
         kwargs = self.prepare_kwargs()
         ignored = [key for key in HARDENED_FIXED
                    if kwargs[key] != PREPARE_DEFAULTS[key]]
@@ -388,7 +385,6 @@ def _compile_hardened(name, text, options):
                               max_splits=kwargs["max_splits"]),
         owner_computes=kwargs["owner_computes"],
         split_messages=options.split_messages,
-        solver_backend=kwargs["solver_backend"],
     )
     with tracing() if options.trace else nullcontext() as collector:
         hardened = pipeline.run(text)

@@ -76,7 +76,6 @@ from repro.commgen import (
     generate_communication,
     naive_communication,
 )
-from repro.core.solver import BACKENDS
 from repro.graph.dot import interval_graph_to_dot
 from repro.machine import (
     ConditionPolicy,
@@ -119,7 +118,6 @@ def build_parser():
     annotate.add_argument("--hardened", action="store_true",
                           help="self-checking pipeline: validate the "
                                "placement and degrade instead of failing")
-    add_solver_backend_argument(annotate)
     add_trace_arguments(annotate)
 
     graph = commands.add_parser("graph", help="show the interval flow graph")
@@ -172,7 +170,6 @@ def build_parser():
     profile.add_argument("--hardened", action="store_true",
                          help="profile the self-checking pipeline "
                               "(rung decisions, budget consumption)")
-    add_solver_backend_argument(profile)
 
     pre = commands.add_parser("pre", help="compare PRE placements")
     pre.add_argument("file")
@@ -204,7 +201,6 @@ def build_parser():
                             "every annotated source)")
     batch.add_argument("--quiet", action="store_true",
                        help="summary line only, no per-program lines")
-    add_solver_backend_argument(batch)
 
     delta = commands.add_parser(
         "delta", help="recompile an edited program and report which "
@@ -219,7 +215,6 @@ def build_parser():
     delta.add_argument("--json", action="store_true",
                        help="machine-readable result (the full compile "
                             "payload including the interval diff)")
-    add_solver_backend_argument(delta)
 
     serve = commands.add_parser(
         "serve", help="run the resident compile service "
@@ -298,7 +293,6 @@ def build_parser():
                          help="client socket timeout in seconds")
     request.add_argument("--json", action="store_true",
                          help="print the raw response payload")
-    add_solver_backend_argument(request)
 
     explain = commands.add_parser(
         "explain", help="dataflow report for the communication problems")
@@ -306,15 +300,6 @@ def build_parser():
     explain.add_argument("--problem", choices=["read", "write", "both"],
                          default="both")
     return parser
-
-
-def add_solver_backend_argument(parser):
-    parser.add_argument("--solver-backend",
-                        choices=BACKENDS,
-                        default=None, metavar="BACKEND",
-                        help="solver kernel: 'planned' (compiled "
-                             "schedules, the default) or 'reference' "
-                             "(per-equation oracle); see docs/scaling.md")
 
 
 def add_trace_arguments(parser):
@@ -371,8 +356,7 @@ def _annotate(args, out):
         except ValueError as error:
             raise ReproError(f"--hardened: {error}") from None
         pipeline = HardenedPipeline(owner_computes=args.owner_computes,
-                                    split_messages=not args.atomic,
-                                    solver_backend=args.solver_backend)
+                                    split_messages=not args.atomic)
         hardened = pipeline.run(read_source(args.file))
         out.write(hardened.annotated_source())
         out.write(f"! {hardened.report.summary()}\n")
@@ -381,7 +365,6 @@ def _annotate(args, out):
         read_source(args.file),
         owner_computes=args.owner_computes,
         split_messages=not args.atomic,
-        solver_backend=args.solver_backend,
         **rung_options,
     )
     out.write(result.annotated_source())
@@ -457,7 +440,6 @@ def command_profile(args, out):
         run_simulation=args.simulate,
         bindings={"n": args.n},
         policy=ConditionPolicy("always"),
-        solver_backend=args.solver_backend,
     )
     if args.json:
         out.write(to_json(payload))
@@ -527,8 +509,7 @@ def command_batch(args, out):
     options = BatchOptions(
         hardened=args.hardened,
         split_messages=not args.atomic,
-        pipeline={"owner_computes": args.owner_computes,
-                  "solver_backend": args.solver_backend},
+        pipeline={"owner_computes": args.owner_computes},
     )
     result = compile_many(sources, jobs=args.jobs, cache=cache,
                           options=options)
@@ -567,8 +548,7 @@ def command_delta(args, out):
     base_text = read_source(args.base)
     edited_text = read_source(args.edited)
     cache = PipelineCache(directory=args.cache)
-    options = BatchOptions(
-        pipeline={"solver_backend": args.solver_backend})
+    options = BatchOptions()
     base = compile_one(args.base, base_text, cache=cache, options=options)
     if not base.ok:
         out.write(f"{args.base}: error: {base.error}\n")
@@ -705,8 +685,6 @@ def command_request(args, out):
     options = {}
     if args.hardened:
         options["hardened"] = True
-    if args.solver_backend:
-        options["pipeline"] = {"solver_backend": args.solver_backend}
     options = options or None
 
     def dump(payload):

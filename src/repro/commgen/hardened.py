@@ -23,10 +23,11 @@ Irreducible graphs do not raise
 Which rung was chosen and *why* every higher rung was rejected is
 returned as a structured :class:`DegradationReport`.
 
-Every rung runs once, on the configured solver backend.  The backends
-are bit-identical by contract, so retrying a rung on another backend
-could only hide a kernel bug: a kernel fault fails the rung with its
-reason, like any other solver error, and the ladder steps down.
+Every rung runs once, on the default (planned) solver kernel.  The
+kernels are bit-identical by contract, so retrying a rung on the
+reference kernel could only hide a kernel bug: a kernel fault fails
+the rung with its reason, like any other solver error, and the ladder
+steps down.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from typing import Optional
 from repro.commgen.naive import naive_communication
 from repro.commgen.pipeline import generate_communication
 from repro.core.checker import check_placement_dual
-from repro.core.solver import DEFAULT_BACKEND, check_backend
 from repro.lang.printer import format_program
 from repro.obs.collector import current_collector
 from repro.util.errors import IrreducibleGraphError, ReproError
@@ -146,13 +146,10 @@ class HardenedPipeline:
     placement, and degrade instead of raising (module docstring)."""
 
     def __init__(self, budget=None, owner_computes=False,
-                 split_messages=True, solver_backend=None):
-        check_backend(solver_backend)
+                 split_messages=True):
         self.budget = budget if budget is not None else ResourceBudget()
         self.owner_computes = owner_computes
         self.split_messages = split_messages
-        #: solver backend every solver rung runs on (None = the default)
-        self.solver_backend = solver_backend
 
     def run(self, source):
         """Compile ``source`` down the ladder; return a
@@ -185,7 +182,6 @@ class HardenedPipeline:
                     obs.event("hardened", "result", rung=report.rung,
                               degraded=report.degraded,
                               reason=report.reason,
-                              backend=self.solver_backend or DEFAULT_BACKEND,
                               split_irreducible=report.split_irreducible,
                               splits=len(report.splits),
                               budget_solver_rounds=self.budget.solver_rounds)
@@ -234,7 +230,6 @@ class HardenedPipeline:
             split_irreducible=report.split_irreducible,
             max_splits=budget.max_splits,
             solver_rounds=budget.solver_rounds,
-            solver_backend=self.solver_backend,
         )
         if report.split_irreducible and not report.splits:
             report.splits = [
@@ -273,9 +268,8 @@ class HardenedPipeline:
 
 
 def harden_communication(source, budget=None, owner_computes=False,
-                         split_messages=True, solver_backend=None):
+                         split_messages=True):
     """Convenience wrapper around :class:`HardenedPipeline`."""
     pipeline = HardenedPipeline(budget=budget, owner_computes=owner_computes,
-                                split_messages=split_messages,
-                                solver_backend=solver_backend)
+                                split_messages=split_messages)
     return pipeline.run(source)

@@ -9,17 +9,15 @@ touching the algorithm:
 * :class:`~repro.core.kernel.plan.SolverPlan` — compiled once per
   ``(interval flow graph, direction)`` and cached on the graph: nodes
   mapped to dense integer *slots* (slot order = the view's PREORDER),
-  children/adjacency/headers flattened to tuples of slot indices, and
-  the static dependency structure (which bundles read which) that
-  drives the sparse backward fixpoint.
+  children/adjacency/headers flattened to tuples of slot indices.
 * :class:`~repro.core.kernel.slots.SlotSolution` — the same
   ``bits``/``elements``/``nodes_with`` API as
   :class:`~repro.core.solution.Solution`, but stored as flat
   ``list[int]`` bitset columns indexed by slot.
 * :class:`~repro.core.kernel.planned.PlannedSolver` — sweeps S1–S4 as
-  tight loops over those columns, with the backward consumption
-  iteration replaced by a sparse worklist that re-evaluates only the
-  bundles whose inputs changed.
+  tight loops over those columns, driven by the reference solver's
+  loop: the backward consumption iteration re-sweeps the whole graph
+  until a sweep changes nothing.
 
 The planned backend is bit-identical to the reference solver for all
 fifteen variables (``tests/core/test_kernel_equivalence.py``); pick it

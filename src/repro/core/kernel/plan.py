@@ -3,8 +3,7 @@
 A :class:`SolverPlan` is everything about one ``(graph, direction)``
 pair that the GIVE-N-TAKE equations consult repeatedly but that never
 depends on the problem being solved: traversal orders, children,
-headers, per-letter neighbor sets, and the static read/dependent
-structure between *bundles* (see below).  It is built once per view
+headers and per-letter neighbor sets.  It is built once per view
 shape and cached on the interval flow graph itself
 (:func:`plan_for`), so all problems and timings solved on one graph —
 the READ solve plus both WRITE solves of
@@ -22,13 +21,11 @@ tuple of slot indices.
 Bundles
 -------
 The S1/S2 sweep's unit of work at node ``n`` is one *bundle*:
-Equations 9/10 for each child of ``n`` (in FORWARD order) followed by
-Equations 1–8 for ``n`` itself.  ``reads[s]`` is the set of other
-bundles whose values bundle ``s`` consumes; ``dependents`` is its
-inverse.  ``seeds`` are the bundles with at least one read from a
-*lower* slot — the only evaluations the descending sweep order cannot
-have made current — and therefore the complete initial worklist of the
-sparse backward fixpoint (``docs/scaling.md`` has the argument).
+Equations 9/10 for each child of ``n`` (in FORWARD order, from
+``children``) followed by Equations 1–8 for ``n`` itself.  A backward
+view with jumps (``requires_iteration``) repeats the whole sweep until
+one changes nothing: at most ``natural_bound`` more times unless the
+caller sets another budget.
 """
 
 from operator import add
@@ -88,15 +85,12 @@ class SolverPlan:
         # h (ROOT for top-level nodes); ascending slots keep them in the
         # view's FORWARD order, which Eqs 9/10 require.
         innermost = view.ifg.forest.innermost
-        parent = [-1] * n
         children = {}
         for s, node in enumerate(nodes):
             if s != root_slot:
                 header = innermost(node)
                 p = root_slot if header is None else slot_of[header]
-                parent[s] = p
                 children.setdefault(p, []).append(s)
-        self.parent = tuple(parent)
         column = [()] * n
         for p, kids in children.items():
             column[p] = tuple(kids)
@@ -109,67 +103,14 @@ class SolverPlan:
             if self.requires_iteration else None
         )
 
-        self._compute_dependencies()
-
         if obs.enabled:
             obs.event("solver", "plan",
                       direction=self.direction,
                       nodes=n,
-                      seeds=len(self.seeds),
                       requires_iteration=self.requires_iteration,
                       natural_bound=self.natural_bound,
                       duration_s=obs.clock() - start)
             obs.count("solver_plans", "compiled")
-
-    def _compute_dependencies(self):
-        """Cross-bundle reads, their inverse, and the sweep-order seeds.
-
-        Ownership: Equations 1–8 of node ``x`` belong to bundle ``x``;
-        Equations 9/10 of ``x`` (the ``_loc`` chain values) belong to
-        bundle ``parent(x)``, which evaluates them.  The read sets below
-        enumerate every cross-bundle operand of Figure 13's S1/S2
-        equations; same-bundle reads are resolved within one bundle
-        evaluation and need no tracking.
-        """
-        n = self.n
-        parent = self.parent
-        reads = [set() for _ in range(n)]
-        for s in range(n):
-            owners = reads[s]
-            # Eq 3 (BLOCK_loc of ENTRY succs), Eq 5 (TAKEN_in/TAKE_loc
-            # of ENTRY succs), Eq 4 (TAKEN_in of FJS succs), Eq 7
-            # (BLOCK_loc of F succs), Eq 8 (TAKE_loc of EF succs):
-            # those variables belong to the successor's own bundle.
-            owners.update(self.succs_e[s])
-            owners.update(self.succs_fjs[s])
-            owners.update(self.succs_f[s])
-            owners.update(self.succs_ef[s])
-            for c in self.children[s]:
-                # Eqs 9/10 read GIVE/TAKE/STEAL of the child itself ...
-                owners.add(c)
-                # ... and the _loc values of its FJ/S predecessors,
-                # owned by whichever bundle evaluates them.  (Synthetic
-                # predecessors are headers of *inner* loops, so this is
-                # genuinely cross-bundle for multi-level jumps.)
-                for p in self.preds_loc[c]:
-                    if parent[p] >= 0:
-                        owners.add(parent[p])
-                for p in self.preds_syn[c]:
-                    if parent[p] >= 0:
-                        owners.add(parent[p])
-            owners.discard(s)
-
-        dependents = [[] for _ in range(n)]
-        for s, owners in enumerate(reads):
-            for d in owners:
-                dependents[d].append(s)
-        self.reads = tuple(frozenset(owners) for owners in reads)
-        self.dependents = tuple(tuple(sorted(deps)) for deps in dependents)
-        # Descending, matching the round's evaluation order.
-        self.seeds = tuple(sorted(
-            (s for s in range(n) if any(d < s for d in reads[s])),
-            reverse=True,
-        ))
 
 
 def _slot_column(adjacency, slot_of, n):

@@ -4,117 +4,27 @@ Algorithm *GiveNTake* (Figure 15) unchanged — same equations, same
 evaluation order, bit-identical results — but executed against a
 compiled :class:`~repro.core.kernel.plan.SolverPlan`:
 
-* one full S1/S2 *bundle* sweep in descending slot order
+* S1/S2 as whole-graph *bundle* sweeps in descending slot order
   (REVERSEPREORDER), each bundle inlining Equations 9/10 for the
-  node's children (FORWARD order) followed by Equations 1–8;
-* for backward views with jumps, a **sparse worklist fixpoint** instead
-  of whole-graph re-sweeps: only the plan's ``seeds`` (bundles with an
-  order-violating read) are re-evaluated, and a change propagates to
-  the changed bundle's dependents — lower-slot dependents join the
-  current round, higher-slot ones the next.  Round ``k`` leaves the
-  store exactly as dense sweep ``k+1`` would (each round evaluates, in
-  descending order, precisely the bundles whose inputs changed — the
-  rest are re-evaluation no-ops the dense sweep wastes time on), so
-  convergence decisions, budget semantics and final values all match
-  the reference solver;
+  node's children (FORWARD order) followed by Equations 1–8; backward
+  views with jumps re-sweep until a sweep changes nothing, under the
+  reference solver's budget and convergence check;
 * S3 (Equations 11–13) and S4 (14/15) in ascending slot order, once
   per timing.
 
-Per-equation counts still prove the §5.2 claim: the run event reports
-the honest totals (full sweeps plus sparse re-evaluations) together
-with ``full_sweeps``/``sparse_rounds``/``sparse_evaluations`` so
-:func:`repro.obs.profile.run_satisfies_each_equation_once` can verify
-*each equation at most once per node per round* for this backend too.
+The driver is :meth:`GiveNTakeSolver.run
+<repro.core.solver.GiveNTakeSolver.run>`'s, so both kernels emit the
+same ``solver/run`` event (``backend`` and ``duration_s`` aside) and
+:func:`repro.obs.profile.run_satisfies_each_equation_once` checks both
+against one formula.
 """
-
-import heapq
 
 from repro.core.kernel.plan import plan_for
 from repro.core.kernel.slots import SlotSolution
 from repro.core.problem import Timing
+from repro.core.solution import SHARED_VARIABLES
 from repro.obs.collector import current_collector
 from repro.util.errors import SolverBudgetError, SolverError
-
-
-def loc_stale(plan, cols, c):
-    """Whether Eq 9 or 10 of child ``c``, recomputed against the stored
-    state, would change its stored value (first mismatch wins).
-
-    ``cols`` is the ten shared columns in ``SHARED_VARIABLES`` order."""
-    ST, GV, _BL, _TO, TK, _TI, _BLl, _TKl, GVl, STl = cols
-    preds = plan.preds_loc[c]
-    if preds:
-        acc = GVl[preds[0]]
-        for p in preds[1:]:
-            acc &= GVl[p]
-    else:
-        acc = 0
-    if GVl[c] != (GV[c] | TK[c] | acc) & ~ST[c]:
-        return True
-    bits = ST[c]
-    for p in preds:
-        bits |= STl[p] & ~GVl[p]
-    for p in plan.preds_syn[c]:
-        bits |= STl[p]
-    return STl[c] != bits
-
-
-def core_stale(plan, operands, trust, cols, s):
-    """Whether any of Eqs 1–8 of slot ``s``, recomputed against the
-    stored state (no in-unit propagation — the reference convergence
-    probe's semantics), would change its stored value.
-
-    ``operands`` is ``(take0, give0, steal0)`` from
-    :meth:`PlannedSolver._build_operands`."""
-    take0, give0, steal0 = operands
-    ST, GV, BL, TO, TK, TI, BLl, TKl, GVl, STl = cols
-    lc = plan.lastchild[s]
-    bits = steal0[s]
-    if lc >= 0:
-        bits |= STl[lc]
-    if ST[s] != bits:
-        return True
-    bits = give0[s]
-    if trust and lc >= 0:
-        bits |= GVl[lc]
-    if GV[s] != bits:
-        return True
-    entry = plan.succs_e[s]
-    bits = ST[s] | GV[s]
-    for e in entry:
-        bits |= BLl[e]
-    if BL[s] != bits:
-        return True
-    fjs = plan.succs_fjs[s]
-    if fjs:
-        acc = TI[fjs[0]]
-        for t in fjs[1:]:
-            acc &= TI[t]
-    else:
-        acc = 0
-    if TO[s] != acc:
-        return True
-    bits = take0[s]
-    guaranteed = 0
-    possible = 0
-    for e in entry:
-        guaranteed |= TI[e]
-        possible |= TKl[e]
-    bits |= guaranteed & ~ST[s]
-    bits |= (TO[s] & possible) & ~BL[s]
-    if TK[s] != bits:
-        return True
-    if TI[s] != TK[s] | (TO[s] & ~BL[s]):
-        return True
-    bits = BL[s]
-    for t in plan.succs_f[s]:
-        bits |= BLl[t]
-    if BLl[s] != bits & ~TK[s]:
-        return True
-    acc = 0
-    for t in plan.succs_ef[s]:
-        acc |= TKl[t]
-    return TKl[s] != TK[s] | (acc & ~BL[s])
 
 
 class PlannedSolver:
@@ -135,10 +45,13 @@ class PlannedSolver:
         self.plan = plan if plan is not None else plan_for(view)
         self.solution = SlotSolution(problem, view, self.plan)
         self._obs = current_collector()
-        self._full_sweeps = 0
-        self._sparse_rounds = 0
-        self._sparse_bundles = 0
-        self._sparse_children = 0
+        self._consumption_sweeps = 0
+        self._build_operands()
+        # The ten S1/S2 columns, in SHARED_VARIABLES order.
+        self._columns = columns = tuple(
+            self.solution.column(name) for name in SHARED_VARIABLES)
+        (self._ST, self._GV, self._BL, self._TO, self._TK, self._TI,
+         self._BLl, self._TKl, self._GVl, self._STl) = columns
 
     # -- operand columns -----------------------------------------------------
 
@@ -170,19 +83,6 @@ class PlannedSolver:
         obs = self._obs
         start = obs.clock() if obs.enabled else 0.0
         plan = self.plan
-        self._build_operands()
-        sol = self.solution
-        self._ST = sol.column("STEAL")
-        self._GV = sol.column("GIVE")
-        self._BL = sol.column("BLOCK")
-        self._TO = sol.column("TAKEN_out")
-        self._TK = sol.column("TAKE")
-        self._TI = sol.column("TAKEN_in")
-        self._BLl = sol.column("BLOCK_loc")
-        self._TKl = sol.column("TAKE_loc")
-        self._GVl = sol.column("GIVE_loc")
-        self._STl = sol.column("STEAL_loc")
-
         natural = budget = None
         checked = False
         self._full_sweep()
@@ -190,7 +90,14 @@ class PlannedSolver:
         if plan.requires_iteration:
             natural = plan.natural_bound
             budget = natural if self.max_rounds is None else self.max_rounds
-            converged, checked = self._sparse_fixpoint(budget)
+            converged = False
+            for _ in range(budget):
+                if not self._full_sweep():
+                    converged = True
+                    break
+            if not converged:
+                checked = True
+                converged = self._consumption_converged()
             if not converged:
                 if self.max_rounds is not None:
                     raise SolverBudgetError(
@@ -211,15 +118,14 @@ class PlannedSolver:
     def _emit_run_event(self, start, natural, budget, converged, checked):
         obs = self._obs
         n = self.plan.n
+        sweeps = self._consumption_sweeps
         counts = {}
         for number in range(1, 9):
-            counts[number] = n * self._full_sweeps + self._sparse_bundles
+            counts[number] = n * sweeps
         for number in (9, 10):
-            counts[number] = ((n - 1) * self._full_sweeps
-                              + self._sparse_children)
+            counts[number] = (n - 1) * sweeps  # ROOT is nobody's child
         for number in range(11, 16):
             counts[number] = n * 2
-        sweeps = self._full_sweeps + self._sparse_rounds
         obs.event(
             "solver", "run",
             direction=self.view.direction,
@@ -231,10 +137,6 @@ class PlannedSolver:
             budget=budget,
             converged=converged,
             convergence_checked=checked,
-            full_sweeps=self._full_sweeps,
-            sparse_rounds=self._sparse_rounds,
-            sparse_evaluations={"bundles": self._sparse_bundles,
-                                "children": self._sparse_children},
             equation_evaluations={
                 str(number): count
                 for number, count in sorted(counts.items())
@@ -350,103 +252,51 @@ class PlannedSolver:
             changed = True
         return changed
 
-    def _bundle_stale(self, s):
-        """Whether re-evaluating bundle ``s`` would change anything —
-        computed without writing (the reference convergence probe's
-        semantics: every equation checked against the stored state,
-        first mismatch wins)."""
-        plan = self.plan
-        cols = (self._ST, self._GV, self._BL, self._TO, self._TK,
-                self._TI, self._BLl, self._TKl, self._GVl, self._STl)
-        for c in plan.children[s]:
-            if loc_stale(plan, cols, c):
-                return True
-        operands = (self._take0, self._give0, self._steal0)
-        return core_stale(plan, operands, self._trust, cols, s)
-
-    def _full_sweep(self):
-        """One whole-graph S1/S2 sweep in descending slot order."""
-        obs = self._obs
-        sweep_start = obs.clock() if obs.enabled else 0.0
+    def _sweep_bundles(self):
+        """Evaluate every bundle in descending slot order; returns
+        whether anything changed."""
         changed = False
         eval_bundle = self._eval_bundle
         for s in range(self.plan.n - 1, -1, -1):
             if eval_bundle(s):
                 changed = True
-        self._full_sweeps += 1
+        return changed
+
+    def _full_sweep(self):
+        """One whole-graph S1/S2 sweep in descending slot order."""
+        obs = self._obs
+        sweep_start = obs.clock() if obs.enabled else 0.0
+        changed = self._sweep_bundles()
+        self._consumption_sweeps += 1
         if obs.enabled:
             obs.event("solver", "sweep", kind="consumption",
-                      index=self._full_sweeps, changed=changed,
+                      index=self._consumption_sweeps, changed=changed,
                       duration_s=obs.clock() - sweep_start)
             obs.count("sweeps", "consumption")
         return changed
 
-    def _sparse_fixpoint(self, budget):
-        """Drive the backward consumption iteration to the fixpoint with
-        a sparse worklist; returns ``(converged, checked)``.
+    def _consumption_converged(self):
+        """Whether another S1/S2 sweep would leave every value as it
+        is; the columns end as this probe found them.
 
-        Each round pops dirty bundles from a max-heap (descending slot,
-        the dense sweep's order).  When a bundle changes, dependents at
-        lower slots are evaluated later *this* round — exactly when the
-        dense sweep would reach them — and dependents at higher slots
-        (already passed) carry to the next round.  Each bundle is
-        evaluated at most once per round, so round ``k`` is
-        state-equivalent to dense sweep ``k+1`` and the budget, the
-        round count and the final probe all behave identically to the
-        reference solver.
+        A sweep changes nothing exactly when every equation, evaluated
+        against the stored state, reproduces its stored value (up to
+        the first change, the sweep reads only stored values).  So the
+        probe runs one uncounted sweep and, if it changed anything,
+        restores the saved columns: a raising run leaves the store as
+        the budgeted sweeps left it, and a passing run gets no free
+        sweep.
         """
-        obs = self._obs
-        plan = self.plan
-        dependents = plan.dependents
-        eval_bundle = self._eval_bundle
-        dirty = set(plan.seeds)
-        converged = False
-        for _ in range(budget):
-            round_start = obs.clock() if obs.enabled else 0.0
-            self._sparse_rounds += 1
-            heap = [-s for s in dirty]
-            heapq.heapify(heap)
-            queued = set(dirty)
-            next_dirty = set()
-            evaluated = 0
-            changed = False
-            while heap:
-                s = -heapq.heappop(heap)
-                evaluated += 1
-                self._sparse_bundles += 1
-                self._sparse_children += len(plan.children[s])
-                if eval_bundle(s):
-                    changed = True
-                    for t in dependents[s]:
-                        if t < s:
-                            if t not in queued:
-                                queued.add(t)
-                                heapq.heappush(heap, -t)
-                        else:
-                            next_dirty.add(t)
-            if obs.enabled:
-                obs.event("solver", "sweep", kind="consumption_sparse",
-                          index=self._sparse_rounds, changed=changed,
-                          evaluated=evaluated,
-                          duration_s=obs.clock() - round_start)
-                obs.count("sweeps", "consumption_sparse")
-            if not changed:
-                converged = True
-                break
-            dirty = next_dirty
-        checked = False
+        columns = self._columns
+        saved = [column[:] for column in columns]
+        converged = not self._sweep_bundles()
         if not converged:
-            # Budget exhausted with every round still changing: decide
-            # with the side-effect-free probe.  Bundles outside the
-            # pending dirty set were evaluated against their current
-            # inputs and are stable by construction, so probing the
-            # dirty ones decides the whole graph.
-            checked = True
-            converged = not any(self._bundle_stale(s)
-                                for s in sorted(dirty, reverse=True))
-            if obs.enabled:
-                obs.event("solver", "convergence_check", converged=converged)
-        return converged, checked
+            for column, values in zip(columns, saved):
+                column[:] = values
+        if self._obs.enabled:
+            self._obs.event("solver", "convergence_check",
+                            converged=converged)
+        return converged
 
     # -- S3/S4: production and results ---------------------------------------
 

@@ -41,17 +41,6 @@ from repro.util.errors import SolverBudgetError, SolverError
 #: oracle.  Both are bit-identical for all fifteen variables.
 DEFAULT_BACKEND = "planned"
 
-BACKENDS = ("planned", "reference")
-
-
-def check_backend(backend):
-    """Raise :class:`ValueError` unless ``backend`` is ``None`` (the
-    default) or one of :data:`BACKENDS` — for entry points that take a
-    backend name from outside (service options, the hardened ladder)."""
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(f"unknown solver backend {backend!r} "
-                         f"(expected one of {', '.join(BACKENDS)})")
-
 
 class GiveNTakeSolver:
     """Stateful solver; :func:`solve` is the usual entry point.

@@ -35,14 +35,8 @@ def run_satisfies_each_equation_once(run):
     ``nodes`` includes ROOT; S2 skips ROOT (it is nobody's child), and
     a backward fixpoint with ``k`` sweeps evaluates S1/S2 ``k`` times —
     still exactly once per node *per sweep*, which is the invariant the
-    elimination order guarantees.
-
-    Planned-backend runs (recognized by their ``sparse_evaluations``
-    field) replace the re-sweeps with sparse worklist rounds, so their
-    exact S1/S2 totals are ``nodes * full_sweeps`` plus the reported
-    bundle/child re-evaluations — and each equation is still evaluated
-    *at most* once per node per round, which keeps the dense per-sweep
-    totals as an upper bound (the sparse counts can only be lower).
+    elimination order guarantees.  Both solver kernels report the same
+    counts, so one formula checks either.
     """
     nodes = run["nodes"]
     sweeps = run["consumption_sweeps"]
@@ -51,26 +45,9 @@ def run_satisfies_each_equation_once(run):
     def observed(number):
         return counts.get(str(number), counts.get(number, 0))
 
-    sparse = run.get("sparse_evaluations")
-    if sparse is not None:
-        full = run["full_sweeps"]
-        rounds = run["sparse_rounds"]
-        expected_s1 = nodes * full + sparse["bundles"]
-        expected_s2 = (nodes - 1) * full + sparse["children"]
-        within_round_bound = (
-            sparse["bundles"] <= nodes * rounds
-            and sparse["children"] <= (nodes - 1) * rounds
-            and full + rounds == sweeps
-        )
-    else:
-        expected_s1 = nodes * sweeps
-        expected_s2 = (nodes - 1) * sweeps
-        within_round_bound = True
-
     return (
-        within_round_bound
-        and all(observed(n) == expected_s1 for n in _S1)
-        and all(observed(n) == expected_s2 for n in _S2)
+        all(observed(n) == nodes * sweeps for n in _S1)
+        and all(observed(n) == (nodes - 1) * sweeps for n in _S2)
         and all(observed(n) == nodes * 2 for n in _S3_S4)
     )
 
@@ -153,7 +130,7 @@ def build_profile(collector, extra=None):
 
 def profile_source(source, hardened=False, run_simulation=False,
                    bindings=None, machine=None, policy=None, faults=None,
-                   retry=None, solver_backend=None):
+                   retry=None):
     """Compile ``source`` under tracing; return the profile payload.
 
     ``hardened`` routes placement through the
@@ -161,9 +138,7 @@ def profile_source(source, hardened=False, run_simulation=False,
     ``run_simulation`` additionally executes the annotated program on
     the machine model (``bindings``/``machine``/``policy``/``faults``/
     ``retry`` as for :func:`repro.machine.simulate`) so the message
-    timeline lands in the trace; ``solver_backend`` selects the solver
-    kernel (``"planned"``/``"reference"``, ``None`` = the solver
-    default) so both backends' equation-count profiles can be compared.
+    timeline lands in the trace.
     """
     from repro.commgen import HardenedPipeline, generate_communication
     from repro.machine import simulate
@@ -171,11 +146,9 @@ def profile_source(source, hardened=False, run_simulation=False,
     metrics = None
     with tracing() as collector:
         if hardened:
-            result = HardenedPipeline(
-                solver_backend=solver_backend).run(source)
+            result = HardenedPipeline().run(source)
         else:
-            result = generate_communication(
-                source, solver_backend=solver_backend)
+            result = generate_communication(source)
         if run_simulation:
             metrics = simulate(result.annotated_program, machine,
                                bindings or {"n": 16}, policy,
@@ -234,22 +207,17 @@ def format_profile(payload, events=False):
     for index, plan in enumerate(summary.get("solver_plans", []), start=1):
         lines.append(
             f"solver plan {index}: direction={plan['direction']} "
-            f"nodes={plan['nodes']} seeds={plan['seeds']}"
-            + _duration(plan))
+            f"nodes={plan['nodes']}" + _duration(plan))
     for index, run in enumerate(summary.get("solver_runs", []), start=1):
         verdict = "yes" if run_satisfies_each_equation_once(run) else "NO"
-        line = (
+        lines.append(
             f"solver run {index}: backend={run.get('backend', 'reference')} "
             f"direction={run['direction']} "
             f"nodes={run['nodes']} "
             f"consumption_sweeps={run['consumption_sweeps']} "
             f"fixpoint_rounds={run['rounds']} "
-            f"converged={run['converged']} each-equation-once={verdict}")
-        sparse = run.get("sparse_evaluations")
-        if sparse is not None:
-            line += (f" sparse_rounds={run['sparse_rounds']} "
-                     f"sparse_bundles={sparse['bundles']}")
-        lines.append(line + _duration(run))
+            f"converged={run['converged']} each-equation-once={verdict}"
+            + _duration(run))
     once = summary.get("each_equation_once")
     if once is not None:
         lines.append(f"each-equation-once (all runs): "

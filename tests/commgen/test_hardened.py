@@ -212,17 +212,3 @@ def test_kernel_fault_fails_the_rung_and_the_ladder_steps_down(monkeypatch):
         assert not attempt.ok
         assert "injected kernel fault" in attempt.reason
     assert "injected kernel fault" in hardened.report.reason
-
-
-def test_reference_backend_runs_the_balanced_rung_once():
-    hardened = HardenedPipeline(solver_backend="reference").run(FIG11_SOURCE)
-    assert hardened.rung == "balanced"
-    assert [a.rung for a in hardened.report.attempts] == ["balanced"]
-    plain = generate_communication(FIG11_SOURCE, solver_backend="reference")
-    assert hardened.annotated_source() == plain.annotated_source()
-
-
-@pytest.mark.parametrize("backend", ["vector", "vectr"])
-def test_unknown_solver_backend_is_rejected_at_construction(backend):
-    with pytest.raises(ValueError, match="unknown solver backend"):
-        HardenedPipeline(solver_backend=backend)

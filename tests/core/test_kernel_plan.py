@@ -1,4 +1,4 @@
-"""SolverPlan structure tests: slots, schedules, bundles, caching.
+"""SolverPlan structure tests: slots, schedules, caching.
 
 The planned backend's correctness is established differentially in
 ``test_kernel_equivalence.py``; here we pin down the *plan* itself —
@@ -32,8 +32,7 @@ from tests.graph.test_splitting import GOTO_INTO_LOOP
 def reference_plan(view):
     """A :class:`SolverPlan` built from the view's per-node protocol:
     children, LASTCHILD, HEADER and every neighbor set queried node by
-    node (the dependency structure is computed by the plan's own
-    method)."""
+    node."""
     plan = SolverPlan.__new__(SolverPlan)
     nodes = tuple(view.nodes_preorder())
     slot_of = {node: index for index, node in enumerate(nodes)}
@@ -52,11 +51,6 @@ def reference_plan(view):
     plan.n = n
     plan.root_slot = slot_of[view.root]
     plan.children = tuple(slots(view.children(node)) for node in nodes)
-    parent = [-1] * n
-    for s, kids in enumerate(plan.children):
-        for c in kids:
-            parent[c] = s
-    plan.parent = tuple(parent)
     plan.lastchild = tuple(optional_slot(view.lastchild(node))
                            for node in nodes)
     plan.header = tuple(optional_slot(view.header_of(node))
@@ -80,7 +74,6 @@ def reference_plan(view):
         max((view.ifg.level(m) for m, _ in view.ifg.jump_edges()),
             default=0) + 1
         if plan.requires_iteration else None)
-    plan._compute_dependencies()
     return plan
 
 
@@ -145,17 +138,6 @@ def test_children_keep_forward_order(plan_case):
         assert all(c > s for c in plan.children[s])
 
 
-def test_parent_inverts_children(plan_case):
-    _, _, plan = plan_case
-    assert plan.parent[plan.root_slot] == -1
-    for s in range(plan.n):
-        for c in plan.children[s]:
-            assert plan.parent[c] == s
-    # every non-root slot is somebody's child
-    assert all(plan.parent[s] >= 0 for s in range(plan.n)
-               if s != plan.root_slot)
-
-
 def test_adjacency_matches_view(plan_case):
     _, view, plan = plan_case
     for s, node in enumerate(plan.nodes):
@@ -166,28 +148,6 @@ def test_adjacency_matches_view(plan_case):
                                     for x in view.succs(node, letters))
         assert plan.preds_fj[s] == tuple(plan.slot_of[x]
                                          for x in view.preds(node, "FJ"))
-
-
-def test_dependents_invert_reads(plan_case):
-    _, _, plan = plan_case
-    for s in range(plan.n):
-        assert s not in plan.reads[s]
-        for d in plan.reads[s]:
-            assert s in plan.dependents[d]
-    for d in range(plan.n):
-        for s in plan.dependents[d]:
-            assert d in plan.reads[s]
-
-
-def test_seeds_are_exactly_the_downward_readers(plan_case):
-    """A bundle is a seed iff it reads a *lower* slot — the only value
-    the descending sweep cannot have refreshed before reaching it."""
-    _, _, plan = plan_case
-    expected = tuple(sorted(
-        (s for s in range(plan.n) if any(d < s for d in plan.reads[s])),
-        reverse=True))
-    assert plan.seeds == expected
-    assert list(plan.seeds) == sorted(plan.seeds, reverse=True)
 
 
 def test_iteration_flag_and_bound_come_from_the_view():

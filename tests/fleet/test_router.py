@@ -30,7 +30,11 @@ from repro.service.protocol import (
 )
 from repro.testing.generator import ArrayProgramGenerator
 from repro.testing.programs import FIG11_SOURCE
-from tests.service.test_server import close_held_until_stop, stop_after_drain
+from tests.service.test_server import (
+    close_held_until_stop,
+    stop_after_drain,
+    wait_until,
+)
 
 
 def generated_source(size, seed=0):
@@ -51,15 +55,6 @@ def source_homed_on(fleet, shard_name, sizes=range(8, 40)):
         if fleet.router.router.home_shard(source).name == shard_name:
             return source
     raise AssertionError(f"no generated source homed on {shard_name}")
-
-
-def wait_until(predicate, timeout_s=5.0, interval_s=0.05):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval_s)
-    return False
 
 
 @pytest.fixture(scope="module")

@@ -33,6 +33,7 @@ from repro.service import (
     ThreadedServer,
     decode_message,
 )
+from repro.service import server as server_module
 from repro.service.server import MAX_RETRY_AFTER_S
 from repro.testing.generator import ArrayProgramGenerator
 from repro.testing.programs import FIG1_SOURCE, FIG11_SOURCE
@@ -44,6 +45,15 @@ def generated_source(size, seed=0):
 
 #: Slow enough (~300ms in CI) that admission races are deterministic.
 SLOW_SOURCE = generated_source(400, seed=7)
+
+
+def wait_until(predicate, timeout_s=5.0, interval_s=0.05):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval_s)
+    return False
 
 
 @pytest.fixture(scope="module")
@@ -243,8 +253,17 @@ def test_deadline_expires_before_slow_compile_finishes():
             # which the graceful teardown below (stop -> drain) relies on
 
 
-def test_backpressure_rejects_with_retry_hint():
+def test_backpressure_rejects_with_retry_hint(monkeypatch):
     config = ServiceConfig(port=0, workers=1, pool="thread", queue_limit=1)
+    release = threading.Event()
+    compile_uncached = server_module.compile_uncached
+
+    def held(name, *args):
+        if name == "filler":
+            release.wait(30)  # occupy the single slot until released
+        return compile_uncached(name, *args)
+
+    monkeypatch.setattr(server_module, "compile_uncached", held)
     with ThreadedServer(config) as threaded:
         filler_done = threading.Event()
 
@@ -255,18 +274,24 @@ def test_backpressure_rejects_with_retry_hint():
 
         thread = threading.Thread(target=filler)
         thread.start()
-        time.sleep(0.08)  # let the filler occupy the single slot
-        with ServiceClient(port=threaded.port) as connection:
-            with pytest.raises(ServiceError) as excinfo:
-                connection.compile(FIG11_SOURCE, name="refused")
-            assert excinfo.value.code == E_BUSY
-            assert excinfo.value.retry_after_s > 0
-            # the polite loop waits out the backpressure and succeeds
-            result = connection.compile_retrying(FIG11_SOURCE, name="fig11")
-            assert result["ok"]
-            status = connection.status()
-            assert status["admission"]["rejected_busy"] >= 1
-        thread.join()
+        try:
+            with ServiceClient(port=threaded.port) as connection:
+                assert wait_until(  # the filler holds the single slot
+                    lambda: connection.status()["requests"]["inflight"] == 1)
+                with pytest.raises(ServiceError) as excinfo:
+                    connection.compile(FIG11_SOURCE, name="refused")
+                assert excinfo.value.code == E_BUSY
+                assert excinfo.value.retry_after_s > 0
+                release.set()
+                # the polite loop waits out the backpressure and succeeds
+                result = connection.compile_retrying(FIG11_SOURCE,
+                                                     name="fig11")
+                assert result["ok"]
+                status = connection.status()
+                assert status["admission"]["rejected_busy"] >= 1
+        finally:
+            release.set()
+            thread.join(60)
         assert filler_done.is_set()
 
 
@@ -307,7 +332,8 @@ def test_drain_completes_in_flight_work_then_refuses():
         with ServiceClient(port=threaded.port) as drainer:
             for thread in threads:
                 thread.start()
-            time.sleep(0.08)  # both requests admitted or queued
+            assert wait_until(  # both requests admitted
+                lambda: drainer.status()["requests"]["admitted"] == 2)
             reply = drainer.drain()
             assert reply["drained"] is True
         for thread in threads:

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.commgen import generate_communication
 from repro.testing.programs import FIG11_SOURCE
 
 
@@ -485,24 +486,34 @@ def test_delta_error_hygiene(capsys, tmp_path, fig11_file):
 
 
 def test_annotate_solver_backend_is_bit_identical(fig11_file):
-    default = run(["annotate", fig11_file])
-    reference = run(["annotate", fig11_file, "--solver-backend", "reference"])
-    planned = run(["annotate", fig11_file, "--solver-backend", "planned"])
-    assert reference[0] == 0 and planned[0] == 0
-    assert default[1] == reference[1] == planned[1]
+    """annotate solves on the planned kernel; the reference kernel
+    annotates the same bytes."""
+    code, output = run(["annotate", fig11_file])
+    reference = generate_communication(FIG11_SOURCE,
+                                       solver_backend="reference")
+    reads, writes = reference.communication_count()
+    assert code == 0
+    assert output == (reference.annotated_source()
+                      + f"! {reads} read and {writes} write placements\n")
 
 
 def test_profile_solver_backend(fig11_file):
-    code, output = run(["profile", fig11_file,
-                        "--solver-backend", "reference"])
-    assert code == 0 and "backend=reference" in output
+    """profile names the kernel of every solver run: the planned one."""
     code, output = run(["profile", fig11_file])
-    assert code == 0 and "backend=planned" in output
+    runs = [line for line in output.splitlines()
+            if line.startswith("solver run ")]
+    assert code == 0 and len(runs) == 2
+    assert all(" backend=planned " in line for line in runs)
 
 
-def test_batch_solver_backend(fig11_file):
-    code, output = run(["batch", fig11_file,
-                        "--solver-backend", "reference"])
+def test_batch_solver_backend(fig11_file, capsys):
+    """The solver kernel is no command-line choice: --solver-backend is
+    a usage error, and batch compiles on the planned kernel."""
+    with pytest.raises(SystemExit) as excinfo:
+        run(["batch", fig11_file, "--solver-backend", "reference"])
+    assert excinfo.value.code == 2
+    assert "--solver-backend" in capsys.readouterr().err
+    code, output = run(["batch", fig11_file])
     assert code == 0
     assert "1/1 programs ok" in output
 
