@@ -38,149 +38,88 @@ Overlap scheduling (EAGER/LAZY slack turned into makespan wins)::
     print(comparison.summary())                # docs/scheduling.md
 """
 
-from repro.core import (
-    Direction,
-    Placement,
-    Problem,
-    Solution,
-    Timing,
-    Universe,
-    check_placement,
-    enumerate_paths,
-    extract_regions,
-    limit_production_span,
-    measure_spans,
-    region_summary,
-    shift_synthetic_productions,
-    solve,
-)
-from repro.graph import (
-    IntervalFlowGraph,
-    build_cfg,
-    interval_graph_for_program,
-    normalize,
-)
-from repro.lang import format_program, parse
-from repro.testing.programs import AnalyzedProgram, analyze_source
-from repro.commgen import (
-    HardenedPipeline,
-    ResourceBudget,
-    generate_communication,
-    harden_communication,
-    naive_communication,
-)
-from repro.batch import (
-    BatchOptions,
-    BatchResult,
-    PipelineCache,
-    compile_many,
-    compile_one,
-    resolve_jobs,
-)
-from repro.service import (
-    CompileService,
-    ServiceClient,
-    ServiceConfig,
-    ServiceError,
-    ThreadedServer,
-)
-from repro.fleet import (
-    ChaosPlan,
-    FleetConfig,
-    FleetRouter,
-    LocalFleet,
-)
-from repro.machine import (
-    ConditionPolicy,
-    FaultPlan,
-    MachineModel,
-    RetryPolicy,
-    simulate,
-)
-from repro.obs import (
-    NullCollector,
-    TraceCollector,
-    current_collector,
-    profile_source,
-    stable_form,
-    tracing,
-)
-from repro.sched import (
-    Schedule,
-    ScheduleRunner,
-    TaskGraph,
-    build_task_graph,
-    certify_schedule,
-    compare_schedules,
-    naive_schedule,
-    overlap_schedule,
-    run_schedule,
-)
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Direction",
-    "Placement",
-    "Problem",
-    "Solution",
-    "Timing",
-    "Universe",
-    "check_placement",
-    "enumerate_paths",
-    "extract_regions",
-    "limit_production_span",
-    "measure_spans",
-    "region_summary",
-    "shift_synthetic_productions",
-    "solve",
-    "IntervalFlowGraph",
-    "build_cfg",
-    "interval_graph_for_program",
-    "normalize",
-    "format_program",
-    "parse",
-    "AnalyzedProgram",
-    "analyze_source",
-    "generate_communication",
-    "naive_communication",
-    "HardenedPipeline",
-    "ResourceBudget",
-    "harden_communication",
-    "BatchOptions",
-    "BatchResult",
-    "PipelineCache",
-    "compile_many",
-    "compile_one",
-    "resolve_jobs",
-    "CompileService",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ThreadedServer",
-    "ChaosPlan",
-    "FleetConfig",
-    "FleetRouter",
-    "LocalFleet",
-    "ConditionPolicy",
-    "FaultPlan",
-    "MachineModel",
-    "RetryPolicy",
-    "simulate",
-    "NullCollector",
-    "TraceCollector",
-    "current_collector",
-    "profile_source",
-    "stable_form",
-    "tracing",
-    "Schedule",
-    "ScheduleRunner",
-    "TaskGraph",
-    "build_task_graph",
-    "certify_schedule",
-    "compare_schedules",
-    "naive_schedule",
-    "overlap_schedule",
-    "run_schedule",
-    "__version__",
-]
+#: The public API by owning module, in ``__all__`` order.  A name's
+#: module is imported when the name is first read (``repro.util.lazy``),
+#: so ``import repro`` loads no subsystem a process does not use.
+_EXPORTS = {
+    "repro.core": (
+        "Direction",
+        "Placement",
+        "Problem",
+        "Solution",
+        "Timing",
+        "Universe",
+        "check_placement",
+        "enumerate_paths",
+        "extract_regions",
+        "limit_production_span",
+        "measure_spans",
+        "region_summary",
+        "shift_synthetic_productions",
+        "solve",
+    ),
+    "repro.graph": (
+        "IntervalFlowGraph",
+        "build_cfg",
+        "interval_graph_for_program",
+        "normalize",
+    ),
+    "repro.lang": ("format_program", "parse"),
+    "repro.testing.programs": ("AnalyzedProgram", "analyze_source"),
+    "repro.commgen": (
+        "generate_communication",
+        "naive_communication",
+        "HardenedPipeline",
+        "ResourceBudget",
+        "harden_communication",
+    ),
+    "repro.batch": (
+        "BatchOptions",
+        "BatchResult",
+        "PipelineCache",
+        "compile_many",
+        "compile_one",
+        "resolve_jobs",
+    ),
+    "repro.service": (
+        "CompileService",
+        "ServiceClient",
+        "ServiceConfig",
+        "ServiceError",
+        "ThreadedServer",
+    ),
+    "repro.fleet": ("ChaosPlan", "FleetConfig", "FleetRouter", "LocalFleet"),
+    "repro.machine": (
+        "ConditionPolicy",
+        "FaultPlan",
+        "MachineModel",
+        "RetryPolicy",
+        "simulate",
+    ),
+    "repro.obs": (
+        "NullCollector",
+        "TraceCollector",
+        "current_collector",
+        "profile_source",
+        "stable_form",
+        "tracing",
+    ),
+    "repro.sched": (
+        "Schedule",
+        "ScheduleRunner",
+        "TaskGraph",
+        "build_task_graph",
+        "certify_schedule",
+        "compare_schedules",
+        "naive_schedule",
+        "overlap_schedule",
+        "run_schedule",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("__version__")

@@ -76,21 +76,6 @@ from repro.commgen import (
     generate_communication,
     naive_communication,
 )
-from repro.graph.dot import interval_graph_to_dot
-from repro.machine import (
-    ConditionPolicy,
-    FaultPlan,
-    MachineModel,
-    RetryPolicy,
-    simulate,
-)
-from repro.obs import (
-    build_profile,
-    format_profile,
-    profile_source,
-    to_json,
-    tracing,
-)
 from repro.service.config import DEFAULT_PORT as DEFAULT_SERVICE_PORT
 from repro.testing.programs import analyze_source
 from repro.util.errors import FaultSpecError, ReproError
@@ -324,6 +309,8 @@ def traced(args, out, body):
     Returns ``body``'s result (a command exit status or ``None``)."""
     if not (args.trace or args.trace_json):
         return body()
+    from repro.obs import build_profile, format_profile, to_json, tracing
+
     with tracing() as collector:
         status = body()
     payload = build_profile(collector)
@@ -339,7 +326,7 @@ def traced(args, out, body):
 
 
 def command_annotate(args, out):
-    traced(args, out, lambda: _annotate(args, out))
+    return traced(args, out, lambda: _annotate(args, out))
 
 
 def _annotate(args, out):
@@ -375,6 +362,8 @@ def _annotate(args, out):
 def command_graph(args, out):
     analyzed = analyze_source(read_source(args.file))
     if args.dot:
+        from repro.graph.dot import interval_graph_to_dot
+
         out.write(interval_graph_to_dot(analyzed.ifg, analyzed.numbering))
         out.write("\n")
         return
@@ -390,10 +379,18 @@ def command_graph(args, out):
 
 
 def command_simulate(args, out):
-    traced(args, out, lambda: _simulate(args, out))
+    return traced(args, out, lambda: _simulate(args, out))
 
 
 def _simulate(args, out):
+    from repro.machine import (
+        ConditionPolicy,
+        FaultPlan,
+        MachineModel,
+        RetryPolicy,
+        simulate,
+    )
+
     source = read_source(args.file)
     report = None
     if args.hardened:
@@ -434,6 +431,9 @@ def _simulate(args, out):
 
 
 def command_profile(args, out):
+    from repro.machine import ConditionPolicy
+    from repro.obs import format_profile, profile_source, to_json
+
     payload = profile_source(
         read_source(args.file),
         hardened=args.hardened,

@@ -23,49 +23,34 @@ amortize across requests instead of dying with each invocation:
   metrics behind the ``status`` request type.
 """
 
-from repro.service.client import ServiceClient, ServiceConnectionError
-from repro.service.config import DEFAULT_PORT, ServiceConfig
-from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import (
-    E_BAD_REQUEST,
-    E_BUSY,
-    E_DEADLINE,
-    E_DRAINING,
-    E_INTERNAL,
-    E_UNAVAILABLE,
-    ERROR_CODES,
-    MAX_LINE_BYTES,
-    PROTOCOL,
-    REQUEST_TYPES,
-    ProtocolError,
-    ServiceError,
-    decode_message,
-    encode_message,
-)
-from repro.service.runner import ThreadedServer
-from repro.service.server import CompileService, run_service
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CompileService",
-    "DEFAULT_PORT",
-    "ERROR_CODES",
-    "E_BAD_REQUEST",
-    "E_BUSY",
-    "E_DEADLINE",
-    "E_DRAINING",
-    "E_INTERNAL",
-    "E_UNAVAILABLE",
-    "MAX_LINE_BYTES",
-    "PROTOCOL",
-    "ProtocolError",
-    "REQUEST_TYPES",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceConnectionError",
-    "ServiceError",
-    "ServiceMetrics",
-    "ThreadedServer",
-    "decode_message",
-    "encode_message",
-    "run_service",
-]
+#: Exports by owning module, imported on first read, so the config and
+#: the protocol load without the server, the runner, the client or
+#: asyncio; ``__all__`` lists them sorted.
+_EXPORTS = {
+    "repro.service.client": ("ServiceClient", "ServiceConnectionError"),
+    "repro.service.config": ("DEFAULT_PORT", "ServiceConfig"),
+    "repro.service.metrics": ("ServiceMetrics",),
+    "repro.service.protocol": (
+        "E_BAD_REQUEST",
+        "E_BUSY",
+        "E_DEADLINE",
+        "E_DRAINING",
+        "E_INTERNAL",
+        "E_UNAVAILABLE",
+        "ERROR_CODES",
+        "MAX_LINE_BYTES",
+        "PROTOCOL",
+        "REQUEST_TYPES",
+        "ProtocolError",
+        "ServiceError",
+        "decode_message",
+        "encode_message",
+    ),
+    "repro.service.runner": ("ThreadedServer",),
+    "repro.service.server": ("CompileService", "run_service"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.sort()

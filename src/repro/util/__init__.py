@@ -1,4 +1,5 @@
-"""Small shared utilities: error types, ordered sets, formatting helpers."""
+"""Small shared utilities: error types, ordered sets, formatting helpers,
+and the lazy package exports of :mod:`repro.util.lazy`."""
 
 from repro.util.errors import (
     ReproError,

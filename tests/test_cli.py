@@ -83,6 +83,29 @@ def test_simulate_overlap_schedule_with_faults(fig11_file):
     assert "state=identical" in output
 
 
+def test_simulate_overlap_schedule_mismatch_exits_one(monkeypatch,
+                                                      fig11_file):
+    """A diverged, uncertified overlap schedule fails the command."""
+    from types import SimpleNamespace
+
+    import repro.sched
+    from repro.core.checker import Violation
+
+    metrics = SimpleNamespace(summary=lambda: "metrics")
+    violation = Violation(kind="balance", criterion="C1", element="x",
+                          node=None, message="forced")
+    comparison = SimpleNamespace(
+        naive=metrics, overlap=metrics, summary=lambda: "state=DIVERGED",
+        states_match=False, certified=False,
+        certification=SimpleNamespace(violations=[violation]))
+    monkeypatch.setattr(repro.sched, "compare_schedules",
+                        lambda *args, **kwargs: comparison)
+    code, output = run(["simulate", fig11_file, "--n", "8", "--branch",
+                        "never", "--schedule", "overlap"])
+    assert code == 1
+    assert "  C1 forced\n" in output
+
+
 def test_pre_report(tmp_path):
     path = tmp_path / "cse.f"
     path.write_text("u = a + b\nv = a + b\n")

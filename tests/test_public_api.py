@@ -7,9 +7,49 @@ import pytest
 import repro
 
 
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this ``repro``;
+    fails the test when it exits nonzero."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_all_symbols_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+    """``repro`` and ``repro.service`` resolve their exports on first
+    access: each name once, to its owning module's object, listed by
+    ``dir`` and bound by a star import; other names raise, and a
+    subpackage resolves after a bare ``import repro``."""
+    import importlib
+
+    import repro.service
+
+    for module in (repro, repro.service):
+        assert len(set(module.__all__)) == len(module.__all__)
+        for name in module.__all__:
+            assert hasattr(module, name), name
+        assert set(module.__all__) <= set(dir(module))
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
+        for owner, names in module._EXPORTS.items():
+            owning = importlib.import_module(owner)
+            for name in names:
+                assert getattr(module, name) is getattr(owning, name), name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+    _run_fresh("import repro\n"
+               "assert callable(repro.core.solve)\n"
+               "assert repro.graph.build_cfg is repro.build_cfg\n")
 
 
 def test_version():
@@ -70,27 +110,42 @@ def test_examples_are_runnable_modules():
                        check=True)
 
 
-def test_compile_path_does_not_import_numpy():
-    """A compile loads no NumPy: compiling Figure 11 through the batch
-    entry point in a fresh interpreter leaves ``numpy`` out of
-    ``sys.modules``, so no compile process pays its start-up time and
-    memory."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
+#: What a compile never loads: NumPy, the concurrency and network
+#: stack, and every subsystem that is not on the compile path.
+NOT_ON_THE_COMPILE_PATH = (
+    "numpy", "asyncio", "concurrent.futures", "multiprocessing", "socket",
+    "ssl", "subprocess", "repro.service", "repro.fleet", "repro.sched",
+    "repro.machine", "repro.pre", "repro.prefetch", "repro.regpromo",
+)
 
-    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH"))))
-    script = (
+
+def test_compile_path_imports_only_the_compiler():
+    """Compiling Figure 11 through the batch entry point in a fresh
+    interpreter loads none of :data:`NOT_ON_THE_COMPILE_PATH`, so no
+    compile process pays their start-up time and memory."""
+    _run_fresh(
         "import sys\n"
         "from repro.batch.driver import compile_one\n"
         "from repro.testing.programs import FIG11_SOURCE\n"
         "assert compile_one('fig11', FIG11_SOURCE).ok\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        f"loaded = [m for m in {NOT_ON_THE_COMPILE_PATH!r} "
+        "if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
-    result = subprocess.run([sys.executable, "-c", script], env=env,
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+
+
+def test_annotate_command_loads_no_service_or_machine(tmp_path):
+    """``repro annotate`` imports its subcommand's modules only: no
+    asyncio, no compile service and no machine simulator."""
+    from repro.testing.programs import FIG11_SOURCE
+
+    source = tmp_path / "fig11.f"
+    source.write_text(FIG11_SOURCE)
+    _run_fresh(
+        "import io, sys\n"
+        "from repro.cli import main\n"
+        f"assert main(['annotate', {str(source)!r}], out=io.StringIO()) == 0\n"
+        "loaded = [m for m in ('asyncio', 'repro.service.server', "
+        "'repro.service.runner', 'repro.machine') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
