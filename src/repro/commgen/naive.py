@@ -3,11 +3,16 @@
 This is the left-hand side of the paper's Figure 2: every non-owned
 reference gets its own ``READ_Send``/``READ_Recv`` pair immediately
 before the referencing statement — one message per loop iteration, no
-vectorization, no latency hiding, no reuse across references.
+vectorization, no latency hiding, no reuse across references.  The
+pairs go in through the :class:`~repro.commgen.annotate.Annotator`, so
+a label on the referencing statement moves onto the first send and a
+``goto`` to it runs the communication too.
 """
 
 from repro.analysis.ownership import OwnershipModel
 from repro.analysis.references import collect_accesses
+from repro.commgen.annotate import Annotator
+from repro.core.placement import Position
 from repro.lang import ast
 from repro.lang.parser import parse
 from repro.lang.printer import format_program, format_expr
@@ -43,41 +48,19 @@ def naive_communication(source, owner_computes=False, split_irreducible=False,
     ownership = OwnershipModel(symbols, owner_computes=owner_computes)
     accesses, _ = collect_accesses(analyzed, symbols)
 
-    inserted = []
+    annotator = Annotator(analyzed)
     for access in accesses:
-        stmt = access.node.stmt
-        if stmt is None:
+        if access.node.stmt is None:
             continue
         arg = format_expr(access.ref)
         if ownership.read_needs_communication(access):
-            inserted.append((stmt, ast.Comm("read", "send", [arg]),
-                             ast.Comm("read", "recv", [arg]), "before"))
+            kind, position = "read", Position.BEFORE
         elif ownership.def_needs_writeback(access):
-            inserted.append((stmt, ast.Comm("write", "send", [arg]),
-                             ast.Comm("write", "recv", [arg]), "after"))
-
-    for stmt, send, recv, where in inserted:
-        body, index = _locate(program, stmt)
-        if where == "before":
-            body.insert(index, recv)
-            body.insert(index, send)
+            kind, position = "write", Position.AFTER
         else:
-            body.insert(index + 1, recv)
-            body.insert(index + 1, send)
+            continue
+        for phase in ("send", "recv"):
+            annotator.place_statement(access.node, position,
+                                      ast.Comm(kind, phase, [arg]))
 
     return NaiveResult(analyzed)
-
-
-def _locate(program, stmt):
-    stack = [program.body]
-    while stack:
-        body = stack.pop()
-        for index, candidate in enumerate(body):
-            if candidate is stmt:
-                return body, index
-            if isinstance(candidate, ast.Do):
-                stack.append(candidate.body)
-            elif isinstance(candidate, ast.If):
-                stack.append(candidate.then_body)
-                stack.append(candidate.else_body)
-    raise LookupError(f"statement {stmt!r} not found")

@@ -6,14 +6,19 @@
   (BEFORE/AFTER), initial variables ``TAKE_init`` / ``STEAL_init`` /
   ``GIVE_init``, zero-trip hoisting control.
 * :mod:`repro.core.equations` — the fifteen dataflow equations.
-* :mod:`repro.core.solver` — algorithm *GiveNTake* (Figure 15): four
-  passes, each equation evaluated exactly once per node.
+* :mod:`repro.core.sweep` — algorithm *GiveNTake* (Figure 15): four
+  passes, each equation evaluated exactly once per node — the one
+  driver of the reference kernel (:mod:`repro.core.solver`, with
+  :func:`~repro.core.solver.solve`) and the planned kernel
+  (:mod:`repro.core.kernel`), which both write the one
+  :class:`~repro.core.solution.Solution` store.
 * :mod:`repro.core.placement` — EAGER/LAZY production placements in
   program positions.
 * :mod:`repro.core.checker` — ground-truth validation of the
   correctness criteria C1 (balance), C2 (safety), C3 (sufficiency) and
   optimality O1 over every execution path; :mod:`repro.core.paths`
-  enumerates bounded paths for its path-replay test oracle.
+  enumerates bounded paths and walks them for its path-replay test
+  oracle and for region extraction.
 * :mod:`repro.core.postpass` — shifting production off synthetic nodes
   (§5.4).
 """

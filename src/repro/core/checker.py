@@ -37,7 +37,8 @@ a witness path, searched for only when it is read.
 For AFTER problems the walk runs backward from the exit with edge roles
 swapped, exactly mirroring the solver's BackwardView.
 
-The per-path replay (:func:`_replay` over
+The per-path replay (:func:`_replay` along
+:func:`~repro.core.paths.production_walk` over
 :func:`~repro.core.paths.enumerate_paths`'s bounded paths) stays as the
 reference oracle the exact analysis is tested against.
 """
@@ -46,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from repro.core.paths import production_walk
 from repro.core.placement import Position
 from repro.core.problem import Direction, Timing
 from repro.graph.interval_graph import EdgeType
@@ -438,50 +440,19 @@ def _shortest_walk(first, successors, is_goal):
 def _replay(ifg, problem, placement, path):
     """Replay one entry→exit path; return its violations (each with the
     path as its witness)."""
-    direction = problem.direction
-    if direction is Direction.AFTER:
-        steps = list(reversed(path))
-        first_key, second_key = Position.AFTER, Position.BEFORE
-    else:
-        steps = list(path)
-        first_key, second_key = Position.BEFORE, Position.AFTER
-
-    def incoming_is_cycle(i):
-        """Whether the walk arrives at steps[i] along a (view) CYCLE edge
-        — i.e. a loop back edge; header-entry productions are skipped on
-        back-edge arrivals (they live in the preheader position)."""
-        if i == 0:
-            return False
-        if direction is Direction.AFTER:
-            real = ifg.edge_type(steps[i], steps[i - 1])
-            return real is EdgeType.ENTRY  # reversal maps ENTRY -> CYCLE
-        return ifg.edge_type(steps[i - 1], steps[i]) is EdgeType.CYCLE
-
-    def outgoing_is_fj(i):
-        """Whether the walk leaves steps[i] along a (view) FORWARD or
-        JUMP edge — the only edges exit productions (Eq 15) live on."""
-        if i == len(steps) - 1:
-            return False
-        if direction is Direction.AFTER:
-            real = ifg.edge_type(steps[i + 1], steps[i])
-        else:
-            real = ifg.edge_type(steps[i], steps[i + 1])
-        return real in (EdgeType.FORWARD, EdgeType.JUMP)
-
     state = _State(problem.universe, path)
-
-    for i, node in enumerate(steps):
-        if not incoming_is_cycle(i):
-            state.produce_eager(node, placement.bits_at(node, first_key, Timing.EAGER))
-            state.produce_lazy(node, placement.bits_at(node, first_key, Timing.LAZY))
+    for node, on_arrival, on_departure in production_walk(
+            ifg, path, problem.direction):
+        if on_arrival is not None:
+            state.produce_eager(node, placement.bits_at(node, on_arrival, Timing.EAGER))
+            state.produce_lazy(node, placement.bits_at(node, on_arrival, Timing.LAZY))
         state.consume(node, problem.take_init(node))
         state.give(node, problem.give_init(node))
         state.steal(node, problem.steal_init(node))
-        if outgoing_is_fj(i):
-            state.produce_eager(node, placement.bits_at(node, second_key, Timing.EAGER))
-            state.produce_lazy(node, placement.bits_at(node, second_key, Timing.LAZY))
-
-    state.finish(steps[-1])
+        if on_departure is not None:
+            state.produce_eager(node, placement.bits_at(node, on_departure, Timing.EAGER))
+            state.produce_lazy(node, placement.bits_at(node, on_departure, Timing.LAZY))
+    state.finish(node)
     return state.violations
 
 

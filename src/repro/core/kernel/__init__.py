@@ -2,22 +2,18 @@
 
 The reference :class:`~repro.core.solver.GiveNTakeSolver` pays a large
 Python constant factor on the paper's O(E) bound: one function call per
-equation per node, dict-of-dicts variable lookups, and traversal lists
-rebuilt per solve.  This package removes those constants without
-touching the algorithm:
+equation per node, per-node store lookups, and traversal lists rebuilt
+per solve.  This package removes those constants without touching the
+algorithm:
 
 * :class:`~repro.core.kernel.plan.SolverPlan` — compiled once per
   ``(interval flow graph, direction)`` and cached on the graph: nodes
   mapped to dense integer *slots* (slot order = the view's PREORDER),
   children/adjacency/headers flattened to tuples of slot indices.
-* :class:`~repro.core.kernel.slots.SlotSolution` — the same
-  ``bits``/``elements``/``nodes_with`` API as
-  :class:`~repro.core.solution.Solution`, but stored as flat
-  ``list[int]`` bitset columns indexed by slot.
 * :class:`~repro.core.kernel.planned.PlannedSolver` — sweeps S1–S4 as
-  tight loops over those columns, driven by the reference solver's
-  loop: the backward consumption iteration re-sweeps the whole graph
-  until a sweep changes nothing.
+  tight loops over the slot columns of the one solution store
+  (:class:`~repro.core.solution.Solution`), under the Figure 15 driver
+  both kernels share (:class:`~repro.core.sweep.GiveNTake`).
 
 The planned backend is bit-identical to the reference solver for all
 fifteen variables (``tests/core/test_kernel_equivalence.py``); pick it
@@ -27,6 +23,5 @@ with ``solve(..., backend="planned")`` — the default — or fall back to
 
 from repro.core.kernel.plan import SolverPlan, plan_for
 from repro.core.kernel.planned import PlannedSolver
-from repro.core.kernel.slots import SlotSolution
 
-__all__ = ["SolverPlan", "plan_for", "PlannedSolver", "SlotSolution"]
+__all__ = ["SolverPlan", "plan_for", "PlannedSolver"]

@@ -22,10 +22,10 @@ Bundles
 -------
 The S1/S2 sweep's unit of work at node ``n`` is one *bundle*:
 Equations 9/10 for each child of ``n`` (in FORWARD order, from
-``children``) followed by Equations 1–8 for ``n`` itself.  A backward
-view with jumps (``requires_iteration``) repeats the whole sweep until
-one changes nothing: at most ``natural_bound`` more times unless the
-caller sets another budget.
+``children``) followed by Equations 1–8 for ``n`` itself.  Whether the
+sweep repeats, and how often at most, is the view's business
+(``requires_consumption_iteration``, ``natural_bound``), read by the
+driver (:class:`~repro.core.sweep.GiveNTake`).
 """
 
 from operator import add
@@ -96,19 +96,12 @@ class SolverPlan:
             column[p] = tuple(kids)
         self.children = tuple(column)
 
-        self.requires_iteration = view.requires_consumption_iteration
-        self.natural_bound = (
-            max((view.ifg.level(m) for m, _ in view.ifg.jump_edges()),
-                default=0) + 1
-            if self.requires_iteration else None
-        )
-
         if obs.enabled:
             obs.event("solver", "plan",
                       direction=self.direction,
                       nodes=n,
-                      requires_iteration=self.requires_iteration,
-                      natural_bound=self.natural_bound,
+                      requires_iteration=view.requires_consumption_iteration,
+                      natural_bound=view.natural_bound,
                       duration_s=obs.clock() - start)
             obs.count("solver_plans", "compiled")
 

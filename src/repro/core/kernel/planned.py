@@ -6,52 +6,48 @@ compiled :class:`~repro.core.kernel.plan.SolverPlan`:
 
 * S1/S2 as whole-graph *bundle* sweeps in descending slot order
   (REVERSEPREORDER), each bundle inlining Equations 9/10 for the
-  node's children (FORWARD order) followed by Equations 1–8; backward
-  views with jumps re-sweep until a sweep changes nothing, under the
-  reference solver's budget and convergence check;
+  node's children (FORWARD order) followed by Equations 1–8;
 * S3 (Equations 11–13) and S4 (14/15) in ascending slot order, once
   per timing.
 
-The driver is :meth:`GiveNTakeSolver.run
-<repro.core.solver.GiveNTakeSolver.run>`'s, so both kernels emit the
-same ``solver/run`` event (``backend`` and ``duration_s`` aside) and
+The driver is :class:`~repro.core.sweep.GiveNTake`'s, so both kernels
+run the same sweep sequence, budget and convergence probe and emit the
+same ``solver`` events (``backend`` and ``duration_s`` aside), and
 :func:`repro.obs.profile.run_satisfies_each_equation_once` checks both
 against one formula.
 """
 
 from repro.core.kernel.plan import plan_for
-from repro.core.kernel.slots import SlotSolution
 from repro.core.problem import Timing
 from repro.core.solution import SHARED_VARIABLES
-from repro.obs.collector import current_collector
-from repro.util.errors import SolverBudgetError, SolverError
+from repro.core.sweep import GiveNTake
 
 
-class PlannedSolver:
-    """Plan-driven solver; :func:`repro.core.solver.solve` with
-    ``backend="planned"`` is the usual entry point.
+class PlannedSolver(GiveNTake):
+    """Plan-driven kernel; :func:`repro.core.solver.solve` with
+    ``backend="planned"`` (the default) is the usual entry point
+    (``max_rounds`` as in :class:`~repro.core.sweep.GiveNTake`)."""
 
-    ``max_rounds`` has the reference semantics: an explicit budget on
-    the backward consumption iteration, :class:`SolverBudgetError` when
-    it is exhausted short of the fixpoint; ``None`` applies the natural
-    bound and raises :class:`SolverError` if even that fails.
-    """
+    backend = "planned"
 
-    def __init__(self, view, problem, max_rounds=None, plan=None):
-        self.view = view
-        self.problem = problem
-        self.max_rounds = max_rounds
-        problem.validate_against(view)
-        self.plan = plan if plan is not None else plan_for(view)
-        self.solution = SlotSolution(problem, view, self.plan)
-        self._obs = current_collector()
-        self._consumption_sweeps = 0
+    def __init__(self, view, problem, max_rounds=None):
+        super().__init__(view, problem, max_rounds)
+        self.plan = plan_for(view)
         self._build_operands()
         # The ten S1/S2 columns, in SHARED_VARIABLES order.
         self._columns = columns = tuple(
             self.solution.column(name) for name in SHARED_VARIABLES)
         (self._ST, self._GV, self._BL, self._TO, self._TK, self._TI,
          self._BLl, self._TKl, self._GVl, self._STl) = columns
+
+    def _equation_counts(self):
+        """Each sweep evaluates each equation once per node (9/10 once
+        per child, and ROOT is nobody's child)."""
+        n, sweeps = self.plan.n, self._consumption_sweeps
+        counts = dict.fromkeys(range(1, 9), n * sweeps)
+        counts[9] = counts[10] = (n - 1) * sweeps
+        counts.update(dict.fromkeys(range(11, 16), n * 2))
+        return counts
 
     # -- operand columns -----------------------------------------------------
 
@@ -76,75 +72,6 @@ class PlannedSolver:
             steal0.append(bits)
         self._steal0 = steal0
         self._trust = problem.trust_loop_side_effects
-
-    # -- driver --------------------------------------------------------------
-
-    def run(self):
-        obs = self._obs
-        start = obs.clock() if obs.enabled else 0.0
-        plan = self.plan
-        natural = budget = None
-        checked = False
-        self._full_sweep()
-        converged = True
-        if plan.requires_iteration:
-            natural = plan.natural_bound
-            budget = natural if self.max_rounds is None else self.max_rounds
-            converged = False
-            for _ in range(budget):
-                if not self._full_sweep():
-                    converged = True
-                    break
-            if not converged:
-                checked = True
-                converged = self._consumption_converged()
-            if not converged:
-                if self.max_rounds is not None:
-                    raise SolverBudgetError(
-                        f"consumption fixpoint not reached within "
-                        f"{budget} rounds (natural bound {natural})"
-                    )
-                raise SolverError(
-                    f"consumption fixpoint not reached within the "
-                    f"natural bound of {natural} rounds"
-                )
-        for timing in Timing:
-            self._sweep_production(timing)
-            self._sweep_results(timing)
-        if obs.enabled:
-            self._emit_run_event(start, natural, budget, converged, checked)
-        return self.solution
-
-    def _emit_run_event(self, start, natural, budget, converged, checked):
-        obs = self._obs
-        n = self.plan.n
-        sweeps = self._consumption_sweeps
-        counts = {}
-        for number in range(1, 9):
-            counts[number] = n * sweeps
-        for number in (9, 10):
-            counts[number] = (n - 1) * sweeps  # ROOT is nobody's child
-        for number in range(11, 16):
-            counts[number] = n * 2
-        obs.event(
-            "solver", "run",
-            direction=self.view.direction,
-            backend="planned",
-            nodes=n,
-            consumption_sweeps=sweeps,
-            rounds=sweeps - 1,
-            natural_bound=natural,
-            budget=budget,
-            converged=converged,
-            convergence_checked=checked,
-            equation_evaluations={
-                str(number): count
-                for number, count in sorted(counts.items())
-            },
-            duration_s=obs.clock() - start,
-        )
-        for number, count in counts.items():
-            obs.count("equation_evaluations", number, n=count)
 
     # -- S1/S2: consumption --------------------------------------------------
 
@@ -252,7 +179,7 @@ class PlannedSolver:
             changed = True
         return changed
 
-    def _sweep_bundles(self):
+    def _consume(self):
         """Evaluate every bundle in descending slot order; returns
         whether anything changed."""
         changed = False
@@ -260,19 +187,6 @@ class PlannedSolver:
         for s in range(self.plan.n - 1, -1, -1):
             if eval_bundle(s):
                 changed = True
-        return changed
-
-    def _full_sweep(self):
-        """One whole-graph S1/S2 sweep in descending slot order."""
-        obs = self._obs
-        sweep_start = obs.clock() if obs.enabled else 0.0
-        changed = self._sweep_bundles()
-        self._consumption_sweeps += 1
-        if obs.enabled:
-            obs.event("solver", "sweep", kind="consumption",
-                      index=self._consumption_sweeps, changed=changed,
-                      duration_s=obs.clock() - sweep_start)
-            obs.count("sweeps", "consumption")
         return changed
 
     def _consumption_converged(self):
@@ -289,20 +203,15 @@ class PlannedSolver:
         """
         columns = self._columns
         saved = [column[:] for column in columns]
-        converged = not self._sweep_bundles()
+        converged = not self._consume()
         if not converged:
             for column, values in zip(columns, saved):
                 column[:] = values
-        if self._obs.enabled:
-            self._obs.event("solver", "convergence_check",
-                            converged=converged)
         return converged
 
     # -- S3/S4: production and results ---------------------------------------
 
-    def _sweep_production(self, timing):
-        obs = self._obs
-        sweep_start = obs.clock() if obs.enabled else 0.0
+    def _produce(self, timing):
         plan = self.plan
         sol = self.solution
         ST, GV, TK, TI = self._ST, self._GV, self._TK, self._TI
@@ -339,15 +248,8 @@ class PlannedSolver:
             given[s] = produced
             # Eq 13: GIVEN_out
             given_out[s] = (GV[s] | produced) & ~ST[s]
-        if obs.enabled:
-            obs.event("solver", "sweep", kind="production",
-                      timing=timing.value,
-                      duration_s=obs.clock() - sweep_start)
-            obs.count("sweeps", "production")
 
-    def _sweep_results(self, timing):
-        obs = self._obs
-        sweep_start = obs.clock() if obs.enabled else 0.0
+    def _results(self, timing):
         plan = self.plan
         sol = self.solution
         given_in = sol.column("GIVEN_in", timing)
@@ -364,8 +266,3 @@ class PlannedSolver:
             for t in succs_fj[s]:
                 acc |= given_in[t]
             res_out[s] = acc & ~given_out[s]
-        if obs.enabled:
-            obs.event("solver", "sweep", kind="results",
-                      timing=timing.value,
-                      duration_s=obs.clock() - sweep_start)
-            obs.count("sweeps", "results")

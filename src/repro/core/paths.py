@@ -1,13 +1,23 @@
-"""Bounded execution-path enumeration.
+"""Bounded execution-path enumeration, and the walk a replay takes.
 
 The checker validates placements by *replaying* them along actual control
 flow paths.  :func:`enumerate_paths` yields entry→exit node sequences over
 the real CFG edges, visiting each node at most ``max_node_visits`` times
 per path (so every loop is exercised with 0, 1, … trips) and yielding at
-most ``max_paths`` paths.
+most ``max_paths`` paths.  :func:`production_walk` takes one of them in a
+problem's flow direction and says where along it placed productions fire
+— the trigger rules the path-replay checker and region extraction share.
 
 Paths are deterministic: successors are explored in edge insertion order.
 """
+
+from repro.core.placement import Position
+from repro.core.problem import Direction
+from repro.graph.interval_graph import EdgeType
+
+#: The view edges exit productions (Eq 15) live on; the real edge types
+#: are self-dual under reversal.
+_EXIT_EDGES = (EdgeType.FORWARD, EdgeType.JUMP)
 
 
 def enumerate_paths(ifg, max_paths=200, max_node_visits=3, min_trips=0):
@@ -57,3 +67,35 @@ def path_edge_types(ifg, path):
     """Edge types along a path: ``types[i]`` is the type of the edge
     ``(path[i], path[i+1])``."""
     return [ifg.edge_type(path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+
+def production_walk(ifg, path, direction):
+    """Walk an entry→exit ``path`` in the flow direction of a
+    ``direction`` problem, yielding ``(node, on_arrival, on_departure)``
+    per step: the program position (:class:`~repro.core.placement.Position`)
+    whose productions fire on arriving at and on leaving ``node``, or None.
+
+    The walk is the view's: an AFTER problem walks the path backward,
+    arriving at a node's AFTER position and leaving from its BEFORE one.
+    Arrival productions fire except along a view CYCLE edge (a loop's
+    back edge: header-entry productions live in the preheader position);
+    departure productions fire only along a view FORWARD or JUMP edge.
+    """
+    if direction is Direction.AFTER:
+        steps = path[::-1]
+        arrive, depart = Position.AFTER, Position.BEFORE
+        cycle = EdgeType.ENTRY  # reversal maps ENTRY -> CYCLE
+
+        def edge_type(node, succ):
+            return ifg.edge_type(succ, node)
+    else:
+        steps = path
+        arrive, depart = Position.BEFORE, Position.AFTER
+        cycle = EdgeType.CYCLE
+        edge_type = ifg.edge_type
+    on_arrival = arrive
+    for node, succ in zip(steps, steps[1:]):
+        edge = edge_type(node, succ)
+        yield node, on_arrival, depart if edge in _EXIT_EDGES else None
+        on_arrival = None if edge is cycle else arrive
+    yield steps[-1], on_arrival, None

@@ -134,8 +134,3 @@ class Placement:
 
     def __str__(self):
         return "\n".join(str(p) for p in self.productions())
-
-
-def placement_from(ifg, problem, solution):
-    """Convenience constructor mirroring :func:`repro.core.solver.solve`."""
-    return Placement(ifg, problem, solution)

@@ -7,17 +7,15 @@ window available for latency hiding, the quantity GIVE-N-TAKE's
 non-atomicity exists to maximize (paper §1, §6).
 
 :func:`extract_regions` replays a placement along bounded paths with the
-same trigger rules as the checker and yields every region; C1 (balance)
-guarantees the pairing is well defined.
+checker's trigger rules (:func:`~repro.core.paths.production_walk`) and
+yields every region; C1 (balance) guarantees the pairing is well defined.
 """
 
 from dataclasses import dataclass
 
-from repro.core.paths import enumerate_paths
-from repro.core.placement import Position
-from repro.core.problem import Direction, Timing
+from repro.core.paths import enumerate_paths, production_walk
+from repro.core.problem import Timing
 from repro.graph.cfg import NodeKind
-from repro.graph.interval_graph import EdgeType
 
 
 @dataclass(frozen=True)
@@ -65,37 +63,12 @@ def region_summary(regions):
 
 
 def _replay(ifg, problem, placement, path, path_index):
-    direction = problem.direction
-    if direction is Direction.AFTER:
-        steps = list(reversed(path))
-        first_key, second_key = Position.AFTER, Position.BEFORE
-    else:
-        steps = list(path)
-        first_key, second_key = Position.BEFORE, Position.AFTER
-
     universe = problem.universe
     open_regions = {}  # element -> (start_step, work_at_start)
     regions = []
     work = 0
 
-    def incoming_is_cycle(i):
-        if i == 0:
-            return False
-        if direction is Direction.AFTER:
-            return ifg.edge_type(steps[i], steps[i - 1]) is EdgeType.ENTRY
-        return ifg.edge_type(steps[i - 1], steps[i]) is EdgeType.CYCLE
-
-    def outgoing_is_fj(i):
-        if i == len(steps) - 1:
-            return False
-        if direction is Direction.AFTER:
-            real = ifg.edge_type(steps[i + 1], steps[i])
-        else:
-            real = ifg.edge_type(steps[i], steps[i + 1])
-        return real in (EdgeType.FORWARD, EdgeType.JUMP)
-
     def trigger(node, position, step):
-        nonlocal regions
         for element in universe.members(
                 placement.bits_at(node, position, Timing.EAGER)):
             open_regions[element] = (step, work)
@@ -106,11 +79,12 @@ def _replay(ifg, problem, placement, path, path_index):
                 regions.append(Region(element, path_index, start_step, step,
                                       work - work_at_start))
 
-    for i, node in enumerate(steps):
-        if not incoming_is_cycle(i):
-            trigger(node, first_key, i)
+    for step, (node, on_arrival, on_departure) in enumerate(
+            production_walk(ifg, path, problem.direction)):
+        if on_arrival is not None:
+            trigger(node, on_arrival, step)
         if node.kind is NodeKind.STMT:
             work += 1
-        if outgoing_is_fj(i):
-            trigger(node, second_key, i)
+        if on_departure is not None:
+            trigger(node, on_departure, step)
     return regions

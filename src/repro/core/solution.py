@@ -3,7 +3,17 @@
 Variables are addressed by their paper names (``"STEAL"``, ``"TAKEN_in"``,
 ``"GIVEN_out"``, …).  The S1/S2 variables are timing-independent; the
 S3/S4 variables exist once per timing (EAGER/LAZY).
+
+Each variable is one *slot column*: a ``list[int]`` of bitsets indexed
+by the node's position in the view's PREORDER (``view.position``, the
+slots of the planned kernel's :class:`~repro.core.kernel.plan.SolverPlan`).
+Both kernels and the chaotic-iteration oracle write this one store; the
+planned kernel grabs whole columns via :meth:`Solution.column`, everyone
+else goes through ``bits``/``set_bits``.  Only view nodes have a slot: any
+other node is a ``KeyError``, as is an unknown variable name.
 """
+
+from itertools import compress
 
 from repro.core.problem import Timing
 
@@ -32,17 +42,23 @@ TIMED_VARIABLES = (
 
 
 class Solution:
-    """All dataflow variables of one solved GIVE-N-TAKE instance."""
+    """All dataflow variables of one solved GIVE-N-TAKE instance, as
+    slot columns."""
 
     def __init__(self, problem, view):
         self.problem = problem
         self.view = view
-        self._shared = {name: {} for name in SHARED_VARIABLES}
+        self._slot = view.position
+        n = len(self._slot)
+        self._shared = {name: [0] * n for name in SHARED_VARIABLES}
         self._timed = {
-            timing: {name: {} for name in TIMED_VARIABLES} for timing in Timing
+            timing: {name: [0] * n for name in TIMED_VARIABLES}
+            for timing in Timing
         }
 
-    def _store(self, name, timing):
+    def column(self, name, timing=None):
+        """The slot-indexed bitset column of variable ``name`` (the
+        planned kernel's hot path)."""
         if name in self._shared:
             return self._shared[name]
         if timing is None:
@@ -50,11 +66,11 @@ class Solution:
         return self._timed[timing][name]
 
     def set_bits(self, name, node, bits, timing=None):
-        self._store(name, timing)[node] = bits
+        self.column(name, timing)[self._slot[node]] = bits
 
     def bits(self, name, node, timing=None):
         """Bitset value of variable ``name`` at ``node``."""
-        return self._store(name, timing).get(node, 0)
+        return self.column(name, timing)[self._slot[node]]
 
     def elements(self, name, node, timing=None):
         """Value as a frozenset of universe elements (for tests/printing)."""
@@ -62,26 +78,17 @@ class Solution:
 
     def nonzero(self, name, timing=None):
         """Iterate ``(node, bits)`` for every node whose variable
-        ``name`` is nonempty, in insertion order."""
-        return ((node, bits) for node, bits
-                in self._store(name, timing).items() if bits)
+        ``name`` is nonempty, in view preorder."""
+        column = self.column(name, timing)
+        return compress(zip(self.view.nodes_preorder(), column), column)
 
     def nodes_with(self, name, element, timing=None):
-        """All nodes whose variable ``name`` contains ``element`` — the
-        shape of the paper's §4 example listings (e.g. ``y_b ∈
-        STEAL({2,3})``).
-
-        Returned in deterministic *view preorder* regardless of the
-        order the solver inserted values (the S1/S2 sweeps insert in
-        REVERSEPREORDER), with nodes outside the view appended in
-        insertion order — the same contract every backend's store
-        honors, so reports render identically."""
+        """All nodes whose variable ``name`` contains ``element``, in
+        view preorder — the shape of the paper's §4 example listings
+        (e.g. ``y_b ∈ STEAL({2,3})``)."""
         bit = self.problem.universe.bit(element)
-        order = self.view.position
-        known = len(order)
-        return sorted(
-            (node for node, bits in self.nonzero(name, timing) if bits & bit),
-            key=lambda node: order.get(node, known))
+        return [node for node, bits in self.nonzero(name, timing)
+                if bits & bit]
 
     def format_node(self, node, timing=None):
         """Multi-line dump of every variable at ``node`` (debugging)."""

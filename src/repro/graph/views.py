@@ -32,6 +32,8 @@ adjacency in the view's own edge letters, and ``blocked_headers`` lists
 the nodes ``steal_all`` is true for.
 """
 
+from functools import cached_property
+
 from repro.graph.traversal import preorder, postorder
 
 _BACKWARD_TYPE_MAP = str.maketrans({"E": "C", "C": "E"})
@@ -111,6 +113,9 @@ class ForwardView:
         Never in the forward direction: the paper's evaluation-order
         constraints hold and one pass suffices (§5.2)."""
         return False
+
+    #: The consumption iteration's default round budget: none needed.
+    natural_bound = None
 
     #: Edge letters along which the interval-local S2 flow (Eqs 9/10)
     #: propagates.  Forward: FORWARD and JUMP edges (the paper's
@@ -210,6 +215,15 @@ class BackwardView:
         the fixpoint was reached (the restricted F-only local flow makes
         one pass sufficient in practice; the check is cheap insurance)."""
         return bool(self.ifg.jump_edges())
+
+    @cached_property
+    def natural_bound(self):
+        """The consumption iteration's default round budget — one extra
+        round per crossed nesting level, so the deepest jump source's
+        level plus one — or None when no iteration is required."""
+        if not self.requires_consumption_iteration:
+            return None
+        return max(self.ifg.level(m) for m, _ in self.ifg.jump_edges()) + 1
 
     #: Under reversal, JUMP and SYNTHETIC edges enter loops mid-body —
     #: they are not same-interval flow, so the interval-local S2

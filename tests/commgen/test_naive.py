@@ -35,3 +35,29 @@ def test_naive_message_count_scales_with_trips():
         metrics = simulate(result.annotated_program, bindings={"n": n},
                            policy=ConditionPolicy("always"))
         assert metrics.messages == n  # one per iteration of the k loop
+
+
+def test_naive_communication_survives_a_jump_to_a_labeled_reference():
+    """A ``goto`` to the referencing statement's label must run its
+    send/recv pair too: the label moves onto the send."""
+    from repro.machine import ConditionPolicy, simulate
+
+    source = "\n".join([
+        "real x(100)",
+        "integer a(100)",
+        "integer t(100)",
+        "distribute x(block)",
+        "do i = 1, n",
+        "    if t(i) goto 10",
+        "    y = 1",
+        "10  u = x(a(i))",
+        "enddo",
+    ])
+    result = naive_communication(source)
+    lines = [line.strip() for line in result.annotated_source().splitlines()]
+    send = lines.index("10      READ_Send{x(a(i))}")
+    assert lines[send + 1:send + 3] == ["READ_Recv{x(a(i))}", "u = x(a(i))"]
+    for policy in ("always", "never"):
+        metrics = simulate(result.annotated_program, bindings={"n": 4},
+                           policy=ConditionPolicy(policy))
+        assert metrics.messages == 4, policy

@@ -69,11 +69,6 @@ def reference_plan(view):
         slots(view.preds(node, view.loc_synthetic_letters))
         if view.loc_synthetic_letters else ()
         for node in nodes)
-    plan.requires_iteration = view.requires_consumption_iteration
-    plan.natural_bound = (
-        max((view.ifg.level(m) for m, _ in view.ifg.jump_edges()),
-            default=0) + 1
-        if plan.requires_iteration else None)
     return plan
 
 
@@ -151,13 +146,20 @@ def test_adjacency_matches_view(plan_case):
 
 
 def test_iteration_flag_and_bound_come_from_the_view():
-    analyzed = random_analyzed_program(3, size=18)
-    forward = SolverPlan(ForwardView(analyzed.ifg))
-    assert not forward.requires_iteration
-    assert forward.natural_bound is None
-    backward = SolverPlan(BackwardView(analyzed.ifg))
-    if backward.requires_iteration:
-        assert backward.natural_bound >= 1
+    for seed in range(6):
+        ifg = random_analyzed_program(seed, size=18,
+                                      goto_probability=0.6).ifg
+        forward = ForwardView(ifg)
+        assert not forward.requires_consumption_iteration
+        assert forward.natural_bound is None
+        backward = BackwardView(ifg)
+        assert backward.requires_consumption_iteration == bool(
+            ifg.jump_edges())
+        if backward.requires_consumption_iteration:
+            assert backward.natural_bound == 1 + max(
+                ifg.level(m) for m, _ in ifg.jump_edges())
+        else:
+            assert backward.natural_bound is None
 
 
 def test_plan_cached_per_shape_on_the_graph():
@@ -221,8 +223,8 @@ def _answers(solution, ifg):
 @pytest.mark.parametrize("source", [FIG11_SOURCE, FIG3_SOURCE],
                          ids=["fig11", "fig3"])
 def test_pickled_solutions_answer_like_the_originals(source):
-    """Solutions pickled with their views and plans answer every query
-    after the round trip exactly as the originals do."""
+    """Solutions pickled with their views answer every query after the
+    round trip exactly as the originals do."""
     prepared = prepare_communication(source)
     restored = pickle.loads(pickle.dumps(prepared))
     solutions = ((prepared.read_solution, restored.read_solution),
@@ -230,7 +232,7 @@ def test_pickled_solutions_answer_like_the_originals(source):
     for fresh, copied in solutions:
         assert copied.problem.direction is fresh.problem.direction
         assert copied.view.plan_key == fresh.view.plan_key
-        assert ([node.id for node in copied.plan.nodes]
-                == [node.id for node in fresh.plan.nodes])
+        assert ([node.id for node in copied.view.nodes_preorder()]
+                == [node.id for node in fresh.view.nodes_preorder()])
         assert (_answers(copied, restored.analyzed.ifg)
                 == _answers(fresh, prepared.analyzed.ifg))

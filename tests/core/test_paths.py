@@ -1,6 +1,11 @@
 """Path enumeration tests."""
 
-from repro.core.paths import enumerate_paths, path_edge_types
+import pytest
+
+from repro.core.paths import enumerate_paths, path_edge_types, production_walk
+from repro.core.placement import Position
+from repro.core.problem import Direction
+from repro.core.solver import make_view
 from repro.graph.interval_graph import EdgeType
 from repro.testing.programs import analyze_source
 
@@ -66,3 +71,29 @@ def test_goto_paths_present(fig11):
     assert any(
         node10 in p and p[p.index(node10) - 1] is node4 for p in paths if node10 in p
     )
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_production_walk_follows_the_view(fig11, direction):
+    """The walk runs in the view's direction; arrival productions skip
+    view CYCLE edges and departure productions fire only along view
+    FORWARD/JUMP edges — checked against the view's own neighbor sets."""
+    view = make_view(fig11.ifg, direction)
+    arrive, depart = ((Position.BEFORE, Position.AFTER)
+                      if direction is Direction.BEFORE
+                      else (Position.AFTER, Position.BEFORE))
+    crossed = set()
+    for path in enumerate_paths(fig11.ifg, max_paths=40):
+        steps = list(production_walk(fig11.ifg, path, direction))
+        nodes = [node for node, _, _ in steps]
+        assert nodes == (path if direction is Direction.BEFORE
+                         else path[::-1])
+        assert steps[0][1] is arrive and steps[-1][2] is None
+        for (node, _, on_departure), (succ, on_arrival, _) in zip(
+                steps, steps[1:]):
+            cycle = succ in view.succs(node, "C")
+            crossed.add(cycle)
+            assert on_arrival is (None if cycle else arrive)
+            assert on_departure is (
+                depart if succ in view.succs(node, "FJ") else None)
+    assert crossed == {True, False}  # some path takes a back edge

@@ -10,9 +10,10 @@ Two bugs are pinned down here:
   deciding whether to raise.  The check is now side-effect-free, and
   the tracer lets us assert the exact mutating-sweep count.
 
-Both kernels share the driver, so every test runs each in turn: the
-reference :class:`GiveNTakeSolver` checks without writing, the
-:class:`PlannedSolver` sweeps and restores its columns.
+Both kernels run the one driver (:class:`~repro.core.sweep.GiveNTake`),
+so every test runs each in turn: the reference :class:`GiveNTakeSolver`
+checks without writing, the :class:`PlannedSolver` sweeps and restores
+its columns.
 """
 
 import pytest
@@ -25,9 +26,7 @@ from repro.graph.views import BackwardView
 from repro.testing.programs import FIG11_SOURCE
 from repro.util.errors import SolverBudgetError, SolverError
 
-#: Each kernel with the name of its counted S1/S2 sweep method.
-KERNELS = ((GiveNTakeSolver, "_sweep_consumption"),
-           (PlannedSolver, "_full_sweep"))
+KERNELS = (GiveNTakeSolver, PlannedSolver)
 
 
 def after_instance():
@@ -48,35 +47,34 @@ def snapshot(solution):
             for name in SHARED_VARIABLES}
 
 
-def stuck(kernel, sweep):
-    """``kernel`` with consumption sweeps that claim change forever but
-    never write anything — so the stored state genuinely is not a
-    fixpoint (TAKE is stored as 0 where the problem has take_init
-    bits)."""
+def stuck(kernel):
+    """``kernel`` with S1/S2 sweeps (``_consume``) that claim change
+    forever but never write anything — so the stored state genuinely is
+    not a fixpoint (TAKE is stored as 0 where the problem has take_init
+    bits).  The driver still times and counts each sweep."""
 
     def claim_change(self):
-        self._consumption_sweeps += 1
         return True
 
-    return type(f"Stuck{kernel.__name__}", (kernel,), {sweep: claim_change})
+    return type(f"Stuck{kernel.__name__}", (kernel,), {"_consume": claim_change})
 
 
 def test_exhausted_natural_bound_raises_instead_of_silent_return():
     # Pre-fix, the max_rounds=None path fell out of the loop and
     # returned the unconverged solution without a word.
-    for kernel, sweep in KERNELS:
+    for kernel in KERNELS:
         view, problem = after_instance()
         with pytest.raises(SolverError) as excinfo:
-            stuck(kernel, sweep)(view, problem).run()
+            stuck(kernel)(view, problem).run()
         assert not isinstance(excinfo.value, SolverBudgetError), kernel
         assert "natural bound" in str(excinfo.value), kernel
 
 
 def test_exhausted_explicit_budget_raises_budget_error():
-    for kernel, sweep in KERNELS:
+    for kernel in KERNELS:
         view, problem = after_instance()
         with pytest.raises(SolverBudgetError) as excinfo:
-            stuck(kernel, sweep)(view, problem, max_rounds=2).run()
+            stuck(kernel)(view, problem, max_rounds=2).run()
         assert "2 rounds" in str(excinfo.value), kernel
 
 
@@ -84,7 +82,7 @@ def test_budget_probe_is_side_effect_free():
     """``max_rounds=0``: the initial sweep already converges on this
     instance, and the decision must come from the non-mutating check —
     exactly one mutating consumption sweep, not a probe sweep."""
-    for kernel, _ in KERNELS:
+    for kernel in KERNELS:
         view, problem = after_instance()
         with tracing() as collector:
             kernel(view, problem, max_rounds=0).run()
@@ -99,7 +97,7 @@ def test_budget_probe_is_side_effect_free():
 def test_budget_probe_does_not_inflate_equation_counts():
     """The convergence check's evaluations are a check, not part of the
     elimination order: per-equation counts stay at one sweep's worth."""
-    for kernel, _ in KERNELS:
+    for kernel in KERNELS:
         view, problem = after_instance()
         with tracing() as collector:
             kernel(view, problem, max_rounds=0).run()
@@ -112,22 +110,28 @@ def test_budget_probe_does_not_inflate_equation_counts():
 
 
 def test_convergence_check_does_not_mutate_the_solution():
-    for kernel, sweep in KERNELS:
+    """The probe leaves the store as it found it, fixpoint or not: on
+    the unswept store the planned kernel's probe sweep changes values
+    and must restore them."""
+    for kernel in KERNELS:
         view, problem = after_instance()
         solver = kernel(view, problem)
-        getattr(solver, sweep)()
-        before = snapshot(solver.solution)
-        solver._consumption_converged()
-        assert snapshot(solver.solution) == before, kernel
+        verdicts = []
+        for _ in range(2):  # unswept, then after one sweep
+            before = snapshot(solver.solution)
+            verdicts.append(solver._consumption_converged())
+            assert snapshot(solver.solution) == before, kernel
+            solver._consume()
+        assert verdicts == [False, True], kernel
 
 
 def test_raising_run_leaves_budgeted_state_intact():
     """When the budget is exhausted, the solution must hold exactly what
-    the budgeted sweeps computed — the probe must not have swept again
-    (the planned kernel's probe does sweep, so it must restore)."""
-    for kernel, sweep in KERNELS:
+    the budgeted sweeps computed — the probe must not have kept a
+    sweep."""
+    for kernel in KERNELS:
         view, problem = after_instance()
-        solver = stuck(kernel, sweep)(view, problem, max_rounds=1)
+        solver = stuck(kernel)(view, problem, max_rounds=1)
         with pytest.raises(SolverBudgetError):
             solver.run()
         # The stuck sweeps never write, so any nonzero bits would have
@@ -137,7 +141,7 @@ def test_raising_run_leaves_budgeted_state_intact():
 
 
 def test_default_run_still_converges_with_iteration():
-    for kernel, _ in KERNELS:
+    for kernel in KERNELS:
         view, problem = after_instance()
         with tracing() as collector:
             kernel(view, problem).run()
