@@ -5,6 +5,7 @@ import pytest
 from repro.core import Problem, solve
 from repro.core.placement import Placement, Position, Production
 from repro.core.problem import Direction, Timing
+from repro.graph.cfg import Node, NodeKind
 from repro.testing.generator import random_analyzed_program, random_problem
 from repro.testing.programs import analyze_source
 
@@ -41,17 +42,27 @@ def test_placement_from_columns_equals_per_node_construction(backend,
         assert placement.productions() == expected.productions()
 
 
-def test_placement_skips_root():
+@pytest.mark.parametrize("backend", ["planned", "reference"])
+def test_placement_skips_root_and_side_table_nodes(backend):
     """Only real graph nodes are placed: RES bits the store holds for
-    ROOT never become productions."""
+    ROOT never become productions, and the store keeps no side table
+    for nodes outside the graph, so their bits cannot be stored at all
+    (``KeyError``) and never reach the placement either."""
     analyzed = random_analyzed_program(3, size=20)
     problem = random_problem(analyzed, seed=3, n_elements=4)
-    solution = solve(analyzed.ifg, problem)
+    solution = solve(analyzed.ifg, problem, backend=backend)
     top = problem.universe.top
     root = analyzed.ifg.root
+    strangers = [Node(990100 + i, NodeKind.STMT, name=f"stranger-{i}")
+                 for i in range(2)]
     for timing in Timing:
         solution.set_bits("RES_in", root, top, timing)
         solution.set_bits("RES_out", root, top, timing)
+        for node in strangers:
+            with pytest.raises(KeyError):
+                solution.set_bits("RES_in", node, top, timing)
+            with pytest.raises(KeyError):
+                solution.set_bits("RES_out", node, top, timing)
     placement = Placement(analyzed.ifg, problem, solution)
     expected = per_node_placement(analyzed.ifg, problem, solution)
     assert placement._bits == expected._bits
