@@ -75,7 +75,6 @@ _EXPORTS = {
         "naive_communication",
         "HardenedPipeline",
         "ResourceBudget",
-        "harden_communication",
     ),
     "repro.batch": (
         "BatchOptions",
@@ -117,7 +116,6 @@ _EXPORTS = {
         "compare_schedules",
         "naive_schedule",
         "overlap_schedule",
-        "run_schedule",
     ),
 }
 

@@ -18,9 +18,9 @@ placement counts, stable trace and, for a hardened compile, its rung —
 under the content address of the text and every option that shapes the
 output, and a hit returns that result.  No pipeline object is ever
 cached, so the in-place AST mutation of
-:func:`~repro.commgen.pipeline.annotate_prepared` cannot leak between
-compiles, and a cached run reports byte-identical sources and stable
-traces to an uncached one (``docs/scaling.md``).
+:func:`~repro.commgen.pipeline.generate_communication` cannot leak
+between compiles, and a cached run reports byte-identical sources and
+stable traces to an uncached one (``docs/scaling.md``).
 
 A cached compile is three steps, each callable on its own:
 :func:`lookup_compiled`, :func:`compile_uncached` on a miss, and
@@ -40,7 +40,7 @@ from typing import Optional
 
 from repro.batch.cache import source_fingerprint, validate_fingerprint_value
 from repro.commgen.hardened import HardenedPipeline, ResourceBudget
-from repro.commgen.pipeline import annotate_prepared, prepare_communication
+from repro.commgen.pipeline import generate_communication
 from repro.graph.pipeline import analyzed_program_for
 from repro.lang.printer import format_first_line
 from repro.obs.collector import tracing
@@ -56,10 +56,10 @@ COMPILED_NAMESPACE = "compiled"
 #: ``compile_delta`` request names as its ``base``.
 MERKLE_NAMESPACE = "interval-merkle"
 
-#: prepare_communication keyword defaults — with ``hardened``,
+#: generate_communication keyword defaults — with ``hardened``,
 #: ``split_messages`` and ``trace``, the options that participate in the
 #: content address of a "compiled" entry.
-PREPARE_DEFAULTS = {
+PIPELINE_DEFAULTS = {
     "owner_computes": False,
     "postpass": True,
     "hoist_zero_trip": True,
@@ -95,7 +95,7 @@ class BatchOptions:
     """Knobs of one batch run (picklable, shipped to pool workers).
 
     ``pipeline`` holds :func:`~repro.commgen.pipeline.
-    prepare_communication` keyword overrides; unknown keys, values no
+    generate_communication` keyword overrides; unknown keys, values no
     cache key can hold (:class:`TypeError`) and, with ``hardened``,
     overrides of :data:`HARDENED_FIXED` are rejected eagerly so
     mistakes fail fast rather than silently compiling with defaults or
@@ -107,20 +107,20 @@ class BatchOptions:
     pipeline: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = set(self.pipeline) - set(PREPARE_DEFAULTS)
+        unknown = set(self.pipeline) - set(PIPELINE_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown pipeline option(s): {sorted(unknown)}")
         for key, value in self.pipeline.items():
             validate_fingerprint_value(key, value)
-        kwargs = self.prepare_kwargs()
+        kwargs = self.pipeline_kwargs()
         ignored = [key for key in HARDENED_FIXED
-                   if kwargs[key] != PREPARE_DEFAULTS[key]]
+                   if kwargs[key] != PIPELINE_DEFAULTS[key]]
         if self.hardened and ignored:
             raise ValueError(f"hardened compiles set {ignored} themselves; "
                              f"drop the override(s)")
 
-    def prepare_kwargs(self):
-        merged = dict(PREPARE_DEFAULTS)
+    def pipeline_kwargs(self):
+        merged = dict(PIPELINE_DEFAULTS)
         merged.update(self.pipeline)
         return merged
 
@@ -252,7 +252,7 @@ def compile_one(name, text, cache=None, options=None):
 def _result_key(cache, text, options):
     return cache.key(text, hardened=options.hardened,
                      split_messages=options.split_messages,
-                     trace=options.trace, **options.prepare_kwargs())
+                     trace=options.trace, **options.pipeline_kwargs())
 
 
 def lookup_compiled(cache, name, text, options):
@@ -304,19 +304,18 @@ def store_compiled(cache, text, options, compiled, intervals=None):
 
 
 def _compile_plain(name, text, options, record_intervals):
-    kwargs = options.prepare_kwargs()
+    kwargs = options.pipeline_kwargs()
     # The frontend is built outside the trace scope, so a traced compile
-    # records the prepare and annotate phases only.  It consumes the two
-    # frontend options; prepare_communication gets the rest.
+    # records only what follows it.  It consumes the two frontend
+    # options; generate_communication gets the rest.
     analyzed = analyzed_program_for(
         text, split_irreducible=kwargs.pop("split_irreducible"),
         max_splits=kwargs.pop("max_splits"))
     # Fingerprint the intervals before annotation moves labels around.
     intervals = _interval_record(analyzed) if record_intervals else None
     with tracing() if options.trace else nullcontext() as collector:
-        result = annotate_prepared(
-            prepare_communication(analyzed, **kwargs),
-            split_messages=options.split_messages)
+        result = generate_communication(
+            analyzed, split_messages=options.split_messages, **kwargs)
     trace = stable_form(trace_payload(collector)) if options.trace else None
     reads, writes = result.communication_count()
     return CompiledProgram(name=name, ok=True,
@@ -379,7 +378,7 @@ def interval_diff(cache, compiled, text, base_digest):
 
 
 def _compile_hardened(name, text, options):
-    kwargs = options.prepare_kwargs()
+    kwargs = options.pipeline_kwargs()
     pipeline = HardenedPipeline(
         budget=ResourceBudget(solver_rounds=kwargs["solver_rounds"] or 64,
                               max_splits=kwargs["max_splits"]),

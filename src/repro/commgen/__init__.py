@@ -20,13 +20,7 @@ under resource budgets, degrades down a ladder instead of raising — see
 
 from repro.commgen.problems import build_read_problem, build_write_problem
 from repro.commgen.annotate import Annotator
-from repro.commgen.pipeline import (
-    CommunicationResult,
-    PreparedCommunication,
-    annotate_prepared,
-    generate_communication,
-    prepare_communication,
-)
+from repro.commgen.pipeline import CommunicationResult, generate_communication
 from repro.commgen.naive import naive_communication
 from repro.commgen.hardened import (
     DegradationReport,
@@ -34,7 +28,6 @@ from repro.commgen.hardened import (
     HardenedResult,
     ResourceBudget,
     RungAttempt,
-    harden_communication,
 )
 
 __all__ = [
@@ -42,15 +35,11 @@ __all__ = [
     "build_write_problem",
     "Annotator",
     "CommunicationResult",
-    "PreparedCommunication",
-    "annotate_prepared",
     "generate_communication",
-    "prepare_communication",
     "naive_communication",
     "DegradationReport",
     "HardenedPipeline",
     "HardenedResult",
     "ResourceBudget",
     "RungAttempt",
-    "harden_communication",
 ]

@@ -24,8 +24,8 @@ positions and splices :class:`repro.lang.ast.Comm` statements in:
 * synthetic nodes on loop-exit edges → after the loop;
 * anything else → nearest real neighbor (best effort).
 
-The annotator mutates the program AST it was given; the pipeline owns a
-private parse, so callers never see their input changed.
+The annotator mutates the program AST it was given; the pipeline parses
+text privately, so a caller that passes text never sees it changed.
 """
 
 import copy
@@ -114,34 +114,31 @@ class Annotator:
         local_vars = self._local_vars(node)
         args = [d.format(local_vars=local_vars) for d in descriptors]
         comm = ast.Comm(kind, phase, args, reduce=reduce, timing=timing)
-        self._dispatch(node, position, comm,
-                       synthetic=lambda: self._place_synthetic(
-                           node, kind, phase, descriptors, comm, reduce))
+
+        def landing_pad_comm(jump_source):
+            """The comm with section ranges over the loops the jump
+            exits narrowed to the completed iterations (``lo:var``)."""
+            partial_vars = frozenset(
+                header.stmt.var
+                for header in self.ifg.forest.enclosing_headers(jump_source)
+                if not self.ifg.in_interval(header, node)
+                and isinstance(header.stmt, ast.Do))
+            args = [d.format(partial_vars=partial_vars) for d in descriptors]
+            return ast.Comm(kind, phase, args, reduce=reduce, timing=timing)
+
+        self._dispatch(node, position, comm, landing_pad_comm)
 
     def place_statement(self, node, position, stmt):
         """Insert an arbitrary prebuilt statement at a placement point —
-        the seam the PRE transformer uses to splice ``t = a + b``
-        assignments instead of communication."""
-        self._dispatch(node, position, stmt,
-                       synthetic=lambda: self._place_synthetic_statement(
-                           node, stmt))
+        the seam the PRE transformer and the naive baseline use to splice
+        statements they built themselves; a jump's landing pad gets the
+        statement as it is."""
+        self._dispatch(node, position, stmt, lambda jump_source: stmt)
 
-    def _place_synthetic_statement(self, node, stmt):
-        """Synthetic-node strategies for plain statements: same landing
-        pad / branch-edge / loop-exit handling, no partial sections."""
-        preds = self.ifg.cfg.preds(node)
-        jump_preds = [p for p in preds if self._on_jump_edge(p, node)]
-        if jump_preds:
-            source_stmt = _stmt_of(jump_preds[0])
-            if isinstance(source_stmt, ast.IfGoto):
-                self._insert_on_jump(source_stmt, stmt)
-                return
-            if isinstance(source_stmt, ast.Goto):
-                self._insert_before(source_stmt, stmt)
-                return
-        self._place_synthetic(node, None, None, [], stmt)
-
-    def _dispatch(self, node, position, stmt, synthetic):
+    def _dispatch(self, node, position, stmt, landing_pad):
+        """Insert ``stmt`` at ``(node, position)``; ``landing_pad`` maps
+        the goto a synthetic node's jump edge leaves to the statement
+        its landing pad gets instead."""
         if node.kind in (NodeKind.STMT, NodeKind.HEADER) and node.stmt is not None:
             if position is Position.BEFORE:
                 self._insert_before(node.stmt, stmt)
@@ -160,23 +157,30 @@ class Annotator:
         elif node.kind is NodeKind.EXIT:
             self.program.body.append(stmt)
         elif node.synthetic:
-            synthetic()
+            self._place_synthetic(node, stmt, landing_pad)
         else:
             self._place_fallback(node, stmt)
 
-    def _place_synthetic(self, node, kind, phase, descriptors, comm, reduce=None):
+    def _place_synthetic(self, node, stmt, landing_pad):
         preds = self.ifg.cfg.preds(node)
         jump_preds = [p for p in preds if self._on_jump_edge(p, node)]
         if jump_preds:
-            self._place_on_landing_pad(node, jump_preds[0], kind, phase,
-                                       descriptors, reduce,
-                                       timing=comm.timing)
+            # The jump edge: wrap the jump in a block holding the
+            # landing-pad statement.
+            pad = landing_pad(jump_preds[0])
+            source_stmt = _stmt_of(jump_preds[0])
+            if isinstance(source_stmt, ast.IfGoto):
+                self._insert_on_jump(source_stmt, pad)
+            elif isinstance(source_stmt, ast.Goto):
+                self._insert_before(source_stmt, pad)
+            else:
+                self._place_fallback(node, pad)
             return
         if len(preds) == 1 and isinstance(_stmt_of(preds[0]), ast.If):
-            self._place_on_branch_edge(preds[0], comm)
+            self._place_on_branch_edge(preds[0], stmt)
             return
         if len(preds) == 1 and preds[0].kind is NodeKind.HEADER:
-            self._insert_after(preds[0].stmt, comm)  # loop-exit edge
+            self._insert_after(preds[0].stmt, stmt)  # loop-exit edge
             return
         if node.kind is NodeKind.LATCH:
             # End of the loop body: executes once per iteration.
@@ -186,39 +190,16 @@ class Annotator:
                 None,
             )
             if header is not None:
-                header.stmt.body.append(comm)
+                header.stmt.body.append(stmt)
                 return
         if len(preds) == 1 and isinstance(_stmt_of(preds[0]), ast.IfGoto):
             # The fall-through edge of a jump (the jump edge is handled
-            # above): its label's other entries must not run the comm.
-            self._insert_after(preds[0].stmt, comm)
+            # above): its label's other entries must not run it.
+            self._insert_after(preds[0].stmt, stmt)
             return
-        self._place_fallback(node, comm)
+        self._place_fallback(node, stmt)
 
     # -- specific strategies -----------------------------------------------------
-
-    def _place_on_landing_pad(self, node, jump_source, kind, phase,
-                              descriptors, reduce=None, timing=None):
-        """Wrap the jump in a block holding the communication.
-
-        Section ranges over the loops being exited are narrowed to the
-        completed iterations (``lo:var``)."""
-        partial_vars = set()
-        for header in self.ifg.forest.enclosing_headers(jump_source):
-            if not self.ifg.in_interval(header, node):
-                stmt = header.stmt
-                if isinstance(stmt, ast.Do):
-                    partial_vars.add(stmt.var)
-        args = [d.format(partial_vars=frozenset(partial_vars)) for d in descriptors]
-        comm = ast.Comm(kind, phase, args, reduce=reduce, timing=timing)
-
-        source_stmt = _stmt_of(jump_source)
-        if isinstance(source_stmt, ast.IfGoto):
-            self._insert_on_jump(source_stmt, comm)
-        elif isinstance(source_stmt, ast.Goto):
-            self._insert_before(source_stmt, comm)
-        else:
-            self._place_fallback(node, comm)
 
     def _place_on_branch_edge(self, branch_node, comm):
         """The synthetic node sits on an ``if``'s empty-branch edge:

@@ -3,10 +3,11 @@
 The plain :func:`~repro.commgen.pipeline.generate_communication` either
 produces a placement or raises.  The :class:`HardenedPipeline` instead
 *certifies* what it produces and never gives up on a parseable program:
-every candidate placement is validated with the §3.2 checker over all
-paths (criteria C1 balance and C3 sufficiency), all analysis work runs
-under an explicit :class:`ResourceBudget`, and on any failure the
-pipeline steps down a **degradation ladder**
+every candidate placement must pass the §3.2 checker's acceptance rule
+(:func:`~repro.core.checker.certify_placement`: C1 balance on every
+path, C3 sufficiency where loops run), all analysis work runs under an
+explicit :class:`ResourceBudget`, and on any failure the pipeline steps
+down a **degradation ladder**
 
 1. ``balanced`` — the full pipeline (optimistic jump treatment,
    zero-trip hoisting), the paper's best placement;
@@ -35,7 +36,7 @@ from typing import Optional
 
 from repro.commgen.naive import naive_communication
 from repro.commgen.pipeline import generate_communication
-from repro.core.checker import check_placement_dual
+from repro.core.checker import certify_placement
 from repro.lang.printer import format_program
 from repro.obs.collector import current_collector
 from repro.util.errors import IrreducibleGraphError, ReproError
@@ -254,22 +255,13 @@ class HardenedPipeline:
                     ("write", result.write_problem, result.write_placement))
         ok = True
         for name, problem, placement in problems:
-            balance, sufficiency = check_placement_dual(
-                result.analyzed.ifg, problem, placement)
-            c1 = balance.by_criterion("C1")
-            c3 = sufficiency.by_criterion("C3")
-            attempt.checks[f"{name} C1"] = f"{len(c1)} violations"
-            attempt.checks[f"{name} C3"] = f"{len(c3)} violations"
-            if c1 or c3:
+            report = certify_placement(result.analyzed.ifg, problem,
+                                       placement)
+            for criterion in ("C1", "C3"):
+                attempt.checks[f"{name} {criterion}"] = (
+                    f"{len(report.by_criterion(criterion))} violations")
+            if not report.ok():
                 ok = False
-                first = (c1 + c3)[0]
-                attempt.reason = f"checker: {first}"
+                attempt.reason = f"checker: {report.violations[0]}"
         return ok
 
-
-def harden_communication(source, budget=None, owner_computes=False,
-                         split_messages=True):
-    """Convenience wrapper around :class:`HardenedPipeline`."""
-    pipeline = HardenedPipeline(budget=budget, owner_computes=owner_computes,
-                                split_messages=split_messages)
-    return pipeline.run(source)

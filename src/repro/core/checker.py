@@ -33,6 +33,7 @@ a fixpoint over the graph's node contexts (a loop header reached along
 its back edge skips its entry productions; under ``min_trips=1`` a
 header entered from outside must run its body).  Each violation carries
 a witness path, searched for only when it is read.
+:func:`certify_placement` is the one acceptance rule built on it.
 
 For AFTER problems the walk runs backward from the exit with edge roles
 swapped, exactly mirroring the solver's BackwardView.
@@ -146,6 +147,19 @@ def check_placement_dual(ifg, problem, placement):
     sharing one context graph."""
     graph = _ContextGraph(ifg, problem, placement)
     return graph.check(0), graph.check(1)
+
+
+def certify_placement(ifg, problem, placement):
+    """The acceptance rule for a placement: a :class:`CheckReport` of
+    the C1 (balance) violations on every path, then the C3
+    (sufficiency) violations on the paths where each entered loop runs
+    at least once; ``report.ok()`` accepts.
+
+    The optimistic WRITE solve, the hardened ladder and the overlap
+    bench all accept on it.  Balance on the min-trip paths adds nothing:
+    those paths are a subset of all paths."""
+    full, min_trip = check_placement_dual(ifg, problem, placement)
+    return CheckReport(full.by_criterion("C1") + min_trip.by_criterion("C3"))
 
 
 # -- the exact analysis -------------------------------------------------------

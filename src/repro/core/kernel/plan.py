@@ -7,7 +7,7 @@ headers and per-letter neighbor sets.  It is built once per view
 shape and cached on the interval flow graph itself
 (:func:`plan_for`), so all problems and timings solved on one graph —
 the READ solve plus both WRITE solves of
-:func:`~repro.commgen.pipeline.prepare_communication` — share one
+:func:`~repro.commgen.pipeline.generate_communication` — share one
 forward and one backward plan.
 
 Slots

@@ -6,7 +6,8 @@ the real CFG edges, visiting each node at most ``max_node_visits`` times
 per path (so every loop is exercised with 0, 1, … trips) and yielding at
 most ``max_paths`` paths.  :func:`production_walk` takes one of them in a
 problem's flow direction and says where along it placed productions fire
-— the trigger rules the path-replay checker and region extraction share.
+— the trigger rules the path-replay checker, region extraction and the
+PRE path cost (:func:`repro.pre.gnt_pre.evaluations_on_path`) share.
 
 Paths are deterministic: successors are explored in edge insertion order.
 """
@@ -61,12 +62,6 @@ def enumerate_paths(ifg, max_paths=200, max_node_visits=3, min_trips=0):
 
     explore(cfg.entry)
     return paths
-
-
-def path_edge_types(ifg, path):
-    """Edge types along a path: ``types[i]`` is the type of the edge
-    ``(path[i], path[i+1])``."""
-    return [ifg.edge_type(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
 def production_walk(ifg, path, direction):

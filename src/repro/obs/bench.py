@@ -513,14 +513,15 @@ def overlap_bench():
     (``docs/scheduling.md``).
 
     Per scenario the communication pipeline runs once and its read and
-    write placements are re-certified with the all-paths checker;
+    write placements are re-certified with the checker's acceptance
+    rule (:func:`~repro.core.checker.certify_placement`);
     then each fault variant (clean run first) builds, certifies, and
     runs both schedules through the simulator.  Makespans are simulated
     clock units — fully deterministic, so the gates are exact, not
     tolerance-banded.
     """
     from repro.commgen import generate_communication
-    from repro.core.checker import check_placement
+    from repro.core.checker import certify_placement
     from repro.sched.runner import compare_schedules
     from repro.sched.scenarios import SCENARIOS
 
@@ -528,19 +529,14 @@ def overlap_bench():
     placements = []
     for scenario in SCENARIOS:
         result = generate_communication(scenario.source)
-        placements_ok = True
-        for problem, placement in (
-                (result.read_problem, result.read_placement),
-                (result.write_problem, result.write_placement)):
-            sufficiency = check_placement(result.analyzed.ifg, problem,
-                                          placement, min_trips=1)
-            balance = check_placement(result.analyzed.ifg, problem, placement)
-            placements_ok = (placements_ok
-                             and sufficiency.ok(ignore=("safety", "redundant"))
-                             and not balance.by_kind("balance"))
         placements.append({
             "scenario": scenario.name,
-            "certified": placements_ok,
+            "certified": all(
+                certify_placement(result.analyzed.ifg, problem,
+                                  placement).ok()
+                for problem, placement in (
+                    (result.read_problem, result.read_placement),
+                    (result.write_problem, result.write_placement))),
         })
         program = result.annotated_program
         machine = scenario.machine_model()

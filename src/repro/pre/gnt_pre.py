@@ -32,20 +32,17 @@ def lazy_insertion_nodes(placement, element):
 
 def evaluations_on_path(placement, problem, path, ifg):
     """How many productions (expression evaluations) the LAZY solution
-    executes along ``path`` — the dynamic cost PRE minimizes."""
-    from repro.core.placement import Position
+    executes along ``path`` — the dynamic cost PRE minimizes.  The
+    productions fire where :func:`~repro.core.paths.production_walk`
+    says, as in the checker's path replay."""
+    from repro.core.paths import production_walk
     from repro.core.problem import Timing
-    from repro.graph.interval_graph import EdgeType
 
     count = 0
-    for index, node in enumerate(path):
-        if index > 0 and ifg.edge_type(path[index - 1], node) is EdgeType.CYCLE:
-            continue
-        bits = placement.bits_at(node, Position.BEFORE, Timing.LAZY)
-        count += bin(bits).count("1")
-        if index + 1 < len(path):
-            edge = ifg.edge_type(node, path[index + 1])
-            if edge in (EdgeType.FORWARD, EdgeType.JUMP):
-                bits = placement.bits_at(node, Position.AFTER, Timing.LAZY)
+    for node, on_arrival, on_departure in production_walk(
+            ifg, path, problem.direction):
+        for position in (on_arrival, on_departure):
+            if position is not None:
+                bits = placement.bits_at(node, position, Timing.LAZY)
                 count += bin(bits).count("1")
     return count

@@ -16,7 +16,6 @@ from repro.sched.runner import (
     OverlapComparison,
     ScheduleRunner,
     compare_schedules,
-    run_schedule,
 )
 from repro.sched.taskgraph import MessageGroup, Task, TaskGraph, build_task_graph
 
@@ -32,5 +31,4 @@ __all__ = [
     "compare_schedules",
     "naive_schedule",
     "overlap_schedule",
-    "run_schedule",
 ]

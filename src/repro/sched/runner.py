@@ -21,8 +21,7 @@ from repro.sched.certify import certify_schedule
 from repro.sched.overlap import overlap_schedule
 from repro.sched.taskgraph import build_task_graph
 
-__all__ = ["ScheduleRunner", "run_schedule", "OverlapComparison",
-           "compare_schedules"]
+__all__ = ["ScheduleRunner", "OverlapComparison", "compare_schedules"]
 
 
 class ScheduleRunner(Simulator):
@@ -44,14 +43,6 @@ class ScheduleRunner(Simulator):
                 self._complete(task.comm_kind, list(task.args))
         self._finish_run()
         return self.metrics
-
-
-def run_schedule(schedule, machine=None, faults=None, retry=None):
-    """Run ``schedule``; return the finished runner (metrics on
-    ``.metrics``, observable state via ``.machine_state()``)."""
-    runner = ScheduleRunner(schedule, machine, faults, retry)
-    runner.run()
-    return runner
 
 
 @dataclass

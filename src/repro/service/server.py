@@ -324,66 +324,79 @@ class CompileService(LineServer):
 
     # -- request handlers ----------------------------------------------------
 
-    async def _handle_compile(self, request, send):
-        received = time.monotonic()
-        source = request.get("source")
-        name = request.get("name") or "<request>"
-        delta = request.get("type") == "compile_delta"
-        if not isinstance(source, str):
-            self.metrics.reject(E_BAD_REQUEST)
-            await send(error_response(
-                request, E_BAD_REQUEST,
-                f"{request.get('type')} requests need a string 'source' "
-                f"field"))
-            return
-        # No base digest: still a delta compile, just without
-        # changed-interval diagnostics.
-        base = request.get("base") or None
-        if delta:
-            if base is not None and not isinstance(base, str):
-                self.metrics.reject(E_BAD_REQUEST)
-                await send(error_response(
-                    request, E_BAD_REQUEST,
-                    "compile_delta 'base' must be a string digest"))
-                return
-            if self.cache is None:
-                self.metrics.reject(E_UNAVAILABLE)
-                await send(error_response(
-                    request, E_UNAVAILABLE,
-                    "compile_delta needs the service cache; this service "
-                    "runs with use_cache=False"))
-                return
+    async def _refuse(self, request, send, code, message, units=1, **extra):
+        """Count one refused request and send its error reply."""
+        self.metrics.reject(code, units=units)
+        await send(error_response(request, code, message, **extra))
+
+    async def _run_admitted(self, request, send, what, programs):
+        """The admission step both compile handlers share: parse the
+        request's options and deadline, admit one slot per ``(name,
+        source)`` of ``programs``, and compile them under the deadline.
+
+        Returns the :class:`~repro.batch.driver.CompiledProgram` list in
+        order, or ``None`` once a refusal, ``deadline`` or ``internal``
+        reply has gone out; ``what`` names the request in the deadline
+        message."""
         try:
             options = request_options(request, self.config)
             deadline = request_deadline(request, self.config)
         except ProtocolError as error:
-            self.metrics.reject(E_BAD_REQUEST)
-            await send(error_response(request, E_BAD_REQUEST, str(error)))
-            return
-        code = self._admit(1)
+            await self._refuse(request, send, E_BAD_REQUEST, str(error))
+            return None
+        units = len(programs)
+        code = self._admit(units)
         if code is not None:
-            self.metrics.reject(code)
-            await send(error_response(request, code, ADMISSION_MESSAGES[code],
-                                      retry_after_s=self._retry_after()))
-            return
-        future = self._loop.create_task(self._compile(name, source, options))
+            await self._refuse(request, send, code, ADMISSION_MESSAGES[code],
+                               units=units,
+                               retry_after_s=self._retry_after())
+            return None
+        futures = [self._loop.create_task(self._compile(name, source, options))
+                   for name, source in programs]
         try:
-            compiled = await self._await_with_deadline(future, deadline)
+            return await self._await_with_deadline(asyncio.gather(*futures),
+                                                   deadline)
         except asyncio.TimeoutError:
-            future.cancel()  # lands only if the pool has not started it
-            self.metrics.expire_deadline()
+            for future in futures:
+                future.cancel()  # lands only if the pool has not started it
+            self.metrics.expire_deadline(units=units)
             await send(error_response(
                 request, E_DEADLINE,
-                f"deadline of {deadline:g}s expired before the compile "
+                f"deadline of {deadline:g}s expired before the {what} "
                 f"finished", deadline_s=deadline))
-            return
-        except asyncio.CancelledError:
-            raise
         except Exception as error:  # worker-pool failure, not a ReproError
             self.metrics.internal_error()
             await send(error_response(request, E_INTERNAL,
                                       f"{type(error).__name__}: {error}"))
+        return None
+
+    async def _handle_compile(self, request, send):
+        received = time.monotonic()
+        source = request.get("source")
+        delta = request.get("type") == "compile_delta"
+        if not isinstance(source, str):
+            await self._refuse(request, send, E_BAD_REQUEST,
+                               f"{request.get('type')} requests need a "
+                               f"string 'source' field")
             return
+        # No base digest: still a delta compile, just without
+        # changed-interval diagnostics.
+        base = request.get("base") or None
+        if delta and base is not None and not isinstance(base, str):
+            await self._refuse(request, send, E_BAD_REQUEST,
+                               "compile_delta 'base' must be a string digest")
+            return
+        if delta and self.cache is None:
+            await self._refuse(request, send, E_UNAVAILABLE,
+                               "compile_delta needs the service cache; this "
+                               "service runs with use_cache=False")
+            return
+        results = await self._run_admitted(
+            request, send, "compile",
+            [(request.get("name") or "<request>", source)])
+        if results is None:
+            return
+        compiled, = results
         if delta:
             interval_diff(self.cache, compiled, source, base)
         self.metrics.observe(compiled, time.monotonic() - received)
@@ -394,43 +407,11 @@ class CompileService(LineServer):
         programs = await self._batch_programs(request, send)
         if programs is None:
             return
-        try:
-            options = request_options(request, self.config)
-            deadline = request_deadline(request, self.config)
-        except ProtocolError as error:
-            self.metrics.reject(E_BAD_REQUEST)
-            await send(error_response(request, E_BAD_REQUEST, str(error)))
-            return
-        units = len(programs)
-        code = self._admit(units)
-        if code is not None:
-            self.metrics.reject(code, units=units)
-            await send(error_response(request, code, ADMISSION_MESSAGES[code],
-                                      retry_after_s=self._retry_after()))
-            return
-        futures = [
-            self._loop.create_task(self._compile(
-                p.get("name") or f"<batch-{index}>", p["source"], options))
-            for index, p in enumerate(programs)
-        ]
-        try:
-            results = await self._await_with_deadline(
-                asyncio.gather(*futures), deadline)
-        except asyncio.TimeoutError:
-            for future in futures:
-                future.cancel()
-            self.metrics.expire_deadline(units=units)
-            await send(error_response(
-                request, E_DEADLINE,
-                f"deadline of {deadline:g}s expired before the batch "
-                f"finished", deadline_s=deadline))
-            return
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:
-            self.metrics.internal_error()
-            await send(error_response(request, E_INTERNAL,
-                                      f"{type(error).__name__}: {error}"))
+        results = await self._run_admitted(
+            request, send, "batch",
+            [(p.get("name") or f"<batch-{index}>", p["source"])
+             for index, p in enumerate(programs)])
+        if results is None:
             return
         total = time.monotonic() - received
         for compiled in results:

@@ -6,7 +6,6 @@ from repro.commgen import (
     HardenedPipeline,
     ResourceBudget,
     generate_communication,
-    harden_communication,
 )
 from repro.commgen.hardened import RUNGS
 from repro.core import check_placement
@@ -19,7 +18,7 @@ IRREDUCIBLE = "if t goto 5\ndo i = 1, n\n5 a = 1\nenddo\n"
 
 
 def test_well_behaved_program_stays_on_the_top_rung():
-    hardened = harden_communication(FIG11_SOURCE)
+    hardened = HardenedPipeline().run(FIG11_SOURCE)
     assert hardened.rung == "balanced"
     assert not hardened.report.degraded
     assert hardened.report.reason is None
@@ -30,7 +29,7 @@ def test_well_behaved_program_stays_on_the_top_rung():
 
 @pytest.mark.parametrize("source", [FIG1_SOURCE, FIG3_SOURCE, FIG11_SOURCE])
 def test_paper_figures_certify_on_the_chosen_rung(source):
-    hardened = harden_communication(source)
+    hardened = HardenedPipeline().run(source)
     attempt = hardened.report.attempts[-1]
     assert attempt.ok
     if hardened.rung != "naive":
@@ -43,7 +42,7 @@ def test_paper_figures_certify_on_the_chosen_rung(source):
 
 
 def test_irreducible_input_is_split_not_rejected():
-    hardened = harden_communication(IRREDUCIBLE)
+    hardened = HardenedPipeline().run(IRREDUCIBLE)
     report = hardened.report
     assert report.split_irreducible
     assert report.splits  # the duplicated node is named
@@ -52,11 +51,11 @@ def test_irreducible_input_is_split_not_rejected():
 
 def test_parse_errors_still_raise():
     with pytest.raises(ParseError):
-        harden_communication("do i = 1, n\n")  # missing enddo
+        HardenedPipeline().run("do i = 1, n\n")  # missing enddo
 
 
 def test_report_structure():
-    report = harden_communication(FIG11_SOURCE).report
+    report = HardenedPipeline().run(FIG11_SOURCE).report
     data = report.as_dict()
     assert data["rung"] in RUNGS
     assert isinstance(data["attempts"], list)
@@ -71,7 +70,7 @@ def test_certification_rejects_with_a_witness_past_any_visit_cap(
     the old checker's three-visit cap.  With the pipeline's own check
     stubbed to accept it, the hardened certification must still reject
     the balanced rung and name a witness path in the reason."""
-    import repro.core.checker as checker_mod
+    import repro.commgen.pipeline as pipeline_mod
     from repro.core.checker import CheckReport
     from repro.lang.printer import format_program
     from repro.testing.generator import ArrayProgramGenerator
@@ -80,9 +79,9 @@ def test_certification_rejects_with_a_witness_past_any_visit_cap(
                                       goto_probability=0.3)
     source = [format_program(generator.program(size=30))
               for _ in range(102)][101]
-    monkeypatch.setattr(checker_mod, "check_placement_dual",
-                        lambda *args: (CheckReport([]), CheckReport([])))
-    hardened = harden_communication(source)
+    monkeypatch.setattr(pipeline_mod, "certify_placement",
+                        lambda *args: CheckReport([]))
+    hardened = HardenedPipeline().run(source)
     assert hardened.rung == "conservative"
     rejected = hardened.report.attempts[0]
     assert not rejected.ok
@@ -181,7 +180,7 @@ def test_budget_is_recorded_not_global():
 
 
 def test_owner_computes_mode_supported():
-    hardened = harden_communication(FIG3_SOURCE, owner_computes=True)
+    hardened = HardenedPipeline(owner_computes=True).run(FIG3_SOURCE)
     assert hardened.report.attempts[-1].ok
     assert "WRITE" not in hardened.annotated_source()
 
@@ -189,7 +188,7 @@ def test_owner_computes_mode_supported():
 def test_accepts_parsed_programs():
     from repro.lang.parser import parse
 
-    hardened = harden_communication(parse(FIG11_SOURCE))
+    hardened = HardenedPipeline().run(parse(FIG11_SOURCE))
     assert hardened.rung == "balanced"
 
 

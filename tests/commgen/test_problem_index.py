@@ -12,7 +12,7 @@ import pytest
 
 import repro.commgen.problems as problems
 from repro.analysis.sections import IndirectSection, section_conflicts
-from repro.commgen.pipeline import prepare_communication
+from repro.commgen.pipeline import generate_communication
 from repro.lang.printer import format_program
 from repro.testing.generator import ArrayProgramGenerator
 from repro.testing.programs import (
@@ -114,12 +114,15 @@ def _observable(problem, nodes):
     }
 
 
-def _problems(analyzed, refine, owner_computes):
-    prepared = prepare_communication(analyzed, refine_sections=refine,
-                                     owner_computes=owner_computes)
+def _problems(source, refine, owner_computes):
+    # A compile annotates the AST it analyzes, so each run compiles the
+    # source afresh.
+    analyzed = analyze_source(source)
+    result = generate_communication(analyzed, refine_sections=refine,
+                                    owner_computes=owner_computes)
     nodes = analyzed.ifg.nodes()
-    return (_observable(prepared.read_problem, nodes),
-            _observable(prepared.write_problem, nodes))
+    return (_observable(result.read_problem, nodes),
+            _observable(result.write_problem, nodes))
 
 
 @pytest.mark.parametrize("owner_computes", [False, True])
@@ -128,17 +131,16 @@ def _problems(analyzed, refine, owner_computes):
 def test_indexed_problems_equal_a_full_universe_scan(name, refine,
                                                      owner_computes,
                                                      monkeypatch):
-    analyzed = analyze_source(PROGRAMS[name])
-    indexed = _problems(analyzed, refine, owner_computes)
+    indexed = _problems(PROGRAMS[name], refine, owner_computes)
     monkeypatch.setattr(problems, "_apply_def_effects", _scan_def_effects)
-    scanned = _problems(analyzed, refine, owner_computes)
+    scanned = _problems(PROGRAMS[name], refine, owner_computes)
     assert indexed == scanned
     assert indexed[0]["universe"]  # every input communicates something
 
 
 def test_self_indexed_definition_steals_its_indirect_sections():
     analyzed = analyze_source(SELF_INDEXED)
-    read_problem = prepare_communication(analyzed).read_problem
+    read_problem = generate_communication(analyzed).read_problem
     indirect = [d for d in read_problem.universe
                 if isinstance(d, IndirectSection)]
     assert [str(d) for d in indirect] == ["x(x(1:n))"]

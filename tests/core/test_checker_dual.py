@@ -1,9 +1,10 @@
 """check_placement_dual: both min-trip verdicts, exact over all paths.
 
-``_solve_write`` certifies optimistic WRITE placements with one
-``check_placement_dual`` call.  These tests pin the dual reports to the
-two ``check_placement`` calls they stand for, and pin the verdicts the
-bounded path checker this replaced got wrong.
+``_solve_write`` certifies optimistic WRITE placements with
+``certify_placement``, one ``check_placement_dual`` call.  These tests
+pin the dual reports to the two ``check_placement`` calls they stand
+for, the acceptance rule to the spellings it replaced, and the verdicts
+the bounded path checker this replaced got wrong.
 """
 
 from collections import Counter
@@ -12,9 +13,8 @@ from functools import lru_cache
 import pytest
 
 from repro.commgen import generate_communication
-from repro.commgen.pipeline import prepare_communication
 from repro.core import Problem, check_placement, solve
-from repro.core.checker import check_placement_dual
+from repro.core.checker import certify_placement, check_placement_dual
 from repro.core.placement import Placement
 from repro.graph.views import cached_view
 from repro.lang.printer import format_program
@@ -61,11 +61,11 @@ def assert_dual_matches_single(analyzed, problem, placement):
 def optimistic_write(source):
     """``(analyzed, problem, placement)``: the unblocked WRITE placement
     ``_solve_write`` certifies before it decides whether to fall back."""
-    prepared = prepare_communication(source)
-    ifg, problem = prepared.analyzed.ifg, prepared.write_problem
+    result = generate_communication(source)
+    ifg, problem = result.analyzed.ifg, result.write_problem
     view = cached_view(ifg, "after", blocked=False)
     solution = solve(ifg, problem, view=view)
-    return prepared.analyzed, problem, Placement(ifg, problem, solution)
+    return result.analyzed, problem, Placement(ifg, problem, solution)
 
 
 def hard_violations(full, min_trip):
@@ -142,6 +142,34 @@ def test_seed_304_write_placement_is_sufficient_end_to_end():
         assert not hard, str(report)
 
 
+def test_certify_placement_is_both_former_spellings():
+    """The one acceptance rule equals the optimistic WRITE solve's and
+    the hardened ladder's former spellings on READ and optimistic-WRITE
+    placements of jumpy generator programs, and the sample holds both
+    verdicts."""
+    verdicts = Counter()
+    for seed in range(40):
+        generator = ArrayProgramGenerator(seed=seed, max_depth=3,
+                                          goto_probability=0.3)
+        result = generate_communication(
+            format_program(generator.program(size=30)))
+        ifg, write = result.analyzed.ifg, result.write_problem
+        view = cached_view(ifg, "after", blocked=False)
+        optimistic = Placement(ifg, write, solve(ifg, write, view=view))
+        for problem, placement in ((result.read_problem,
+                                    result.read_placement),
+                                   (write, optimistic)):
+            full, min_trip = check_placement_dual(ifg, problem, placement)
+            solve_write_rule = (not full.by_kind("balance") and min_trip.ok(
+                ignore=("safety", "redundant")))
+            hardened_rule = (not full.by_criterion("C1")
+                             and not min_trip.by_criterion("C3"))
+            accepted = certify_placement(ifg, problem, placement).ok()
+            assert accepted == solve_write_rule == hardened_rule
+            verdicts[accepted] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 @lru_cache(maxsize=None)
 def seed_1_corpus():
     """The first 125 programs of the benchmark's cold-jumpy generator
@@ -168,7 +196,7 @@ def test_bounded_checker_false_accepts_are_rejected(index):
     path = assert_witness_replays(analyzed.ifg, problem, placement, first,
                                   min_trips=first.kind == "sufficiency")
     assert max(Counter(path).values()) == WRONGLY_ACCEPTED[index]
-    # prepare_communication falls back to the conservative solve
+    # generate_communication falls back to the conservative solve
     assert (generate_communication(source).annotated_source()
             == generate_communication(
                 source, after_jumps="conservative").annotated_source())

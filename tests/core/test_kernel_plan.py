@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.commgen.pipeline import prepare_communication
+from repro.commgen.pipeline import generate_communication
 from repro.core.kernel import SolverPlan, plan_for
 from repro.core.problem import Timing
 from repro.core.reference import solutions_equal
@@ -225,14 +225,14 @@ def _answers(solution, ifg):
 def test_pickled_solutions_answer_like_the_originals(source):
     """Solutions pickled with their views answer every query after the
     round trip exactly as the originals do."""
-    prepared = prepare_communication(source)
-    restored = pickle.loads(pickle.dumps(prepared))
-    solutions = ((prepared.read_solution, restored.read_solution),
-                 (prepared.write_solution, restored.write_solution))
+    compiled = generate_communication(source)
+    restored = pickle.loads(pickle.dumps(compiled))
+    solutions = ((compiled.read_solution, restored.read_solution),
+                 (compiled.write_solution, restored.write_solution))
     for fresh, copied in solutions:
         assert copied.problem.direction is fresh.problem.direction
         assert copied.view.plan_key == fresh.view.plan_key
         assert ([node.id for node in copied.view.nodes_preorder()]
                 == [node.id for node in fresh.view.nodes_preorder()])
         assert (_answers(copied, restored.analyzed.ifg)
-                == _answers(fresh, prepared.analyzed.ifg))
+                == _answers(fresh, compiled.analyzed.ifg))

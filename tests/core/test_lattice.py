@@ -139,11 +139,11 @@ def test_problem_freeze_rejects_late_take():
 
 
 def test_pipeline_problems_are_frozen():
-    from repro.commgen.pipeline import prepare_communication
+    from repro.commgen.pipeline import generate_communication
     from repro.testing.programs import FIG11_SOURCE
 
-    prepared = prepare_communication(FIG11_SOURCE)
-    assert prepared.read_problem.universe.is_frozen
-    assert prepared.write_problem.universe.is_frozen
+    result = generate_communication(FIG11_SOURCE)
+    assert result.read_problem.universe.is_frozen
+    assert result.write_problem.universe.is_frozen
     with pytest.raises(SolverError):
-        prepared.read_problem.universe.add("late-element")
+        result.read_problem.universe.add("late-element")

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.core.paths import enumerate_paths, path_edge_types, production_walk
+from repro.core.paths import enumerate_paths, production_walk
 from repro.core.placement import Position
 from repro.core.problem import Direction
 from repro.core.solver import make_view
-from repro.graph.interval_graph import EdgeType
 from repro.testing.programs import analyze_source
 
 
@@ -55,13 +54,6 @@ def test_paths_follow_real_edges(fig11):
     for path in enumerate_paths(fig11.ifg, max_paths=30):
         for i in range(len(path) - 1):
             assert fig11.ifg.cfg.has_edge(path[i], path[i + 1])
-
-
-def test_path_edge_types(fig11):
-    paths = enumerate_paths(fig11.ifg, max_paths=5)
-    types = path_edge_types(fig11.ifg, paths[0])
-    assert len(types) == len(paths[0]) - 1
-    assert all(isinstance(t, EdgeType) for t in types)
 
 
 def test_goto_paths_present(fig11):

@@ -253,6 +253,26 @@ def test_deadline_expires_before_slow_compile_finishes():
             # which the graceful teardown below (stop -> drain) relies on
 
 
+@pytest.mark.parametrize("what", ["compile", "batch"])
+def test_deadline_reply_names_the_request_and_counts_each_program(what):
+    config = ServiceConfig(port=0, workers=1, pool="thread")
+    with ThreadedServer(config) as threaded:
+        with ServiceClient(port=threaded.port) as connection:
+            with pytest.raises(ServiceError) as excinfo:
+                if what == "compile":
+                    connection.compile(SLOW_SOURCE, name="slow",
+                                       deadline_s=0.005)
+                else:
+                    connection.batch([("slow", SLOW_SOURCE),
+                                      ("fig11", FIG11_SOURCE)],
+                                     deadline_s=0.005)
+            assert str(excinfo.value) == (
+                f"deadline: deadline of 0.005s expired before the {what} "
+                f"finished")
+            expired = connection.status()["admission"]["deadline_expired"]
+            assert expired == (1 if what == "compile" else 2)
+
+
 def test_backpressure_rejects_with_retry_hint(monkeypatch):
     config = ServiceConfig(port=0, workers=1, pool="thread", queue_limit=1)
     release = threading.Event()
