@@ -19,28 +19,20 @@ subscript.  This package provides:
   deciding which references require communication.
 """
 
-from repro.analysis.expr import SymExpr, SymRange, NonAffineError
-from repro.analysis.sections import (
-    AffineSection,
-    IndirectSection,
-    PointSection,
-    section_conflicts,
-)
-from repro.analysis.value_numbering import ValueNumbering, LoopContext
-from repro.analysis.references import ArrayAccess, collect_accesses
-from repro.analysis.ownership import OwnershipModel
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "SymExpr",
-    "SymRange",
-    "NonAffineError",
-    "AffineSection",
-    "IndirectSection",
-    "PointSection",
-    "section_conflicts",
-    "ValueNumbering",
-    "LoopContext",
-    "ArrayAccess",
-    "collect_accesses",
-    "OwnershipModel",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.analysis.expr": ("SymExpr", "SymRange", "NonAffineError"),
+    "repro.analysis.sections": (
+        "AffineSection",
+        "IndirectSection",
+        "PointSection",
+        "section_conflicts",
+    ),
+    "repro.analysis.value_numbering": ("ValueNumbering", "LoopContext"),
+    "repro.analysis.references": ("ArrayAccess", "collect_accesses"),
+    "repro.analysis.ownership": ("OwnershipModel",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

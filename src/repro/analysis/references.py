@@ -1,14 +1,12 @@
 """Collection of array accesses, attached to flow-graph nodes."""
 
-from dataclasses import dataclass
-
 from repro.analysis.value_numbering import LoopContext, ValueNumbering
 from repro.lang import ast
 from repro.lang.symbols import SymbolTable
+from repro.util.record import Record
 
 
-@dataclass
-class ArrayAccess:
+class ArrayAccess(Record):
     """One array read or definition.
 
     ``node`` is the CFG node of the statement, ``ref`` the AST
@@ -20,13 +18,18 @@ class ArrayAccess:
     owner instead of being fetched).
     """
 
-    node: object
-    array: str
-    ref: object
-    descriptor: object
-    is_def: bool
-    context: LoopContext
-    reduction: str = None
+    _fields = ("node", "array", "ref", "descriptor", "is_def", "context",
+               "reduction")
+
+    def __init__(self, node, array, ref, descriptor, is_def, context,
+                 reduction=None):
+        self.node = node
+        self.array = array
+        self.ref = ref
+        self.descriptor = descriptor
+        self.is_def = is_def
+        self.context = context
+        self.reduction = reduction
 
     def __repr__(self):
         kind = f"reduce-{self.reduction}" if self.reduction else (

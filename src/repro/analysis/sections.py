@@ -16,9 +16,8 @@ Each descriptor remembers the loop substitutions that produced it
 ``y(a(1:i))`` when production lands on a jump landing pad (Figure 14).
 """
 
-from dataclasses import dataclass, field
-
-from repro.analysis.expr import SymExpr, SymRange
+from repro.analysis.expr import SymRange
+from repro.util.record import FrozenRecord
 
 
 def _format_range(rng, partial_vars, subs):
@@ -39,25 +38,42 @@ def _renders_locally(subs, origin, local_vars):
             and all(sub.var in local_vars for sub in subs))
 
 
-@dataclass(frozen=True)
-class _Substitution:
+class _Substitution(FrozenRecord):
     """Records that a loop variable was replaced by its range."""
 
-    var: str
-    lo: SymExpr
-    hi: SymExpr
+    _fields = ("var", "lo", "hi")
+
+    def __init__(self, var, lo, hi):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def full(self):
         return SymRange(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class PointSection:
+# The descriptors are universe elements, hashed and compared on every
+# interning and every universe lookup, so each spells out its ``==`` and
+# ``hash()`` over the compared fields (never ``subs`` or ``origin``).
+
+
+class PointSection(FrozenRecord):
     """A single, loop-invariant element ``array(index)``."""
 
-    array: str
-    index: SymExpr
+    _fields = ("array", "index")
+
+    def __init__(self, array, index):
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.array, self.index) == (other.array, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.array, self.index))
 
     @property
     def subs(self):
@@ -73,18 +89,28 @@ class PointSection:
         return self.format()
 
 
-@dataclass(frozen=True)
-class AffineSection:
+class AffineSection(FrozenRecord):
     """A dense affine portion ``array(lo:hi)``.
 
     ``origin`` keeps the pre-normalization subscript (``k + 10``) so the
     annotator can print the per-iteration form when the production stays
     inside the substituted loops."""
 
-    array: str
-    range: SymRange
-    subs: tuple = field(default=(), compare=False)
-    origin: SymExpr = field(default=None, compare=False)
+    _fields = ("array", "range", "subs", "origin")
+
+    def __init__(self, array, range, subs=(), origin=None):
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "range", range)
+        object.__setattr__(self, "subs", subs)
+        object.__setattr__(self, "origin", origin)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.array, self.range) == (other.array, other.range)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.array, self.range))
 
     def format(self, partial_vars=frozenset(), local_vars=frozenset()):
         if _renders_locally(self.subs, self.origin, local_vars):
@@ -98,19 +124,30 @@ class AffineSection:
         return self.format()
 
 
-@dataclass(frozen=True)
-class IndirectSection:
+class IndirectSection(FrozenRecord):
     """An indirect portion ``array(index_array(lo:hi))``.
 
     The touched elements are unknown at compile time; the descriptor is
     identified by the indirection array and the range fed to it.
     """
 
-    array: str
-    index_array: str
-    range: SymRange
-    subs: tuple = field(default=(), compare=False)
-    origin: SymExpr = field(default=None, compare=False)
+    _fields = ("array", "index_array", "range", "subs", "origin")
+
+    def __init__(self, array, index_array, range, subs=(), origin=None):
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "index_array", index_array)
+        object.__setattr__(self, "range", range)
+        object.__setattr__(self, "subs", subs)
+        object.__setattr__(self, "origin", origin)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.array, self.index_array, self.range)
+                    == (other.array, other.index_array, other.range))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.array, self.index_array, self.range))
 
     def format(self, partial_vars=frozenset(), local_vars=frozenset()):
         if _renders_locally(self.subs, self.origin, local_vars):
@@ -125,8 +162,7 @@ class IndirectSection:
         return self.format()
 
 
-@dataclass(frozen=True)
-class MultiSection:
+class MultiSection(FrozenRecord):
     """A multi-dimensional portion ``array(r1, r2, …)`` where each
     dimension is a :class:`SymRange` (possibly a point).
 
@@ -134,10 +170,21 @@ class MultiSection:
     disjoint — multi-dimensionality strengthens the §6 refinement.
     """
 
-    array: str
-    ranges: tuple
-    subs: tuple = field(default=(), compare=False)
-    origins: tuple = field(default=None, compare=False)
+    _fields = ("array", "ranges", "subs", "origins")
+
+    def __init__(self, array, ranges, subs=(), origins=None):
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "subs", subs)
+        object.__setattr__(self, "origins", origins)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.array, self.ranges) == (other.array, other.ranges)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.array, self.ranges))
 
     def format(self, partial_vars=frozenset(), local_vars=frozenset()):
         if (self.origins is not None and self.subs

@@ -17,8 +17,6 @@ Anything else (e.g. nested indirection) falls back to a conservative
 whole-array section.
 """
 
-from dataclasses import dataclass
-
 from repro.analysis.expr import NonAffineError, SymExpr, SymRange
 from repro.analysis.sections import (
     AffineSection,
@@ -28,13 +26,16 @@ from repro.analysis.sections import (
 )
 from repro.lang import ast
 from repro.util.errors import AnalysisError
+from repro.util.record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class LoopContext:
+class LoopContext(FrozenRecord):
     """The stack of enclosing loops, outermost first: (var, lo, hi)."""
 
-    loops: tuple = ()
+    _fields = ("loops",)
+
+    def __init__(self, loops=()):
+        object.__setattr__(self, "loops", loops)
 
     @classmethod
     def from_loops(cls, loops):

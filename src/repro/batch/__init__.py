@@ -14,30 +14,23 @@ this package makes corpus-scale compilation cheap (``docs/scaling.md``):
   (``BENCH_batch.json``).
 """
 
-from repro.batch.cache import CACHE_SCHEMA, PipelineCache, source_fingerprint
-from repro.batch.driver import (
-    COMPILED_NAMESPACE,
-    MERKLE_NAMESPACE,
-    BatchOptions,
-    BatchResult,
-    CompiledProgram,
-    compile_delta,
-    compile_many,
-    compile_one,
-    resolve_jobs,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "PipelineCache",
-    "source_fingerprint",
-    "COMPILED_NAMESPACE",
-    "MERKLE_NAMESPACE",
-    "BatchOptions",
-    "BatchResult",
-    "CompiledProgram",
-    "compile_delta",
-    "compile_many",
-    "compile_one",
-    "resolve_jobs",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.batch.cache": ("CACHE_SCHEMA", "PipelineCache",
+                          "source_fingerprint"),
+    "repro.batch.driver": (
+        "COMPILED_NAMESPACE",
+        "MERKLE_NAMESPACE",
+        "BatchOptions",
+        "BatchResult",
+        "CompiledProgram",
+        "compile_delta",
+        "compile_many",
+        "compile_one",
+        "resolve_jobs",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

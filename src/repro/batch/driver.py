@@ -34,18 +34,15 @@ on its event loop (:mod:`repro.service.server`); pool workers run only
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
-from repro.batch.cache import source_fingerprint, validate_fingerprint_value
-from repro.commgen.hardened import HardenedPipeline, ResourceBudget
 from repro.commgen.pipeline import generate_communication
 from repro.graph.pipeline import analyzed_program_for
 from repro.lang.printer import format_first_line
 from repro.obs.collector import tracing
 from repro.obs.trace import stable_form, trace_payload
 from repro.util.errors import ReproError
+from repro.util.record import Record
 
 #: Cache namespace for compile results: the :data:`ENTRY_FIELDS` of a
 #: :class:`CompiledProgram`.
@@ -90,28 +87,32 @@ def resolve_jobs(jobs):
     return jobs
 
 
-@dataclass
-class BatchOptions:
+class BatchOptions(Record):
     """Knobs of one batch run (picklable, shipped to pool workers).
 
     ``pipeline`` holds :func:`~repro.commgen.pipeline.
-    generate_communication` keyword overrides; unknown keys, values no
-    cache key can hold (:class:`TypeError`) and, with ``hardened``,
-    overrides of :data:`HARDENED_FIXED` are rejected eagerly so
-    mistakes fail fast rather than silently compiling with defaults or
-    failing mid-compile."""
+    generate_communication` keyword overrides (``None``: none); unknown
+    keys, values no cache key can hold (:class:`TypeError`) and, with
+    ``hardened``, overrides of :data:`HARDENED_FIXED` are rejected
+    eagerly so mistakes fail fast rather than silently compiling with
+    defaults or failing mid-compile."""
 
-    split_messages: bool = True
-    hardened: bool = False
-    trace: bool = False
-    pipeline: dict = field(default_factory=dict)
+    _fields = ("split_messages", "hardened", "trace", "pipeline")
 
-    def __post_init__(self):
+    def __init__(self, split_messages=True, hardened=False, trace=False,
+                 pipeline=None):
+        self.split_messages = split_messages
+        self.hardened = hardened
+        self.trace = trace
+        self.pipeline = {} if pipeline is None else pipeline
         unknown = set(self.pipeline) - set(PIPELINE_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown pipeline option(s): {sorted(unknown)}")
-        for key, value in self.pipeline.items():
-            validate_fingerprint_value(key, value)
+        if self.pipeline:
+            from repro.batch.cache import validate_fingerprint_value
+
+            for key, value in self.pipeline.items():
+                validate_fingerprint_value(key, value)
         kwargs = self.pipeline_kwargs()
         ignored = [key for key in HARDENED_FIXED
                    if kwargs[key] != PIPELINE_DEFAULTS[key]]
@@ -125,27 +126,37 @@ class BatchOptions:
         return merged
 
 
-@dataclass
-class CompiledProgram:
-    """The outcome of compiling one program of the corpus."""
+class CompiledProgram(Record):
+    """The outcome of compiling one program of the corpus.
 
-    name: str
-    ok: bool
-    annotated_source: Optional[str] = None
-    reads: int = 0
-    writes: int = 0
-    cache_hit: bool = False
-    duration_s: float = 0.0
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    #: hardened mode only: the rung that produced the placement
-    rung: Optional[str] = None
-    degraded: bool = False
-    #: stable-form trace payload (``trace=True`` only)
-    trace: Optional[dict] = None
-    #: :func:`compile_delta` only: the edited and base digests and, when
-    #: the base's interval record is cached, the changed-interval counts
-    incremental: Optional[dict] = None
+    ``rung`` and ``degraded`` are set by hardened compiles only (the
+    rung that produced the placement), ``trace`` holds the stable-form
+    trace payload of a ``trace=True`` compile, and ``incremental`` is
+    set by :func:`compile_delta` only: the edited and base digests and,
+    when the base's interval record is cached, the changed-interval
+    counts."""
+
+    _fields = ("name", "ok", "annotated_source", "reads", "writes",
+               "cache_hit", "duration_s", "error", "error_type", "rung",
+               "degraded", "trace", "incremental")
+
+    def __init__(self, name, ok, annotated_source=None, reads=0, writes=0,
+                 cache_hit=False, duration_s=0.0, error=None,
+                 error_type=None, rung=None, degraded=False, trace=None,
+                 incremental=None):
+        self.name = name
+        self.ok = ok
+        self.annotated_source = annotated_source
+        self.reads = reads
+        self.writes = writes
+        self.cache_hit = cache_hit
+        self.duration_s = duration_s
+        self.error = error
+        self.error_type = error_type
+        self.rung = rung
+        self.degraded = degraded
+        self.trace = trace
+        self.incremental = incremental
 
     def as_dict(self):
         return {
@@ -300,6 +311,8 @@ def store_compiled(cache, text, options, compiled, intervals=None):
     cache.put(COMPILED_NAMESPACE, _result_key(cache, text, options),
               {key: getattr(compiled, key) for key in ENTRY_FIELDS})
     if intervals is not None:
+        from repro.batch.cache import source_fingerprint
+
         cache.put(MERKLE_NAMESPACE, source_fingerprint(text), intervals)
 
 
@@ -364,6 +377,8 @@ def interval_diff(cache, compiled, text, base_digest):
     its digest, the base digest and, when ``cache`` holds both interval
     records, how many of the edited program's intervals are missing
     from the base's.  Returns ``compiled``."""
+    from repro.batch.cache import source_fingerprint
+
     incremental = {"digest": source_fingerprint(text), "base": base_digest}
     if compiled.ok and base_digest:
         base_fps = cache.get(MERKLE_NAMESPACE, base_digest)
@@ -378,6 +393,8 @@ def interval_diff(cache, compiled, text, base_digest):
 
 
 def _compile_hardened(name, text, options):
+    from repro.commgen.hardened import HardenedPipeline, ResourceBudget
+
     kwargs = options.pipeline_kwargs()
     pipeline = HardenedPipeline(
         budget=ResourceBudget(solver_rounds=kwargs["solver_rounds"] or 64,

@@ -71,12 +71,8 @@ status 2 and a one-line ``error: ...`` message — never a traceback.
 import argparse
 import sys
 
-from repro.commgen import (
-    HardenedPipeline,
-    generate_communication,
-    naive_communication,
-)
-from repro.service.config import DEFAULT_PORT as DEFAULT_SERVICE_PORT
+from repro.commgen.pipeline import generate_communication
+from repro.service import DEFAULT_PORT as DEFAULT_SERVICE_PORT
 from repro.testing.programs import analyze_source
 from repro.util.errors import FaultSpecError, ReproError
 
@@ -337,6 +333,7 @@ def _annotate(args, out):
     }
     if args.hardened:
         from repro.batch import BatchOptions
+        from repro.commgen.hardened import HardenedPipeline
 
         try:  # refuses the options the ladder sets itself
             BatchOptions(hardened=True, pipeline=rung_options)
@@ -394,9 +391,13 @@ def _simulate(args, out):
     source = read_source(args.file)
     report = None
     if args.hardened:
+        from repro.commgen.hardened import HardenedPipeline
+
         hardened = HardenedPipeline().run(source)
         result, report = hardened.result, hardened.report
     elif args.naive:
+        from repro.commgen.naive import naive_communication
+
         result = naive_communication(source)
     else:
         result = generate_communication(source)

@@ -18,28 +18,22 @@ under resource budgets, degrades down a ladder instead of raising — see
 ``docs/robustness.md``).
 """
 
-from repro.commgen.problems import build_read_problem, build_write_problem
-from repro.commgen.annotate import Annotator
-from repro.commgen.pipeline import CommunicationResult, generate_communication
-from repro.commgen.naive import naive_communication
-from repro.commgen.hardened import (
-    DegradationReport,
-    HardenedPipeline,
-    HardenedResult,
-    ResourceBudget,
-    RungAttempt,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "build_read_problem",
-    "build_write_problem",
-    "Annotator",
-    "CommunicationResult",
-    "generate_communication",
-    "naive_communication",
-    "DegradationReport",
-    "HardenedPipeline",
-    "HardenedResult",
-    "ResourceBudget",
-    "RungAttempt",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.commgen.problems": ("build_read_problem", "build_write_problem"),
+    "repro.commgen.annotate": ("Annotator",),
+    "repro.commgen.pipeline": ("CommunicationResult",
+                               "generate_communication"),
+    "repro.commgen.naive": ("naive_communication",),
+    "repro.commgen.hardened": (
+        "DegradationReport",
+        "HardenedPipeline",
+        "HardenedResult",
+        "ResourceBudget",
+        "RungAttempt",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

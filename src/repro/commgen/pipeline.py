@@ -13,7 +13,6 @@ from repro.analysis.ownership import OwnershipModel
 from repro.analysis.references import collect_accesses
 from repro.commgen.annotate import Annotator
 from repro.commgen.problems import build_read_problem, build_write_problem
-from repro.core.checker import certify_placement
 from repro.core.placement import Placement
 from repro.core.postpass import shift_synthetic_productions
 from repro.core.solver import solve
@@ -163,6 +162,10 @@ def _solve_write(analyzed, write_problem, after_jumps, solver_rounds=None,
         solution = solve(analyzed.ifg, write_problem, view=view,
                          max_rounds=solver_rounds, backend=solver_backend)
         placement = Placement(analyzed.ifg, write_problem, solution)
+        # Only a graph with jump edges certifies, so only such a compile
+        # loads the checker.
+        from repro.core.checker import certify_placement
+
         if certify_placement(analyzed.ifg, write_problem, placement).ok():
             return solution, placement
     solution = solve(analyzed.ifg, write_problem, max_rounds=solver_rounds,

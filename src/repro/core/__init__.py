@@ -23,35 +23,20 @@
   (§5.4).
 """
 
-from repro.core.lattice import Universe
-from repro.core.problem import Direction, Timing, Problem
-from repro.core.solution import Solution
-from repro.core.solver import solve, GiveNTakeSolver
-from repro.core.placement import Placement, Production
-from repro.core.paths import enumerate_paths
-from repro.core.checker import check_placement, CheckReport, Violation
-from repro.core.postpass import shift_synthetic_productions
-from repro.core.pressure import limit_production_span, measure_spans
-from repro.core.regions import Region, extract_regions, region_summary
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Universe",
-    "Direction",
-    "Timing",
-    "Problem",
-    "Solution",
-    "solve",
-    "GiveNTakeSolver",
-    "Placement",
-    "Production",
-    "enumerate_paths",
-    "check_placement",
-    "CheckReport",
-    "Violation",
-    "shift_synthetic_productions",
-    "limit_production_span",
-    "measure_spans",
-    "Region",
-    "extract_regions",
-    "region_summary",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.core.lattice": ("Universe",),
+    "repro.core.problem": ("Direction", "Timing", "Problem"),
+    "repro.core.solution": ("Solution",),
+    "repro.core.solver": ("solve", "GiveNTakeSolver"),
+    "repro.core.placement": ("Placement", "Production"),
+    "repro.core.paths": ("enumerate_paths",),
+    "repro.core.checker": ("check_placement", "CheckReport", "Violation"),
+    "repro.core.postpass": ("shift_synthetic_productions",),
+    "repro.core.pressure": ("limit_production_span", "measure_spans"),
+    "repro.core.regions": ("Region", "extract_regions", "region_summary"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

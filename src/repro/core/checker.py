@@ -48,7 +48,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.core.paths import production_walk
 from repro.core.placement import Position
 from repro.core.problem import Direction, Timing
 from repro.graph.interval_graph import EdgeType
@@ -454,6 +453,8 @@ def _shortest_walk(first, successors, is_goal):
 def _replay(ifg, problem, placement, path):
     """Replay one entry→exit path; return its violations (each with the
     path as its witness)."""
+    from repro.core.paths import production_walk  # the oracle's walk only
+
     state = _State(problem.universe, path)
     for node, on_arrival, on_departure in production_walk(
             ifg, path, problem.direction):

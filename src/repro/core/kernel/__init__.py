@@ -21,7 +21,12 @@ with ``solve(..., backend="planned")`` — the default — or fall back to
 ``backend="reference"`` (see ``docs/scaling.md``).
 """
 
-from repro.core.kernel.plan import SolverPlan, plan_for
-from repro.core.kernel.planned import PlannedSolver
+from repro.util.lazy import lazy_exports
 
-__all__ = ["SolverPlan", "plan_for", "PlannedSolver"]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.core.kernel.plan": ("SolverPlan", "plan_for"),
+    "repro.core.kernel.planned": ("PlannedSolver",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,11 +12,11 @@ outside (not on the back edge) — textually above the ``do`` statement;
 a production *after* a header executes when the loop exits.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
 from repro.core.problem import Direction, Timing
+from repro.util.record import FrozenRecord
 
 
 class Position(Enum):
@@ -24,15 +24,17 @@ class Position(Enum):
     AFTER = "after"
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(FrozenRecord):
     """One placed production: ``elements`` produced at ``position`` of
     ``node`` in the ``timing`` solution."""
 
-    node: object
-    position: Position
-    timing: Timing
-    elements: frozenset
+    _fields = ("node", "position", "timing", "elements")
+
+    def __init__(self, node, position, timing, elements):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "timing", timing)
+        object.__setattr__(self, "elements", elements)
 
     def __str__(self):
         inner = ", ".join(sorted(str(e) for e in self.elements))

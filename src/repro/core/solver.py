@@ -17,7 +17,6 @@ paper's equation numbers; without one the hot path only pays an
 ``is None`` test per equation.
 """
 
-from repro.core import equations as eq
 from repro.core.kernel.planned import PlannedSolver
 from repro.core.problem import Direction
 from repro.core.sweep import GiveNTake
@@ -30,18 +29,6 @@ from repro.util.errors import SolverError
 #: oracle.  Both are bit-identical for all fifteen variables.
 DEFAULT_BACKEND = "planned"
 
-#: Equations 1–8 in S1's order, as (variable, equation).
-_S1 = (
-    ("STEAL", eq.eq1_steal),
-    ("GIVE", eq.eq2_give),
-    ("BLOCK", eq.eq3_block),
-    ("TAKEN_out", eq.eq4_taken_out),
-    ("TAKE", eq.eq5_take),
-    ("TAKEN_in", eq.eq6_taken_in),
-    ("BLOCK_loc", eq.eq7_block_loc),
-    ("TAKE_loc", eq.eq8_take_loc),
-)
-
 
 class GiveNTakeSolver(GiveNTake):
     """The reference kernel; :func:`solve` with ``backend="reference"``
@@ -53,6 +40,22 @@ class GiveNTakeSolver(GiveNTake):
     def __init__(self, view, problem, max_rounds=None):
         super().__init__(view, problem, max_rounds)
         self._eq_counts = {} if self._obs.enabled else None
+        # Imported here, not at module level: the planned kernel, which
+        # every compile runs, never evaluates an equation by itself.
+        from repro.core import equations as eq
+
+        self._eq = eq
+        # Equations 1–8 in S1's order, as (variable, equation).
+        self._s1 = (
+            ("STEAL", eq.eq1_steal),
+            ("GIVE", eq.eq2_give),
+            ("BLOCK", eq.eq3_block),
+            ("TAKEN_out", eq.eq4_taken_out),
+            ("TAKE", eq.eq5_take),
+            ("TAKEN_in", eq.eq6_taken_in),
+            ("BLOCK_loc", eq.eq7_block_loc),
+            ("TAKE_loc", eq.eq8_take_loc),
+        )
 
     def _equation_counts(self):
         return self._eq_counts
@@ -60,7 +63,7 @@ class GiveNTakeSolver(GiveNTake):
     def _consume(self):
         """One REVERSEPREORDER S1/S2 sweep, counting each evaluation;
         returns whether anything changed."""
-        counts = self._eq_counts
+        counts, eq = self._eq_counts, self._eq
         view, problem, sol = self.view, self.problem, self.solution
         changed = False
         numbers = eq.EQUATION_NUMBERS
@@ -78,7 +81,7 @@ class GiveNTakeSolver(GiveNTake):
             for c in view.children(n):
                 put("GIVE_loc", c, eq.eq9_give_loc(problem, view, sol, c))
                 put("STEAL_loc", c, eq.eq10_steal_loc(problem, view, sol, c))
-            for name, equation in _S1:
+            for name, equation in self._s1:
                 put(name, n, equation(problem, view, sol, n))
         return changed
 
@@ -93,6 +96,7 @@ class GiveNTakeSolver(GiveNTake):
         check, not part of the elimination order).
         """
         view, problem, sol = self.view, self.problem, self.solution
+        eq = self._eq
         for n in view.nodes_reverse_preorder():
             for c in view.children(n):
                 if sol.bits("GIVE_loc", c) != eq.eq9_give_loc(
@@ -101,13 +105,14 @@ class GiveNTakeSolver(GiveNTake):
                 if sol.bits("STEAL_loc", c) != eq.eq10_steal_loc(
                         problem, view, sol, c):
                     return False
-            for name, equation in _S1:
+            for name, equation in self._s1:
                 if sol.bits(name, n) != equation(problem, view, sol, n):
                     return False
         return True
 
     def _produce(self, timing):
         view, problem, sol = self.view, self.problem, self.solution
+        eq = self._eq
         root = view.root
         nodes = view.nodes_preorder()
         self._count_per_node((11, 12, 13), len(nodes))
@@ -124,6 +129,7 @@ class GiveNTakeSolver(GiveNTake):
 
     def _results(self, timing):
         view, problem, sol = self.view, self.problem, self.solution
+        eq = self._eq
         nodes = view.nodes_preorder()
         self._count_per_node((14, 15), len(nodes))
         for n in nodes:

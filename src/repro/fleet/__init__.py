@@ -18,35 +18,26 @@ survive each other:
   ``python -m repro.obs.bench --fleet``.
 """
 
-from repro.fleet.chaos import (
-    ACTIONS,
-    ChaosController,
-    ChaosEvent,
-    ChaosPlan,
-    run_chaos,
-)
-from repro.fleet.harness import LocalFleet, ThreadedRouter, run_fleet
-from repro.fleet.health import CircuitBreaker, HashRing
-from repro.fleet.router import (
-    FleetConfig,
-    FleetMetrics,
-    FleetRouter,
-    ShardHandle,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "ChaosController",
-    "ChaosEvent",
-    "ChaosPlan",
-    "CircuitBreaker",
-    "FleetConfig",
-    "FleetMetrics",
-    "FleetRouter",
-    "HashRing",
-    "LocalFleet",
-    "ShardHandle",
-    "ThreadedRouter",
-    "run_chaos",
-    "run_fleet",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.fleet.chaos": (
+        "ACTIONS",
+        "ChaosController",
+        "ChaosEvent",
+        "ChaosPlan",
+        "run_chaos",
+    ),
+    "repro.fleet.harness": ("LocalFleet", "ThreadedRouter", "run_fleet"),
+    "repro.fleet.health": ("CircuitBreaker", "HashRing"),
+    "repro.fleet.router": (
+        "FleetConfig",
+        "FleetMetrics",
+        "FleetRouter",
+        "ShardHandle",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.sort()

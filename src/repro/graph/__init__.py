@@ -8,33 +8,22 @@ The pipeline is::
     traversal orders, and the Forward/Backward views the solver runs on.
 """
 
-from repro.graph.cfg import ControlFlowGraph, Node, NodeKind
-from repro.graph.builder import build_cfg
-from repro.graph.normalize import normalize, validate_normalized
-from repro.graph.intervals import (
-    compute_dominators,
-    find_back_edges,
-    LoopForest,
-    check_reducible,
-)
-from repro.graph.interval_graph import IntervalFlowGraph, EdgeType
-from repro.graph.views import ForwardView, BackwardView
-from repro.graph.pipeline import interval_graph_for_program
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ControlFlowGraph",
-    "Node",
-    "NodeKind",
-    "build_cfg",
-    "normalize",
-    "validate_normalized",
-    "compute_dominators",
-    "find_back_edges",
-    "LoopForest",
-    "check_reducible",
-    "IntervalFlowGraph",
-    "EdgeType",
-    "ForwardView",
-    "BackwardView",
-    "interval_graph_for_program",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.graph.cfg": ("ControlFlowGraph", "Node", "NodeKind"),
+    "repro.graph.builder": ("build_cfg",),
+    "repro.graph.normalize": ("normalize", "validate_normalized"),
+    "repro.graph.intervals": (
+        "compute_dominators",
+        "find_back_edges",
+        "LoopForest",
+        "check_reducible",
+    ),
+    "repro.graph.interval_graph": ("IntervalFlowGraph", "EdgeType"),
+    "repro.graph.views": ("ForwardView", "BackwardView"),
+    "repro.graph.pipeline": ("interval_graph_for_program",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

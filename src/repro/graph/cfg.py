@@ -7,7 +7,6 @@ passes that insert nodes (latches, landing pads) choose where in that list
 the new node sits.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.util.errors import GraphError
@@ -31,19 +30,19 @@ class NodeKind(Enum):
 _SYNTHETIC_KINDS = {NodeKind.LATCH, NodeKind.BODY_ENTRY, NodeKind.SYNTH}
 
 
-@dataclass
 class Node:
-    """One flow-graph node.
+    """One flow-graph node, equal only to itself and hashed by ``id``.
 
     ``stmt`` is the AST statement the node represents (None for synthetic
     nodes), ``name`` a short human-readable tag used by the dot exporter
     and error messages.
     """
 
-    id: int
-    kind: NodeKind
-    stmt: object = None
-    name: str = ""
+    def __init__(self, id, kind, stmt=None, name=""):
+        self.id = id
+        self.kind = kind
+        self.stmt = stmt
+        self.name = name
 
     @property
     def synthetic(self):

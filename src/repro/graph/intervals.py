@@ -15,8 +15,6 @@ in lists indexed by node id (:attr:`~repro.graph.cfg.ControlFlowGraph.id_bound`)
 not in dicts keyed by :class:`~repro.graph.cfg.Node`.
 """
 
-import hashlib
-
 from repro.util.errors import GraphError, IrreducibleGraphError
 from repro.util.orderedset import OrderedSet
 
@@ -335,6 +333,8 @@ class LoopForest:
         the virtual top-level interval, whose fingerprint covers the
         whole program.
         """
+        import hashlib  # only a cached compile records intervals
+
         order = self._cfg.order_map()
         fingerprints = {}
 

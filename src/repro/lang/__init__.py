@@ -18,20 +18,17 @@ Entry points: :func:`parse` for source text and :func:`repro.lang.printer.
 format_program` to regenerate it.
 """
 
-from repro.lang import ast
-from repro.lang.lexer import tokenize
-from repro.lang.parser import parse
-from repro.lang.printer import format_program, format_statement, format_expr
-from repro.lang.symbols import SymbolTable, ArrayInfo, Distribution
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ast",
-    "tokenize",
-    "parse",
-    "format_program",
-    "format_statement",
-    "format_expr",
-    "SymbolTable",
-    "ArrayInfo",
-    "Distribution",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``);
+#: ``ast`` is the submodule :mod:`repro.lang.ast` itself.
+_EXPORTS = {
+    "repro.lang": ("ast",),
+    "repro.lang.lexer": ("tokenize",),
+    "repro.lang.parser": ("parse",),
+    "repro.lang.printer": ("format_program", "format_statement",
+                           "format_expr"),
+    "repro.lang.symbols": ("SymbolTable", "ArrayInfo", "Distribution"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,13 +1,15 @@
 """Abstract syntax tree for the mini-Fortran language.
 
-Expressions are immutable (frozen dataclasses); statements are mutable so
-the communication annotator can splice :class:`Comm` statements into bodies.
-Every statement carries an optional numeric ``label`` (the target of
-``goto``) and the 1-based source ``line`` it came from (0 for synthesized
-statements).
+Expressions are immutable and hashable (:class:`~repro.util.record.
+FrozenRecord`); statements are mutable (:class:`~repro.util.record.
+Record`) so the communication annotator can splice :class:`Comm`
+statements into bodies.  Both compare equal by their fields and print
+as ``Name(field=value, ...)``.  Every statement carries an optional
+numeric ``label`` (the target of ``goto``) and the 1-based source
+``line`` it came from (0 for synthesized statements), both keyword-only.
 """
 
-from dataclasses import dataclass, field
+from repro.util.record import FrozenRecord, Record
 
 
 # ---------------------------------------------------------------------------
@@ -15,27 +17,30 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(FrozenRecord):
     """Base class for expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
     """Integer literal."""
 
-    value: int
+    _fields = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     """Scalar variable reference (or parameter), e.g. ``n`` or ``test``."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class ArrayRef(Expr):
     """Array element reference ``name(subscripts...)``.
 
@@ -43,24 +48,28 @@ class ArrayRef(Expr):
     reference analysis consults the symbol table to tell them apart.
     """
 
-    name: str
-    subscripts: tuple
+    _fields = ("name", "subscripts")
+
+    def __init__(self, name, subscripts):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "subscripts", subscripts)
 
     def __str__(self):
         inner = ", ".join(str(s) for s in self.subscripts)
         return f"{self.name}({inner})"
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
     """Binary operation; ``op`` is one of ``+ - * / < > <= >= == !=``."""
 
-    op: str
-    left: Expr
-    right: Expr
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op, left, right):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Opaque(Expr):
     """The ``...`` placeholder used throughout the paper's figures.
 
@@ -69,12 +78,14 @@ class Opaque(Expr):
     """
 
 
-@dataclass(frozen=True)
 class RangeExpr(Expr):
     """A section range ``lo:hi``, used in communication argument lists."""
 
-    lo: Expr
-    hi: Expr
+    _fields = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 # ---------------------------------------------------------------------------
@@ -82,23 +93,28 @@ class RangeExpr(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Stmt:
+class Stmt(Record):
     """Base class for statements."""
 
-    label: int = field(default=None, kw_only=True)
-    line: int = field(default=0, kw_only=True)
+    _fields = ("label", "line")
+
+    def __init__(self, *, label=None, line=0):
+        self.label = label
+        self.line = line
 
 
-@dataclass
 class Assign(Stmt):
     """``target = value`` where target is a :class:`Var` or :class:`ArrayRef`."""
 
-    target: Expr
-    value: Expr
+    _fields = ("label", "line", "target", "value")
+
+    def __init__(self, target, value, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class Do(Stmt):
     """``do var = lo, hi [, step] ... enddo``.
 
@@ -106,69 +122,96 @@ class Do(Stmt):
     the zero-trip construct GIVE-N-TAKE hoists out of.
     """
 
-    var: str
-    lo: Expr
-    hi: Expr
-    step: Expr
-    body: list
+    _fields = ("label", "line", "var", "lo", "hi", "step", "body")
+
+    def __init__(self, var, lo, hi, step, body, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.var = var
+        self.lo = lo
+        self.hi = hi
+        self.step = step
+        self.body = body
 
 
-@dataclass
 class If(Stmt):
     """Block ``if cond then ... [else ...] endif``."""
 
-    cond: Expr
-    then_body: list
-    else_body: list
+    _fields = ("label", "line", "cond", "then_body", "else_body")
+
+    def __init__(self, cond, then_body, else_body, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.cond = cond
+        self.then_body = then_body
+        self.else_body = else_body
 
 
-@dataclass
 class IfGoto(Stmt):
     """Logical ``if (cond) goto target`` — the paper's jump out of a loop."""
 
-    cond: Expr
-    target: int
+    _fields = ("label", "line", "cond", "target")
+
+    def __init__(self, cond, target, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.cond = cond
+        self.target = target
 
 
-@dataclass
 class Goto(Stmt):
     """Unconditional ``goto target``."""
 
-    target: int
+    _fields = ("label", "line", "target")
+
+    def __init__(self, target, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.target = target
 
 
-@dataclass
 class Continue(Stmt):
     """``continue`` — a no-op, usually a label carrier."""
 
 
-@dataclass
 class Declaration(Stmt):
     """``real name(size)`` or ``integer name(size)`` (size may be None
     for scalars)."""
 
-    type_name: str
-    name: str
-    size: Expr
+    _fields = ("label", "line", "type_name", "name", "size")
+
+    def __init__(self, type_name, name, size, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.type_name = type_name
+        self.name = name
+        self.size = size
 
 
-@dataclass
 class ParameterDef(Stmt):
     """``parameter name = value``."""
 
-    name: str
-    value: Expr
+    _fields = ("label", "line", "name", "value")
+
+    def __init__(self, name, value, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.name = name
+        self.value = value
 
 
-@dataclass
 class Distribute(Stmt):
     """``distribute name(scheme)`` with scheme in block/cyclic/replicated."""
 
-    name: str
-    scheme: str
+    _fields = ("label", "line", "name", "scheme")
+
+    def __init__(self, name, scheme, *, label=None, line=0):
+        self.label = label
+        self.line = line
+        self.name = name
+        self.scheme = scheme
 
 
-@dataclass
 class Comm(Stmt):
     """A communication statement inserted by the annotator.
 
@@ -182,18 +225,26 @@ class Comm(Stmt):
     the overlap scheduler know each statement's legal-window endpoint.
     """
 
-    kind: str
-    phase: str
-    args: list
-    reduce: str = None
-    timing: str = None
+    _fields = ("label", "line", "kind", "phase", "args", "reduce", "timing")
+
+    def __init__(self, kind, phase, args, reduce=None, timing=None, *,
+                 label=None, line=0):
+        self.label = label
+        self.line = line
+        self.kind = kind
+        self.phase = phase
+        self.args = args
+        self.reduce = reduce
+        self.timing = timing
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A whole program: declarations followed by executable statements."""
 
-    body: list
+    _fields = ("body",)
+
+    def __init__(self, body):
+        self.body = body
 
     def declarations(self):
         """Return the leading declaration-like statements."""

@@ -6,11 +6,11 @@ versus opaque function calls (``test(i)`` in the paper's figures is a call,
 ``y(a(i))`` a reference into a declared array).
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.lang import ast
 from repro.util.errors import AnalysisError
+from repro.util.record import Record
 
 
 class Distribution(Enum):
@@ -21,14 +21,17 @@ class Distribution(Enum):
     REPLICATED = "replicated"
 
 
-@dataclass
-class ArrayInfo:
+class ArrayInfo(Record):
     """Declared array: element type, symbolic size, distribution."""
 
-    name: str
-    type_name: str
-    size: ast.Expr
-    distribution: Distribution = Distribution.REPLICATED
+    _fields = ("name", "type_name", "size", "distribution")
+
+    def __init__(self, name, type_name, size,
+                 distribution=Distribution.REPLICATED):
+        self.name = name
+        self.type_name = type_name
+        self.size = size
+        self.distribution = distribution
 
     @property
     def is_distributed(self):

@@ -19,19 +19,14 @@ quantities (see DESIGN.md, substitutions).
   (see ``docs/robustness.md``).
 """
 
-from repro.machine.model import MachineModel, RetryPolicy
-from repro.machine.executor import Simulator, ConditionPolicy, simulate
-from repro.machine.faults import FaultDecision, FaultPlan, FaultState
-from repro.machine.metrics import ExecutionMetrics
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "MachineModel",
-    "RetryPolicy",
-    "Simulator",
-    "ConditionPolicy",
-    "simulate",
-    "FaultDecision",
-    "FaultPlan",
-    "FaultState",
-    "ExecutionMetrics",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.machine.model": ("MachineModel", "RetryPolicy"),
+    "repro.machine.executor": ("Simulator", "ConditionPolicy", "simulate"),
+    "repro.machine.faults": ("FaultDecision", "FaultPlan", "FaultState"),
+    "repro.machine.metrics": ("ExecutionMetrics",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

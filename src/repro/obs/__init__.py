@@ -14,38 +14,27 @@ The subsystem has three layers:
   long-running compile service (``docs/serving.md``).
 """
 
-from repro.obs.collector import (
-    NULL,
-    NullCollector,
-    TraceCollector,
-    current_collector,
-    set_collector,
-    tracing,
-)
-from repro.obs.histogram import LatencyHistogram
-from repro.obs.profile import (
-    build_profile,
-    format_profile,
-    profile_source,
-    run_satisfies_each_equation_once,
-    summarize,
-)
-from repro.obs.trace import stable_form, to_json, trace_payload
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "NULL",
-    "NullCollector",
-    "LatencyHistogram",
-    "TraceCollector",
-    "current_collector",
-    "set_collector",
-    "tracing",
-    "build_profile",
-    "format_profile",
-    "profile_source",
-    "run_satisfies_each_equation_once",
-    "summarize",
-    "stable_form",
-    "to_json",
-    "trace_payload",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.obs.collector": (
+        "NULL",
+        "NullCollector",
+        "TraceCollector",
+        "current_collector",
+        "set_collector",
+        "tracing",
+    ),
+    "repro.obs.histogram": ("LatencyHistogram",),
+    "repro.obs.profile": (
+        "build_profile",
+        "format_profile",
+        "profile_source",
+        "run_satisfies_each_equation_once",
+        "summarize",
+    ),
+    "repro.obs.trace": ("stable_form", "to_json", "trace_payload"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

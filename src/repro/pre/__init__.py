@@ -21,21 +21,19 @@ without separate equation systems is one of the paper's contributions —
 so the baselines ignore it.
 """
 
-from repro.pre.lazy_code_motion import LCMResult, lazy_code_motion
-from repro.pre.morel_renvoise import MorelRenvoiseResult, morel_renvoise
-from repro.pre.gnt_pre import gnt_pre_placement
-from repro.pre.expressions import build_cse_problem
-from repro.pre.transform import (CSEResult, eliminate_common_subexpressions,
-                                 eliminate_with_lcm)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "LCMResult",
-    "lazy_code_motion",
-    "MorelRenvoiseResult",
-    "morel_renvoise",
-    "gnt_pre_placement",
-    "build_cse_problem",
-    "CSEResult",
-    "eliminate_common_subexpressions",
-    "eliminate_with_lcm",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.pre.lazy_code_motion": ("LCMResult", "lazy_code_motion"),
+    "repro.pre.morel_renvoise": ("MorelRenvoiseResult", "morel_renvoise"),
+    "repro.pre.gnt_pre": ("gnt_pre_placement",),
+    "repro.pre.expressions": ("build_cse_problem",),
+    "repro.pre.transform": (
+        "CSEResult",
+        "eliminate_common_subexpressions",
+        "eliminate_with_lcm",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

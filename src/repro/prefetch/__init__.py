@@ -13,6 +13,11 @@ a completely different cost model, demonstrating the generality claimed
 in §6.
 """
 
-from repro.prefetch.pipeline import PrefetchResult, generate_prefetches
+from repro.util.lazy import lazy_exports
 
-__all__ = ["PrefetchResult", "generate_prefetches"]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.prefetch.pipeline": ("PrefetchResult", "generate_prefetches"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

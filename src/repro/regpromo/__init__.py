@@ -18,6 +18,11 @@ The result is classic scalar replacement: memory traffic inside loops
 collapses to one load before and one store after.
 """
 
-from repro.regpromo.pipeline import RegisterPromotionResult, promote_registers
+from repro.util.lazy import lazy_exports
 
-__all__ = ["RegisterPromotionResult", "promote_registers"]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.regpromo.pipeline": ("RegisterPromotionResult", "promote_registers"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

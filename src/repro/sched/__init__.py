@@ -10,25 +10,24 @@ simulator under the same fault/retry semantics as the naive run.  See
 ``docs/scheduling.md``.
 """
 
-from repro.sched.certify import certify_schedule
-from repro.sched.overlap import Schedule, naive_schedule, overlap_schedule
-from repro.sched.runner import (
-    OverlapComparison,
-    ScheduleRunner,
-    compare_schedules,
-)
-from repro.sched.taskgraph import MessageGroup, Task, TaskGraph, build_task_graph
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "MessageGroup",
-    "OverlapComparison",
-    "Schedule",
-    "ScheduleRunner",
-    "Task",
-    "TaskGraph",
-    "build_task_graph",
-    "certify_schedule",
-    "compare_schedules",
-    "naive_schedule",
-    "overlap_schedule",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.sched.certify": ("certify_schedule",),
+    "repro.sched.overlap": ("Schedule", "naive_schedule", "overlap_schedule"),
+    "repro.sched.runner": (
+        "OverlapComparison",
+        "ScheduleRunner",
+        "compare_schedules",
+    ),
+    "repro.sched.taskgraph": (
+        "MessageGroup",
+        "Task",
+        "TaskGraph",
+        "build_task_graph",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.sort()

@@ -25,12 +25,16 @@ amortize across requests instead of dying with each invocation:
 
 from repro.util.lazy import lazy_exports
 
+#: The port ``repro serve`` / ``repro request`` default to; defined here
+#: so the CLI reads it without loading any service module.
+DEFAULT_PORT = 7421
+
 #: Exports by owning module, imported on first read, so the config and
 #: the protocol load without the server, the runner, the client or
 #: asyncio; ``__all__`` lists them sorted.
 _EXPORTS = {
     "repro.service.client": ("ServiceClient", "ServiceConnectionError"),
-    "repro.service.config": ("DEFAULT_PORT", "ServiceConfig"),
+    "repro.service.config": ("ServiceConfig",),
     "repro.service.metrics": ("ServiceMetrics",),
     "repro.service.protocol": (
         "E_BAD_REQUEST",
@@ -53,4 +57,5 @@ _EXPORTS = {
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("DEFAULT_PORT")
 __all__.sort()

@@ -24,7 +24,7 @@ import contextlib
 import socket
 import time
 
-from repro.service.config import DEFAULT_PORT
+from repro.service import DEFAULT_PORT
 from repro.service.protocol import (
     E_BUSY,
     E_UNAVAILABLE,

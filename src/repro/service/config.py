@@ -13,9 +13,6 @@ from typing import Optional
 
 from repro.batch.driver import BatchOptions
 
-#: The port ``repro serve`` / ``repro request`` default to.
-DEFAULT_PORT = 7421
-
 #: Valid ``pool`` values: ``"process"`` insists on a
 #: ProcessPoolExecutor, ``"thread"`` on threads, ``"auto"`` tries
 #: processes and degrades to threads where multiprocessing is

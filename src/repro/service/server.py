@@ -62,6 +62,11 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 
+# The ladder and, through it, the exact checker load where a compile
+# runs them (``docs/scaling.md``, "Start-up"); a service imports them
+# before its worker pool forks, so no worker imports them on its first
+# hardened or certifying compile.
+import repro.commgen.hardened  # noqa: F401
 from repro.batch.cache import PipelineCache
 from repro.batch.driver import (
     compile_uncached,

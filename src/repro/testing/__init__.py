@@ -10,28 +10,23 @@
   and the linear-scaling benchmark.
 """
 
-from repro.testing.programs import (
-    FIG1_SOURCE,
-    FIG3_SOURCE,
-    FIG11_SOURCE,
-    AnalyzedProgram,
-    analyze_source,
-)
-from repro.testing.graphs import GraphSketch
-from repro.testing.generator import (
-    ProgramGenerator,
-    random_analyzed_program,
-    random_problem,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FIG1_SOURCE",
-    "FIG3_SOURCE",
-    "FIG11_SOURCE",
-    "AnalyzedProgram",
-    "analyze_source",
-    "GraphSketch",
-    "ProgramGenerator",
-    "random_analyzed_program",
-    "random_problem",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.testing.programs": (
+        "FIG1_SOURCE",
+        "FIG3_SOURCE",
+        "FIG11_SOURCE",
+        "AnalyzedProgram",
+        "analyze_source",
+    ),
+    "repro.testing.graphs": ("GraphSketch",),
+    "repro.testing.generator": (
+        "ProgramGenerator",
+        "random_analyzed_program",
+        "random_problem",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,33 +1,24 @@
 """Small shared utilities: error types, ordered sets, formatting helpers,
 and the lazy package exports of :mod:`repro.util.lazy`."""
 
-from repro.util.errors import (
-    ReproError,
-    ParseError,
-    GraphError,
-    IrreducibleGraphError,
-    SolverError,
-    SolverBudgetError,
-    AnalysisError,
-    ExecutionError,
-    CommunicationTimeoutError,
-    FaultSpecError,
-)
-from repro.util.orderedset import OrderedSet
-from repro.util.text import indent_block, format_set
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "ParseError",
-    "GraphError",
-    "IrreducibleGraphError",
-    "SolverError",
-    "SolverBudgetError",
-    "AnalysisError",
-    "ExecutionError",
-    "CommunicationTimeoutError",
-    "FaultSpecError",
-    "OrderedSet",
-    "indent_block",
-    "format_set",
-]
+#: Exports by owning module, imported on first read (``repro.util.lazy``).
+_EXPORTS = {
+    "repro.util.errors": (
+        "ReproError",
+        "ParseError",
+        "GraphError",
+        "IrreducibleGraphError",
+        "SolverError",
+        "SolverBudgetError",
+        "AnalysisError",
+        "ExecutionError",
+        "CommunicationTimeoutError",
+        "FaultSpecError",
+    ),
+    "repro.util.orderedset": ("OrderedSet",),
+    "repro.util.text": ("indent_block", "format_set"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

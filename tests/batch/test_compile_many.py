@@ -294,16 +294,16 @@ def test_hardened_options_reject_what_the_ladder_sets(key, value):
 
 
 def test_hardened_compiles_spend_the_max_splits_budget(monkeypatch):
-    import repro.batch.driver as driver_mod
+    import repro.commgen.hardened as hardened_mod
 
     budgets = []
 
-    class Recording(driver_mod.HardenedPipeline):
+    class Recording(hardened_mod.HardenedPipeline):
         def __init__(self, budget=None, **kwargs):
             budgets.append(budget)
             super().__init__(budget=budget, **kwargs)
 
-    monkeypatch.setattr(driver_mod, "HardenedPipeline", Recording)
+    monkeypatch.setattr(hardened_mod, "HardenedPipeline", Recording)
     options = BatchOptions(hardened=True, pipeline={"max_splits": 2})
     assert compile_one("fig11", FIG11_SOURCE, options=options).ok
     assert budgets[0].max_splits == 2

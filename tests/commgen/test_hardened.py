@@ -70,7 +70,7 @@ def test_certification_rejects_with_a_witness_past_any_visit_cap(
     the old checker's three-visit cap.  With the pipeline's own check
     stubbed to accept it, the hardened certification must still reject
     the balanced rung and name a witness path in the reason."""
-    import repro.commgen.pipeline as pipeline_mod
+    import repro.core.checker as checker_mod
     from repro.core.checker import CheckReport
     from repro.lang.printer import format_program
     from repro.testing.generator import ArrayProgramGenerator
@@ -79,7 +79,9 @@ def test_certification_rejects_with_a_witness_past_any_visit_cap(
                                       goto_probability=0.3)
     source = [format_program(generator.program(size=30))
               for _ in range(102)][101]
-    monkeypatch.setattr(pipeline_mod, "certify_placement",
+    # The pipeline looks the check up in the checker at call time; the
+    # ladder holds its own binding, which stays the real one.
+    monkeypatch.setattr(checker_mod, "certify_placement",
                         lambda *args: CheckReport([]))
     hardened = HardenedPipeline().run(source)
     assert hardened.rung == "conservative"

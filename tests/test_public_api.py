@@ -24,17 +24,146 @@ def _run_fresh(script):
     assert result.returncode == 0, result.stderr
 
 
+#: Every package's ``__all__`` as a set, as it stood before each
+#: package listed its exports in an ``_EXPORTS`` table; the order may
+#: follow the table.
+PACKAGE_EXPORTS = {
+    "repro": frozenset({
+        "AnalyzedProgram", "BatchOptions", "BatchResult", "ChaosPlan",
+        "CompileService", "ConditionPolicy", "Direction", "FaultPlan",
+        "FleetConfig", "FleetRouter", "HardenedPipeline", "IntervalFlowGraph",
+        "LocalFleet", "MachineModel", "NullCollector", "PipelineCache",
+        "Placement", "Problem", "ResourceBudget", "RetryPolicy", "Schedule",
+        "ScheduleRunner", "ServiceClient", "ServiceConfig", "ServiceError",
+        "Solution", "TaskGraph", "ThreadedServer", "Timing", "TraceCollector",
+        "Universe", "__version__", "analyze_source", "build_cfg",
+        "build_task_graph", "certify_schedule", "check_placement",
+        "compare_schedules", "compile_many", "compile_one",
+        "current_collector", "enumerate_paths", "extract_regions",
+        "format_program", "generate_communication",
+        "interval_graph_for_program", "limit_production_span",
+        "measure_spans", "naive_communication", "naive_schedule", "normalize",
+        "overlap_schedule", "parse", "profile_source", "region_summary",
+        "resolve_jobs", "shift_synthetic_productions", "simulate", "solve",
+        "stable_form", "tracing"
+    }),
+    "repro.analysis": frozenset({
+        "AffineSection", "ArrayAccess", "IndirectSection", "LoopContext",
+        "NonAffineError", "OwnershipModel", "PointSection", "SymExpr",
+        "SymRange", "ValueNumbering", "collect_accesses", "section_conflicts"
+    }),
+    "repro.batch": frozenset({
+        "BatchOptions", "BatchResult", "CACHE_SCHEMA", "COMPILED_NAMESPACE",
+        "CompiledProgram", "MERKLE_NAMESPACE", "PipelineCache",
+        "compile_delta", "compile_many", "compile_one", "resolve_jobs",
+        "source_fingerprint"
+    }),
+    "repro.commgen": frozenset({
+        "Annotator", "CommunicationResult", "DegradationReport",
+        "HardenedPipeline", "HardenedResult", "ResourceBudget", "RungAttempt",
+        "build_read_problem", "build_write_problem", "generate_communication",
+        "naive_communication"
+    }),
+    "repro.core": frozenset({
+        "CheckReport", "Direction", "GiveNTakeSolver", "Placement", "Problem",
+        "Production", "Region", "Solution", "Timing", "Universe", "Violation",
+        "check_placement", "enumerate_paths", "extract_regions",
+        "limit_production_span", "measure_spans", "region_summary",
+        "shift_synthetic_productions", "solve"
+    }),
+    "repro.core.kernel": frozenset({
+        "PlannedSolver", "SolverPlan", "plan_for"
+    }),
+    "repro.fleet": frozenset({
+        "ACTIONS", "ChaosController", "ChaosEvent", "ChaosPlan",
+        "CircuitBreaker", "FleetConfig", "FleetMetrics", "FleetRouter",
+        "HashRing", "LocalFleet", "ShardHandle", "ThreadedRouter",
+        "run_chaos", "run_fleet"
+    }),
+    "repro.graph": frozenset({
+        "BackwardView", "ControlFlowGraph", "EdgeType", "ForwardView",
+        "IntervalFlowGraph", "LoopForest", "Node", "NodeKind", "build_cfg",
+        "check_reducible", "compute_dominators", "find_back_edges",
+        "interval_graph_for_program", "normalize", "validate_normalized"
+    }),
+    "repro.lang": frozenset({
+        "ArrayInfo", "Distribution", "SymbolTable", "ast", "format_expr",
+        "format_program", "format_statement", "parse", "tokenize"
+    }),
+    "repro.machine": frozenset({
+        "ConditionPolicy", "ExecutionMetrics", "FaultDecision", "FaultPlan",
+        "FaultState", "MachineModel", "RetryPolicy", "Simulator", "simulate"
+    }),
+    "repro.obs": frozenset({
+        "LatencyHistogram", "NULL", "NullCollector", "TraceCollector",
+        "build_profile", "current_collector", "format_profile",
+        "profile_source", "run_satisfies_each_equation_once", "set_collector",
+        "stable_form", "summarize", "to_json", "trace_payload", "tracing"
+    }),
+    "repro.pre": frozenset({
+        "CSEResult", "LCMResult", "MorelRenvoiseResult", "build_cse_problem",
+        "eliminate_common_subexpressions", "eliminate_with_lcm",
+        "gnt_pre_placement", "lazy_code_motion", "morel_renvoise"
+    }),
+    "repro.prefetch": frozenset({
+        "PrefetchResult", "generate_prefetches"
+    }),
+    "repro.regpromo": frozenset({
+        "RegisterPromotionResult", "promote_registers"
+    }),
+    "repro.sched": frozenset({
+        "MessageGroup", "OverlapComparison", "Schedule", "ScheduleRunner",
+        "Task", "TaskGraph", "build_task_graph", "certify_schedule",
+        "compare_schedules", "naive_schedule", "overlap_schedule"
+    }),
+    "repro.service": frozenset({
+        "CompileService", "DEFAULT_PORT", "ERROR_CODES", "E_BAD_REQUEST",
+        "E_BUSY", "E_DEADLINE", "E_DRAINING", "E_INTERNAL", "E_UNAVAILABLE",
+        "MAX_LINE_BYTES", "PROTOCOL", "ProtocolError", "REQUEST_TYPES",
+        "ServiceClient", "ServiceConfig", "ServiceConnectionError",
+        "ServiceError", "ServiceMetrics", "ThreadedServer", "decode_message",
+        "encode_message", "run_service"
+    }),
+    "repro.testing": frozenset({
+        "AnalyzedProgram", "FIG11_SOURCE", "FIG1_SOURCE", "FIG3_SOURCE",
+        "GraphSketch", "ProgramGenerator", "analyze_source",
+        "random_analyzed_program", "random_problem"
+    }),
+    "repro.util": frozenset({
+        "AnalysisError", "CommunicationTimeoutError", "ExecutionError",
+        "FaultSpecError", "GraphError", "IrreducibleGraphError", "OrderedSet",
+        "ParseError", "ReproError", "SolverBudgetError", "SolverError",
+        "format_set", "indent_block"
+    }),
+}
+
+
+def _lazy_packages():
+    """Every package under ``repro`` (``repro`` included) that resolves
+    its exports through an ``_EXPORTS`` table."""
+    import importlib
+    import pkgutil
+
+    names = ["repro"] + [info.name for info in pkgutil.walk_packages(
+        repro.__path__, "repro.") if info.ispkg]
+    packages = [importlib.import_module(name) for name in names]
+    return [package for package in packages if hasattr(package, "_EXPORTS")]
+
+
 def test_all_symbols_resolve():
-    """``repro`` and ``repro.service`` resolve their exports on first
-    access: each name once, to its owning module's object, listed by
-    ``dir`` and bound by a star import; other names raise, and a
+    """Every package resolves its exports on first access: each name
+    once, to its owning module's object (or the submodule itself, for a
+    name listed under the package), listed by ``dir`` and bound by a
+    star import; other names raise, ``__all__`` keeps its names, and a
     subpackage resolves after a bare ``import repro``."""
     import importlib
 
-    import repro.service
-
-    for module in (repro, repro.service):
+    packages = _lazy_packages()
+    assert {package.__name__ for package in packages} == set(
+        PACKAGE_EXPORTS)
+    for module in packages:
         assert len(set(module.__all__)) == len(module.__all__)
+        assert set(module.__all__) == PACKAGE_EXPORTS[module.__name__]
         for name in module.__all__:
             assert hasattr(module, name), name
         assert set(module.__all__) <= set(dir(module))
@@ -42,9 +171,11 @@ def test_all_symbols_resolve():
         exec(f"from {module.__name__} import *", namespace)
         assert set(module.__all__) <= set(namespace)
         for owner, names in module._EXPORTS.items():
-            owning = importlib.import_module(owner)
             for name in names:
-                assert getattr(module, name) is getattr(owning, name), name
+                expected = (importlib.import_module(f"{owner}.{name}")
+                            if owner == module.__name__ else
+                            getattr(importlib.import_module(owner), name))
+                assert getattr(module, name) is expected, name
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
     _run_fresh("import repro\n"
@@ -134,18 +265,67 @@ def test_compile_path_imports_only_the_compiler():
     )
 
 
+#: What a compile runs only in some cases, imported where it runs: the
+#: result cache (with ``pickle`` and ``hashlib``), the hardened ladder
+#: and its naive rung, the exact checker (only a graph with jump edges
+#: certifies) and its path-replay walk, the reference kernel's
+#: equations, and the analyses and test builders no compile runs; and
+#: ``dataclasses`` (with ``inspect``), since no class a plain compile
+#: creates is one.
+DEFERRED_FROM_THE_COMPILE_PATH = (
+    "repro.batch.cache", "repro.commgen.hardened", "repro.commgen.naive",
+    "repro.core.checker", "repro.core.equations", "repro.core.paths",
+    "repro.core.pressure", "repro.core.regions", "repro.obs.histogram",
+    "repro.obs.profile", "repro.testing.generator", "repro.testing.graphs",
+    "dataclasses", "inspect", "pickle", "hashlib",
+)
+
+#: What the exact checker brings when a compile certifies: the checker
+#: itself, and ``dataclasses`` for its ``Violation``.
+LOADED_TO_CERTIFY = ("repro.core.checker", "dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("figure, allowed", [
+    ("FIG1_SOURCE", ()),
+    ("FIG11_SOURCE", LOADED_TO_CERTIFY),
+])
+def test_compile_loads_only_what_it_runs(figure, allowed):
+    """A plain ``compile_one`` in a fresh interpreter loads none of
+    :data:`DEFERRED_FROM_THE_COMPILE_PATH`; Figure 11's jumps make it
+    certify, which loads :data:`LOADED_TO_CERTIFY` and nothing more."""
+    unexpected = [name for name in DEFERRED_FROM_THE_COMPILE_PATH
+                  if name not in allowed]
+    _run_fresh(
+        "import sys\n"
+        "from repro.batch.driver import compile_one\n"
+        f"from repro.testing.programs import {figure}\n"
+        f"assert compile_one('figure', {figure}).ok\n"
+        f"loaded = [m for m in {unexpected!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        f"assert all(m in sys.modules for m in {allowed!r})\n"
+    )
+
+
 def test_annotate_command_loads_no_service_or_machine(tmp_path):
     """``repro annotate`` imports its subcommand's modules only: no
-    asyncio, no compile service and no machine simulator."""
-    from repro.testing.programs import FIG11_SOURCE
+    asyncio, no compile service (not even its config), no machine
+    simulator, no hardened ladder and no naive rung; and for Figure 1,
+    which has no jumps and so never certifies, no ``dataclasses``."""
+    from repro.testing.programs import FIG1_SOURCE, FIG11_SOURCE
 
-    source = tmp_path / "fig11.f"
-    source.write_text(FIG11_SOURCE)
-    _run_fresh(
-        "import io, sys\n"
-        "from repro.cli import main\n"
-        f"assert main(['annotate', {str(source)!r}], out=io.StringIO()) == 0\n"
-        "loaded = [m for m in ('asyncio', 'repro.service.server', "
-        "'repro.service.runner', 'repro.machine') if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
-    )
+    unexpected = ("asyncio", "repro.service.server", "repro.service.runner",
+                  "repro.service.config", "repro.machine",
+                  "repro.commgen.hardened", "repro.commgen.naive")
+    for name, text, also in (("fig1", FIG1_SOURCE, ("dataclasses",)),
+                             ("fig11", FIG11_SOURCE, ())):
+        source = tmp_path / f"{name}.f"
+        source.write_text(text)
+        _run_fresh(
+            "import io, sys\n"
+            "from repro.cli import main\n"
+            f"assert main(['annotate', {str(source)!r}], "
+            "out=io.StringIO()) == 0\n"
+            f"loaded = [m for m in {unexpected + also!r} "
+            "if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
