@@ -26,6 +26,9 @@ positions and splices :class:`repro.lang.ast.Comm` statements in:
 
 The annotator mutates the program AST it was given; the pipeline parses
 text privately, so a caller that passes text never sees it changed.
+Every placement point is a statement of that program or a landing-pad
+block, so the annotator finds a statement's body list through a map it
+builds once from the program and extends with each block it makes.
 """
 
 import copy
@@ -46,6 +49,7 @@ class Annotator:
         self.ifg = analyzed.ifg
         self.program = analyzed.program
         self._goto_blocks = {}  # id(original IfGoto) -> replacement If
+        self._bodies = _bodies_by_statement(self.program)
 
     # -- public -----------------------------------------------------------
 
@@ -256,6 +260,7 @@ class Annotator:
             block = ast.If(jump.cond, [ast.Goto(jump.target)], [],
                            label=jump.label, line=jump.line)
             body_list[index] = block
+            self._bodies[id(block)] = body_list
             self._goto_blocks[id(jump)] = block
         body = block.then_body
         if first:
@@ -316,11 +321,12 @@ class Annotator:
         return frozenset(variables)
 
     def _locate(self, stmt):
-        """Find the body list containing ``stmt`` (by identity)."""
-        for body in _all_bodies(self.program):
-            for index, candidate in enumerate(body):
-                if candidate is stmt:
-                    return body, index
+        """The body list containing ``stmt`` and its index there (by
+        identity)."""
+        body = self._bodies.get(id(stmt), ())
+        for index, candidate in enumerate(body):
+            if candidate is stmt:
+                return body, index
         raise LookupError(f"statement {stmt!r} is not in the program")
 
     def _label_target(self, label_node):
@@ -336,15 +342,17 @@ def _stmt_of(node):
     return node.stmt
 
 
-def _all_bodies(program):
-    """Yield every statement list in the program, outermost first."""
+def _bodies_by_statement(program):
+    """``{id(stmt): the body list holding it}`` over every statement."""
+    bodies = {}
     stack = [program.body]
     while stack:
         body = stack.pop()
-        yield body
         for stmt in body:
+            bodies[id(stmt)] = body
             if isinstance(stmt, ast.Do):
                 stack.append(stmt.body)
             elif isinstance(stmt, ast.If):
                 stack.append(stmt.then_body)
                 stack.append(stmt.else_body)
+    return bodies

@@ -45,26 +45,34 @@ reference oracle the exact analysis is tested against.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.core.placement import Position
 from repro.core.problem import Direction, Timing
 from repro.graph.interval_graph import EdgeType
+from repro.util.record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One criterion violation, found on at least one path."""
+class Violation(FrozenRecord):
+    """One criterion violation, found on at least one path.
 
-    kind: str        # "balance" | "safety" | "sufficiency" | "redundant"
-    criterion: str   # "C1" | "C2" | "C3" | "O1"
-    element: object
-    node: object
-    message: str
-    #: zero-argument callable returning the witness path (None when the
-    #: violation does not come from a path-based check)
-    find_witness: object = field(default=None, repr=False, compare=False)
+    ``kind`` is ``"balance"``, ``"safety"``, ``"sufficiency"`` or
+    ``"redundant"`` and ``criterion`` ``"C1"``, ``"C2"``, ``"C3"`` or
+    ``"O1"``.  ``find_witness`` is a zero-argument callable returning
+    the witness path (None when the violation does not come from a
+    path-based check); it is no field, so ``==``, ``hash()`` and
+    ``repr()`` ignore it."""
+
+    _fields = ("kind", "criterion", "element", "node", "message")
+
+    def __init__(self, kind, criterion, element, node, message,
+                 find_witness=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "find_witness", find_witness)
 
     @cached_property
     def witness(self):

@@ -10,7 +10,6 @@ the new node sits.
 from enum import Enum
 
 from repro.util.errors import GraphError
-from repro.util.orderedset import OrderedSet
 
 
 class NodeKind(Enum):
@@ -64,10 +63,12 @@ class Node:
 class ControlFlowGraph:
     """A directed graph over :class:`Node` with ordered adjacency.
 
-    Successor/predecessor lists preserve edge insertion order;
+    Successor/predecessor lists preserve edge insertion order: a
+    node's neighbors are the keys of a plain dict of node ids, so edge
+    edits and neighbor queries make no Python-level call.
     ``order_index`` gives the deterministic tie-break position of each
-    node.  The graph has a unique ``entry`` and (after building) a unique
-    ``exit``.
+    node.  The graph has a unique ``entry`` and (after building) a
+    unique ``exit``.
     """
 
     def __init__(self):
@@ -140,8 +141,8 @@ class ControlFlowGraph:
         node = Node(self._next_id, kind, stmt, name)
         self._next_id += 1
         self._nodes[node.id] = node
-        self._succs[node.id] = OrderedSet()
-        self._preds[node.id] = OrderedSet()
+        self._succs[node.id] = {}
+        self._preds[node.id] = {}
         if order_after is not None:
             index = self._order.index(order_after.id) + 1
             self._order.insert(index, node.id)
@@ -186,15 +187,15 @@ class ControlFlowGraph:
     def add_edge(self, src, dst):
         if src not in self or dst not in self:
             raise GraphError(f"edge ({src}, {dst}) references a foreign node")
-        self._succs[src.id].add(dst.id)
-        self._preds[dst.id].add(src.id)
+        self._succs[src.id][dst.id] = None
+        self._preds[dst.id][src.id] = None
         self._version += 1
 
     def remove_edge(self, src, dst):
         if dst.id not in self._succs[src.id]:
             raise GraphError(f"edge ({src}, {dst}) does not exist")
-        self._succs[src.id].discard(dst.id)
-        self._preds[dst.id].discard(src.id)
+        del self._succs[src.id][dst.id]
+        del self._preds[dst.id][src.id]
         self._version += 1
 
     def has_edge(self, src, dst):
@@ -240,18 +241,20 @@ class ControlFlowGraph:
     # -- reachability ----------------------------------------------------------
 
     def reachable_from_entry(self):
-        """The set of nodes reachable from ``entry``."""
+        """The nodes reachable from ``entry``, in tie-break order."""
         if self.entry is None:
             raise GraphError("graph has no entry node")
-        seen = OrderedSet([self.entry])
-        stack = [self.entry]
+        seen = [False] * self._next_id  # by node id
+        seen[self.entry.id] = True
+        stack = [self.entry.id]
+        succs = self._succs
         while stack:
-            node = stack.pop()
-            for succ in self.succs(node):
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        return seen
+            for succ_id in succs[stack.pop()]:
+                if not seen[succ_id]:
+                    seen[succ_id] = True
+                    stack.append(succ_id)
+        nodes = self._nodes
+        return [nodes[node_id] for node_id in self._order if seen[node_id]]
 
     def remove_node(self, node):
         """Remove ``node`` and all its edges."""

@@ -10,7 +10,10 @@ the paper's ``LEVEL`` / ``CHILDREN`` / ``LASTCHILD`` accessors.
 and :func:`loop_forest` answer from the graph's per-version memo
 (:meth:`~repro.graph.cfg.ControlFlowGraph.analysis`), so every pass
 that asks about an unchanged graph shares one dominator tree, one DFS,
-one reducibility verdict and one forest.  Per-node scratch state lives
+one reducibility verdict and one forest.  The normalization passes
+that edit a graph keep its dominator tree and retreating edges current
+(:mod:`repro.graph.normalize`), so a compile builds one tree and runs
+one DFS; it builds two forests.  Per-node scratch state lives
 in lists indexed by node id (:attr:`~repro.graph.cfg.ControlFlowGraph.id_bound`),
 not in dicts keyed by :class:`~repro.graph.cfg.Node`.
 """

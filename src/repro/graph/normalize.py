@@ -18,13 +18,19 @@ that preorder numbering matches the paper's Figure 12: a split of a back
 edge sits right after its source (it is the end of the loop body), any
 other split sits right before its target.
 
-The passes ask :mod:`repro.graph.intervals` for dominators and the loop
-forest, which are memoized per graph version: a pass that leaves the
-graph unchanged costs the next one nothing, and the latch pass updates
-the dominator tree in step with its edits instead of invalidating it.
-A normalized graph thus builds at most two dominator trees and two
-loop forests — the last of each on the final graph, where
-:func:`validate_normalized` checks every invariant.
+The passes ask :mod:`repro.graph.intervals` for dominators, retreating
+edges and the loop forest, which are memoized per graph version: a pass
+that leaves the graph unchanged costs the next one nothing.  The latch
+and critical-edge passes update the dominator tree and the retreating
+edges in step with their own edits and hand them on
+(:meth:`~repro.graph.cfg.ControlFlowGraph.remember`) instead of
+invalidating them.  Normalizing a frontend graph thus builds one
+dominator tree, one retreating-edge DFS and two loop forests: one for
+the body-entry and critical-edge passes, and one on the final graph,
+where :func:`validate_normalized` checks every invariant.  The final
+forest is built from scratch because the order of its members feeds
+the interval graph and the preorder numbering.  (A body-entry edit,
+which only hand-built graphs need, costs one more tree and DFS.)
 """
 
 from repro.graph.cfg import NodeKind
@@ -35,6 +41,7 @@ from repro.graph.intervals import (
     find_back_edges,
     loop_forest,
     nearest_common_dominator,
+    retreating_edges,
 )
 from repro.obs.collector import current_collector
 from repro.util.errors import GraphError
@@ -88,7 +95,10 @@ def normalize(cfg, split_irreducible=False, max_splits=None):
 def prune_unreachable(cfg):
     """Remove nodes unreachable from the entry; return the removed list."""
     reachable = cfg.reachable_from_entry()
-    removed = [node for node in cfg.nodes() if node not in reachable]
+    if len(reachable) == len(cfg):
+        return []
+    kept = {node.id for node in reachable}
+    removed = [node for node in cfg.nodes() if node.id not in kept]
     for node in removed:
         if node is cfg.exit:
             raise GraphError("program exit is unreachable (infinite loop)")
@@ -104,10 +114,13 @@ def ensure_unique_latch(cfg):
 
     A latch only merges back edges, so dominance among the existing
     nodes is unchanged and the latch's immediate dominator is the
-    nearest common dominator of its sources: the pass hands the updated
-    tree on to the next pass instead of invalidating it.
+    nearest common dominator of its sources.  In a reducible graph the
+    retreating edges are the back edges, so a header's merged back edges
+    become one retreating edge, from its latch.  The pass hands both on
+    to the next pass instead of invalidating them.
     """
     idom = dominators(cfg)
+    retreating = retreating_edges(cfg)
     sources_by_header = {}
     for source, header in find_back_edges(cfg, idom):
         sources_by_header.setdefault(header, []).append(source)
@@ -117,6 +130,7 @@ def ensure_unique_latch(cfg):
     if not merges:
         return
     idom = dict(idom)
+    latch_of = {}
     for header, sources, last in merges:
         latch = cfg.new_node(NodeKind.LATCH, name="latch", order_after=last)
         for source in sources:
@@ -124,7 +138,16 @@ def ensure_unique_latch(cfg):
             cfg.add_edge(source, latch)
         cfg.add_edge(latch, header)
         idom[latch] = nearest_common_dominator(idom, sources)
+        latch_of[header] = latch
+    merged = []
+    for source, header in retreating:
+        latch = latch_of.get(header)
+        if latch is None:
+            merged.append((source, header))
+        elif (latch, header) not in merged:
+            merged.append((latch, header))
     cfg.remember("idom", idom)
+    cfg.remember("retreating", merged)
 
 
 def ensure_unique_body_entry(cfg):
@@ -159,10 +182,21 @@ def split_critical_edges(cfg):
     fall-through-before-jump so that the Figure 12 numbering (node 9 from
     the loop-exit path, node 10 from the goto) comes out of the
     deterministic order.
+
+    A split leaves dominance among the existing nodes as it was, and
+    the new node's immediate dominator is its source.  It also
+    dominates the target when every other edge into the target is a
+    back edge (as when the split edge is a loop's only way in).  A
+    split back edge's retreating edge moves to the new node.  The pass
+    hands both analyses on to the next pass instead of invalidating
+    them.
     """
-    idom = dominators(cfg)
-    forest = loop_forest(cfg)
     critical = critical_edges(cfg)
+    if not critical:
+        return
+    idom = dict(dominators(cfg))
+    retreating = list(retreating_edges(cfg))
+    forest = loop_forest(cfg)
 
     def is_jump(src, dst):
         return any(
@@ -176,11 +210,18 @@ def split_critical_edges(cfg):
 
     for src, dst in sorted(critical, key=sort_key):
         if dominates(idom, dst, src):  # back edge: new node is the latch
-            cfg.split_edge(src, dst, kind=NodeKind.LATCH, name="latch",
-                           order_after=src)
+            node = cfg.split_edge(src, dst, kind=NodeKind.LATCH,
+                                  name="latch", order_after=src)
+            retreating[retreating.index((src, dst))] = (node, dst)
         else:
-            cfg.split_edge(src, dst, kind=NodeKind.SYNTH, name="synth",
-                           order_before=dst)
+            node = cfg.split_edge(src, dst, kind=NodeKind.SYNTH,
+                                  name="synth", order_before=dst)
+            if all(dominates(idom, dst, pred) for pred in cfg.preds(dst)
+                   if pred is not node):
+                idom[dst] = node
+        idom[node] = src
+    cfg.remember("idom", idom)
+    cfg.remember("retreating", retreating)
 
 
 def critical_edges(cfg):

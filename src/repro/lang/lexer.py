@@ -1,9 +1,11 @@
 """Regex lexer for the mini-Fortran language.
 
-The lexer is line oriented, as Fortran is: each physical line is a
-statement (there is no continuation syntax in this subset).  Comments start
-with ``!`` or a leading ``c``/``*`` column-1 marker and run to end of line.
-Identifiers and keywords are case-insensitive and normalized to lower case.
+The language is line oriented, as Fortran is: each physical line is a
+statement (there is no continuation syntax in this subset), and a line
+that holds a token ends with a NEWLINE token.  Comments start with ``!``
+or a leading ``c``/``*`` column-1 marker and run to end of line.
+Identifiers and keywords are case-insensitive and normalized to lower
+case.
 
 The character set is Fortran's: names are ``[A-Za-z_][A-Za-z0-9_]*`` and
 integers ``[0-9]+``.  Any other character outside whitespace and the
@@ -16,18 +18,26 @@ import re
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 from repro.util.errors import ParseError
 
-#: One token per match; the alternatives are tried in order, so ``...``
+#: Splits the source into consecutive pieces: every character lies in
+#: exactly one match.  The alternatives are tried in order, so ``...``
 #: and the two-character operators win over their one-character
-#: prefixes, and ``bad`` catches every character nothing else accepts.
+#: prefixes, ``!=`` over a ``!`` comment, and the last alternative
+#: catches every character nothing else accepts.  A column-1 comment
+#: belongs to the newline before it (the scan starts at a virtual
+#: newline, so the first line's comment does too); ``c`` starts one
+#: only when a blank or the end of the line follows.
 _TOKEN = re.compile(r"""
-    (?P<space>[ \t\r]+)
-  | (?P<int>[0-9]+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>\.\.\.|==|/=|!=|<=|>=|[<>=(),+\-*/:])
-  | (?P<bad>.)
+    [ \t\r]+
+  | \n (?: \*[^\n]* | [cC](?![^ \n])[^\n]* )?
+  | !(?!=)[^\n]*
+  | [0-9]+
+  | [A-Za-z_][A-Za-z0-9_]*
+  | \.\.\. | [=/!<>]= | [<>=(),+\-*/:]
+  | .
 """, re.VERBOSE)
 
-_OPERATORS = {
+#: The kind of a piece that reads as an operator or a keyword.
+_KINDS = {
     "...": TokenKind.DOTS,
     "==": TokenKind.EQ,
     "/=": TokenKind.NE,
@@ -45,7 +55,30 @@ _OPERATORS = {
     "*": TokenKind.STAR,
     "/": TokenKind.SLASH,
     ":": TokenKind.COLON,
+    **KEYWORDS,
 }
+
+#: Blanks and ``!`` comments.
+_SKIP = object()
+
+#: The kind of any other piece, by its first character; a character
+#: absent here is unexpected.
+_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+                    "abcdefghijklmnopqrstuvwxyz", TokenKind.NAME),
+    **dict.fromkeys("0123456789", TokenKind.INT),
+    **dict.fromkeys(" \t\r!", _SKIP),
+    "\n": TokenKind.NEWLINE,
+}
+
+#: Kinds the loop tests, as globals: ``TokenKind.NAME`` goes through the
+#: enum's metaclass and costs about ten times a global lookup.
+_NAME = TokenKind.NAME
+_INT = TokenKind.INT
+_NEWLINE = TokenKind.NEWLINE
+#: Builds a :class:`Token` without the named tuple's Python-level
+#: ``__new__``.
+_token = tuple.__new__
 
 
 def tokenize(source):
@@ -55,44 +88,32 @@ def tokenize(source):
     """
     tokens = []
     append = tokens.append
-    for line_number, raw_line in enumerate(source.split("\n"), start=1):
-        for match in _TOKEN.finditer(_strip_comment(raw_line)):
-            group = match.lastgroup
-            if group == "space":
-                continue
-            text = match.group()
-            if group == "name":
+    kinds = _KINDS
+    line = 0
+    line_start = end = 0
+    for text in _TOKEN.findall("\n" + source):
+        start = end
+        end += len(text)
+        kind = kinds.get(text)
+        if kind is None:
+            kind = _FIRST.get(text[0])
+            if kind is _NAME:
                 text = text.lower()
-                kind = KEYWORDS.get(text, TokenKind.NAME)
-            elif group == "int":
-                kind = TokenKind.INT
-            elif group == "op":
-                kind = _OPERATORS[text]
-            else:
-                raise ParseError(f"unexpected character {text!r}",
-                                 line_number, match.start() + 1)
-            append(Token(kind, text, line_number, match.start() + 1))
-        if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
-            append(Token(TokenKind.NEWLINE, "\n", line_number,
-                         len(raw_line) + 1))
-    append(Token(TokenKind.EOF, "", source.count("\n") + 1, 1))
+                kind = kinds.get(text, _NAME)
+            elif kind is not _INT:
+                if kind is _SKIP:
+                    continue
+                if kind is not _NEWLINE:
+                    raise ParseError(f"unexpected character {text!r}",
+                                     line, start - line_start + 1)
+                if tokens and tokens[-1][0] is not _NEWLINE:
+                    append(_token(Token, (_NEWLINE, "\n", line,
+                                          start - line_start + 1)))
+                line += 1
+                line_start = start + 1
+                continue
+        append(_token(Token, (kind, text, line, start - line_start + 1)))
+    if tokens and tokens[-1][0] is not _NEWLINE:
+        append(_token(Token, (_NEWLINE, "\n", line, end - line_start + 1)))
+    append(_token(Token, (TokenKind.EOF, "", line, 1)))
     return tokens
-
-
-def _strip_comment(line):
-    """Remove a ``!`` comment and classic column-1 ``c``/``*`` comments.
-
-    A ``!`` immediately followed by ``=`` is the not-equal operator, not
-    a comment start.
-    """
-    if line[:1] in ("*",) or (line[:1] in ("c", "C") and line[1:2] in ("", " ")):
-        return ""
-    cut = 0
-    while True:
-        cut = line.find("!", cut)
-        if cut < 0:
-            return line
-        if line[cut:cut + 2] == "!=":
-            cut += 2
-            continue
-        return line[:cut]

@@ -11,8 +11,17 @@ The grammar (one statement per line)::
     if         :=  'if' expr 'then' NEWLINE line* ['else' NEWLINE line*] 'endif'
                  | 'if' expr 'goto' INT
     assignment :=  lvalue '=' expr
-    lvalue     :=  NAME ['(' arguments ')']
-    expr       :=  comparison; usual precedence, '...' is a primary
+    lvalue     :=  NAME ['(' arguments ')'] | '...'
+    expr       :=  operand (binary-operator operand)*
+    operand    :=  '-' operand | INT | '...' | '(' expr ')'
+                 | NAME ['(' arguments ')']
+    arguments  :=  argument (',' argument)*
+    argument   :=  expr [':' expr]
+
+Binary operators bind as usual: ``* /`` tighter than ``+ -``, both
+tighter than the comparisons, all of them to the left; a unary minus
+binds tightest and parses as ``0 - operand``.  :meth:`_Parser._parse_expr`
+climbs the binding powers of :data:`_BINARY` in one loop.
 
 Conditions may be written with or without parentheses (the paper writes
 ``if test then``).
@@ -23,21 +32,49 @@ from repro.lang.tokens import TokenKind
 from repro.lang.lexer import tokenize
 from repro.util.errors import ParseError
 
-#: Binary operators by token text, which only operator tokens spell
-#: this way.  String keys, because a ``TokenKind`` key costs a
-#: Python-level ``Enum.__hash__`` call on every lookup.
-_COMPARISON_OPS = {
-    "<": "<",
-    ">": ">",
-    "<=": "<=",
-    ">=": ">=",
-    "==": "==",
-    "/=": "!=",
-    "!=": "!=",
+#: Binary operators by token text, which only operator tokens spell this
+#: way: the operator's AST spelling and its binding power.  String
+#: keys, because a ``TokenKind`` key costs a Python-level
+#: ``Enum.__hash__`` call on every lookup.
+_BINARY = {
+    "<": ("<", 1),
+    ">": (">", 1),
+    "<=": ("<=", 1),
+    ">=": (">=", 1),
+    "==": ("==", 1),
+    "/=": ("!=", 1),
+    "!=": ("!=", 1),
+    "+": ("+", 2),
+    "-": ("-", 2),
+    "*": ("*", 3),
+    "/": ("/", 3),
 }
 
-_ADDITIVE_OPS = {"+": "+", "-": "-"}
-_MULTIPLICATIVE_OPS = {"*": "*", "/": "/"}
+#: Token kinds as module globals: ``TokenKind.NAME`` goes through the
+#: enum's metaclass and costs about ten times a global lookup.
+_NAME = TokenKind.NAME
+_INT = TokenKind.INT
+_DOTS = TokenKind.DOTS
+_NEWLINE = TokenKind.NEWLINE
+_EOF = TokenKind.EOF
+_LPAREN = TokenKind.LPAREN
+_RPAREN = TokenKind.RPAREN
+_COMMA = TokenKind.COMMA
+_COLON = TokenKind.COLON
+_MINUS = TokenKind.MINUS
+_ASSIGN = TokenKind.ASSIGN
+_DO = TokenKind.DO
+_ENDDO = TokenKind.ENDDO
+_IF = TokenKind.IF
+_THEN = TokenKind.THEN
+_ELSE = TokenKind.ELSE
+_ENDIF = TokenKind.ENDIF
+_GOTO = TokenKind.GOTO
+_CONTINUE = TokenKind.CONTINUE
+_DECLARATIONS = (TokenKind.REAL, TokenKind.INTEGER)
+_PARAMETER = TokenKind.PARAMETER
+_DISTRIBUTE = TokenKind.DISTRIBUTE
+_SCHEMES = (TokenKind.BLOCK, TokenKind.CYCLIC, TokenKind.REPLICATED)
 
 
 def parse(source):
@@ -46,257 +83,220 @@ def parse(source):
 
 
 class _Parser:
+    """Reads ``self._tokens[self._position]`` directly and steps past a
+    token only once its kind is known, so it never steps past EOF."""
+
     def __init__(self, tokens):
         self._tokens = tokens
         self._position = 0
 
-    # -- token plumbing ----------------------------------------------------
-
-    def _peek(self):
-        return self._tokens[self._position]
-
-    def _at(self, *kinds):
-        return self._peek().kind in kinds
-
-    def _advance(self):
+    def _expect(self, kind, what):
         token = self._tokens[self._position]
-        if token.kind != TokenKind.EOF:
-            self._position += 1
+        if token.kind is not kind:
+            raise ParseError(f"expected {what}, found {token.text!r}",
+                             token.line, token.column)
+        self._position += 1
         return token
 
-    def _expect(self, kind, what=None):
-        token = self._peek()
-        if token.kind != kind:
-            expected = what or kind.name.lower()
-            raise ParseError(
-                f"expected {expected}, found {token.text!r}", token.line, token.column
-            )
-        return self._advance()
-
-    def _skip_newlines(self):
-        tokens = self._tokens
-        while tokens[self._position].kind is TokenKind.NEWLINE:
-            self._position += 1
-
     def _end_of_statement(self):
-        token = self._peek()
-        if not self._at(TokenKind.NEWLINE, TokenKind.EOF):
-            raise ParseError(
-                f"unexpected trailing input {token.text!r}", token.line, token.column
-            )
-        self._skip_newlines()
+        """Step past the NEWLINE that ends a statement; a body's loop
+        (:meth:`_parse_body`) skips any further ones."""
+        token = self._tokens[self._position]
+        if token.kind is _NEWLINE:
+            self._position += 1
+        elif token.kind is not _EOF:
+            raise ParseError(f"unexpected trailing input {token.text!r}",
+                             token.line, token.column)
 
     # -- statements ---------------------------------------------------------
 
     def parse_program(self):
-        body = self._parse_body(terminators=())
-        self._expect(TokenKind.EOF, "end of program")
-        return ast.Program(body)
+        return ast.Program(self._parse_body(()))
 
     def _parse_body(self, terminators):
         """Parse statements until one of ``terminators`` (or EOF) is next."""
+        tokens = self._tokens
         statements = []
-        self._skip_newlines()
-        while not self._at(TokenKind.EOF, *terminators):
-            statements.append(self._parse_labeled_statement())
-            self._skip_newlines()
-        return statements
+        while True:
+            kind = tokens[self._position].kind
+            if kind is _NEWLINE:
+                self._position += 1
+            elif kind is _EOF or kind in terminators:
+                return statements
+            else:
+                statements.append(self._parse_labeled_statement())
 
     def _parse_labeled_statement(self):
+        token = self._tokens[self._position]
         label = None
-        if self._at(TokenKind.INT):
-            label_token = self._advance()
-            label = int(label_token.text)
-        statement = self._parse_statement()
+        if token.kind is _INT:
+            label = int(token.text)
+            self._position += 1
+            token = self._tokens[self._position]
+        kind = token.kind
+        if kind is _NAME or kind is _DOTS:
+            statement = self._parse_assignment(token)
+        elif kind is _DO:
+            statement = self._parse_do(token)
+        elif kind is _IF:
+            statement = self._parse_if(token)
+        elif kind is _GOTO:
+            self._position += 1
+            target = int(self._expect(_INT, "label").text)
+            self._end_of_statement()
+            statement = ast.Goto(target, line=token.line)
+        elif kind is _CONTINUE:
+            self._position += 1
+            self._end_of_statement()
+            statement = ast.Continue(line=token.line)
+        elif kind in _DECLARATIONS:
+            statement = self._parse_declaration(token)
+        elif kind is _PARAMETER:
+            self._position += 1
+            name = self._expect(_NAME, "parameter name").text
+            self._expect(_ASSIGN, "'='")
+            value = self._parse_expr()
+            self._end_of_statement()
+            statement = ast.ParameterDef(name, value, line=token.line)
+        elif kind is _DISTRIBUTE:
+            statement = self._parse_distribute(token)
+        else:
+            raise ParseError(f"unexpected token {token.text!r}", token.line,
+                             token.column)
         statement.label = label
         return statement
 
-    def _parse_statement(self):
-        token = self._peek()
-        if token.kind == TokenKind.DO:
-            return self._parse_do()
-        if token.kind == TokenKind.IF:
-            return self._parse_if()
-        if token.kind == TokenKind.GOTO:
-            return self._parse_goto()
-        if token.kind == TokenKind.CONTINUE:
-            self._advance()
-            statement = ast.Continue(line=token.line)
-            self._end_of_statement()
-            return statement
-        if token.kind in (TokenKind.REAL, TokenKind.INTEGER):
-            return self._parse_declaration()
-        if token.kind == TokenKind.PARAMETER:
-            return self._parse_parameter()
-        if token.kind == TokenKind.DISTRIBUTE:
-            return self._parse_distribute()
-        if token.kind in (TokenKind.NAME, TokenKind.DOTS):
-            return self._parse_assignment()
-        raise ParseError(f"unexpected token {token.text!r}", token.line, token.column)
-
-    def _parse_do(self):
-        do_token = self._expect(TokenKind.DO)
-        var = self._expect(TokenKind.NAME, "loop variable").text
-        self._expect(TokenKind.ASSIGN, "'='")
-        lo = self._parse_expr()
-        self._expect(TokenKind.COMMA, "','")
-        hi = self._parse_expr()
-        step = ast.Num(1)
-        if self._at(TokenKind.COMMA):
-            self._advance()
-            step = self._parse_expr()
+    def _parse_assignment(self, start):
+        target = self._parse_operand()
+        self._expect(_ASSIGN, "'='")
+        value = self._parse_expr()
         self._end_of_statement()
-        body = self._parse_body(terminators=(TokenKind.ENDDO,))
-        self._expect(TokenKind.ENDDO, "'enddo'")
+        return ast.Assign(target, value, line=start.line)
+
+    def _parse_do(self, do_token):
+        self._position += 1
+        var = self._expect(_NAME, "loop variable").text
+        self._expect(_ASSIGN, "'='")
+        lo = self._parse_expr()
+        self._expect(_COMMA, "','")
+        hi = self._parse_expr()
+        if self._tokens[self._position].kind is _COMMA:
+            self._position += 1
+            step = self._parse_expr()
+        else:
+            step = ast.Num(1)
+        self._end_of_statement()
+        body = self._parse_body((_ENDDO,))
+        self._expect(_ENDDO, "'enddo'")
         self._end_of_statement()
         return ast.Do(var, lo, hi, step, body, line=do_token.line)
 
-    def _parse_if(self):
-        if_token = self._expect(TokenKind.IF)
+    def _parse_if(self, if_token):
+        self._position += 1
         cond = self._parse_expr()
-        if self._at(TokenKind.GOTO):
-            self._advance()
-            target = int(self._expect(TokenKind.INT, "label").text)
+        if self._tokens[self._position].kind is _GOTO:
+            self._position += 1
+            target = int(self._expect(_INT, "label").text)
             self._end_of_statement()
             return ast.IfGoto(cond, target, line=if_token.line)
-        self._expect(TokenKind.THEN, "'then' or 'goto'")
+        self._expect(_THEN, "'then' or 'goto'")
         self._end_of_statement()
-        then_body = self._parse_body(terminators=(TokenKind.ELSE, TokenKind.ENDIF))
+        then_body = self._parse_body((_ELSE, _ENDIF))
         else_body = []
-        if self._at(TokenKind.ELSE):
-            self._advance()
+        if self._tokens[self._position].kind is _ELSE:
+            self._position += 1
             self._end_of_statement()
-            else_body = self._parse_body(terminators=(TokenKind.ENDIF,))
-        self._expect(TokenKind.ENDIF, "'endif'")
+            else_body = self._parse_body((_ENDIF,))
+        self._expect(_ENDIF, "'endif'")
         self._end_of_statement()
         return ast.If(cond, then_body, else_body, line=if_token.line)
 
-    def _parse_goto(self):
-        goto_token = self._expect(TokenKind.GOTO)
-        target = int(self._expect(TokenKind.INT, "label").text)
-        self._end_of_statement()
-        return ast.Goto(target, line=goto_token.line)
-
-    def _parse_declaration(self):
-        type_token = self._advance()
-        name = self._expect(TokenKind.NAME, "variable name").text
+    def _parse_declaration(self, type_token):
+        self._position += 1
+        name = self._expect(_NAME, "variable name").text
         size = None
-        if self._at(TokenKind.LPAREN):
-            self._advance()
+        if self._tokens[self._position].kind is _LPAREN:
+            self._position += 1
             size = self._parse_expr()
-            self._expect(TokenKind.RPAREN, "')'")
+            self._expect(_RPAREN, "')'")
         self._end_of_statement()
-        return ast.Declaration(type_token.text, name, size, line=type_token.line)
+        return ast.Declaration(type_token.text, name, size,
+                               line=type_token.line)
 
-    def _parse_parameter(self):
-        parameter_token = self._expect(TokenKind.PARAMETER)
-        name = self._expect(TokenKind.NAME, "parameter name").text
-        self._expect(TokenKind.ASSIGN, "'='")
-        value = self._parse_expr()
-        self._end_of_statement()
-        return ast.ParameterDef(name, value, line=parameter_token.line)
-
-    def _parse_distribute(self):
-        distribute_token = self._expect(TokenKind.DISTRIBUTE)
-        name = self._expect(TokenKind.NAME, "array name").text
-        self._expect(TokenKind.LPAREN, "'('")
-        scheme_token = self._peek()
-        if scheme_token.kind not in (
-            TokenKind.BLOCK,
-            TokenKind.CYCLIC,
-            TokenKind.REPLICATED,
-        ):
+    def _parse_distribute(self, distribute_token):
+        self._position += 1
+        name = self._expect(_NAME, "array name").text
+        self._expect(_LPAREN, "'('")
+        scheme_token = self._tokens[self._position]
+        if scheme_token.kind not in _SCHEMES:
             raise ParseError(
                 "expected distribution scheme (block/cyclic/replicated), "
                 f"found {scheme_token.text!r}",
                 scheme_token.line,
                 scheme_token.column,
             )
-        self._advance()
-        self._expect(TokenKind.RPAREN, "')'")
+        self._position += 1
+        self._expect(_RPAREN, "')'")
         self._end_of_statement()
-        return ast.Distribute(name, scheme_token.text, line=distribute_token.line)
-
-    def _parse_assignment(self):
-        start = self._peek()
-        target = self._parse_primary()
-        if not isinstance(target, (ast.Var, ast.ArrayRef, ast.Opaque)):
-            raise ParseError("invalid assignment target", start.line, start.column)
-        self._expect(TokenKind.ASSIGN, "'='")
-        value = self._parse_expr()
-        self._end_of_statement()
-        return ast.Assign(target, value, line=start.line)
+        return ast.Distribute(name, scheme_token.text,
+                              line=distribute_token.line)
 
     # -- expressions ---------------------------------------------------------
 
-    def _parse_expr(self):
-        return self._parse_comparison()
+    def _parse_expr(self, min_power=1):
+        """An expression whose binary operators bind at least as tightly
+        as ``min_power``: each operand is followed by operators of that
+        power or more, whose right operands bind one step tighter, so
+        operators of equal power group to the left."""
+        left = self._parse_operand()
+        tokens = self._tokens
+        while True:
+            binary = _BINARY.get(tokens[self._position].text)
+            if binary is None or binary[1] < min_power:
+                return left
+            self._position += 1
+            op, power = binary
+            left = ast.BinOp(op, left, self._parse_expr(power + 1))
 
-    def _parse_comparison(self):
-        left = self._parse_additive()
-        while self._peek().text in _COMPARISON_OPS:
-            op = _COMPARISON_OPS[self._advance().text]
-            right = self._parse_additive()
-            left = ast.BinOp(op, left, right)
-        return left
-
-    def _parse_additive(self):
-        left = self._parse_multiplicative()
-        while self._peek().text in _ADDITIVE_OPS:
-            op = _ADDITIVE_OPS[self._advance().text]
-            right = self._parse_multiplicative()
-            left = ast.BinOp(op, left, right)
-        return left
-
-    def _parse_multiplicative(self):
-        left = self._parse_unary()
-        while self._peek().text in _MULTIPLICATIVE_OPS:
-            op = _MULTIPLICATIVE_OPS[self._advance().text]
-            right = self._parse_unary()
-            left = ast.BinOp(op, left, right)
-        return left
-
-    def _parse_unary(self):
-        if self._at(TokenKind.MINUS):
-            token = self._advance()
-            operand = self._parse_unary()
-            return ast.BinOp("-", ast.Num(0), operand)
-        return self._parse_primary()
-
-    def _parse_primary(self):
-        token = self._peek()
-        if token.kind == TokenKind.INT:
-            self._advance()
-            return ast.Num(int(token.text))
-        if token.kind == TokenKind.DOTS:
-            self._advance()
-            return ast.Opaque()
-        if token.kind == TokenKind.LPAREN:
-            self._advance()
-            inner = self._parse_expr()
-            self._expect(TokenKind.RPAREN, "')'")
-            return inner
-        if token.kind == TokenKind.NAME:
-            self._advance()
-            if self._at(TokenKind.LPAREN):
-                self._advance()
-                arguments = self._parse_arguments()
-                self._expect(TokenKind.RPAREN, "')'")
-                return ast.ArrayRef(token.text, tuple(arguments))
+    def _parse_operand(self):
+        tokens = self._tokens
+        token = tokens[self._position]
+        kind = token.kind
+        if kind is _NAME:
+            self._position += 1
+            if tokens[self._position].kind is _LPAREN:
+                return ast.ArrayRef(token.text, self._parse_arguments())
             return ast.Var(token.text)
-        raise ParseError(f"expected expression, found {token.text!r}", token.line, token.column)
+        if kind is _INT:
+            self._position += 1
+            return ast.Num(int(token.text))
+        if kind is _DOTS:
+            self._position += 1
+            return ast.Opaque()
+        if kind is _MINUS:
+            self._position += 1
+            return ast.BinOp("-", ast.Num(0), self._parse_operand())
+        if kind is _LPAREN:
+            self._position += 1
+            inner = self._parse_expr()
+            self._expect(_RPAREN, "')'")
+            return inner
+        raise ParseError(f"expected expression, found {token.text!r}",
+                         token.line, token.column)
 
     def _parse_arguments(self):
-        arguments = [self._parse_argument()]
-        while self._at(TokenKind.COMMA):
-            self._advance()
-            arguments.append(self._parse_argument())
-        return arguments
-
-    def _parse_argument(self):
-        lo = self._parse_expr()
-        if self._at(TokenKind.COLON):
-            self._advance()
-            hi = self._parse_expr()
-            return ast.RangeExpr(lo, hi)
-        return lo
+        """``'(' argument (',' argument)* ')'``, the opening parenthesis
+        next; an argument is an expression or a range ``lo:hi``."""
+        tokens = self._tokens
+        arguments = []
+        while True:
+            self._position += 1  # past '(' or ','
+            argument = self._parse_expr()
+            if tokens[self._position].kind is _COLON:
+                self._position += 1
+                argument = ast.RangeExpr(argument, self._parse_expr())
+            arguments.append(argument)
+            if tokens[self._position].kind is not _COMMA:
+                break
+        self._expect(_RPAREN, "')'")
+        return tuple(arguments)

@@ -4,9 +4,24 @@ import pytest
 
 from repro.commgen import generate_communication
 from repro.commgen.annotate import Annotator
+from repro.commgen.naive import naive_communication
 from repro.core.placement import Placement, Position
 from repro.core.problem import Direction, Problem, Timing
-from repro.testing.programs import analyze_source
+from repro.lang import ast
+from repro.lang.printer import format_program
+from repro.pre.transform import (
+    eliminate_common_subexpressions,
+    eliminate_with_lcm,
+)
+from repro.prefetch.pipeline import generate_prefetches
+from repro.regpromo.pipeline import promote_registers
+from repro.testing.generator import ArrayProgramGenerator
+from repro.testing.programs import (
+    FIG1_SOURCE,
+    FIG3_SOURCE,
+    FIG11_SOURCE,
+    analyze_source,
+)
 
 
 def annotate_manual(source, place, kind="read", direction=Direction.BEFORE,
@@ -18,8 +33,6 @@ def annotate_manual(source, place, kind="read", direction=Direction.BEFORE,
     place(analyzed, problem, placement)
     annotator = Annotator(analyzed)
     annotator.apply(placement, kind, **apply_kwargs)
-    from repro.lang.printer import format_program
-
     return [line.strip() for line in
             format_program(analyzed.program).splitlines() if line.strip()]
 
@@ -185,3 +198,68 @@ def test_write_before_read_at_shared_point(fig3):
     write_recv = lines.index("WRITE_Recv{x(a(1:n))}")
     read_send = lines.index("READ_Send{x(6:n + 5)}")
     assert write_recv < read_send
+
+
+# -- locating statements ----------------------------------------------------
+
+
+def walk_locate(program, stmt):
+    """The body list holding ``stmt`` and its index, by a walk of every
+    body of ``program``: what the annotator's map must answer."""
+    stack = [program.body]
+    while stack:
+        body = stack.pop()
+        for index, candidate in enumerate(body):
+            if candidate is stmt:
+                return body, index
+            if isinstance(candidate, ast.Do):
+                stack.append(candidate.body)
+            elif isinstance(candidate, ast.If):
+                stack.extend((candidate.then_body, candidate.else_body))
+    raise LookupError(f"statement {stmt!r} is not in the program")
+
+
+def jumpy_sources(count=12):
+    generator = ArrayProgramGenerator(seed=301, max_depth=3,
+                                      goto_probability=0.3)
+    return [format_program(generator.program(size=30))
+            for _ in range(count)]
+
+
+#: Every pipeline that builds an :class:`Annotator`, by name.
+ANNOTATING_PIPELINES = {
+    "commgen": generate_communication,
+    "naive": naive_communication,
+    "cse": lambda text: eliminate_common_subexpressions(analyze_source(text)),
+    "lcm": lambda text: eliminate_with_lcm(analyze_source(text)),
+    "regpromo": promote_registers,
+    "prefetch": generate_prefetches,
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(ANNOTATING_PIPELINES))
+def test_the_statement_map_answers_as_a_walk_of_every_body(monkeypatch,
+                                                           pipeline):
+    """Every statement an annotator locates, on the figures and a jumpy
+    corpus, sits where a walk of the whole program finds it: the map
+    built at construction saw it, or it is a landing-pad block the
+    annotator registered."""
+    located, landing_pads = [], []
+    locate = Annotator._locate
+
+    def checked(self, stmt):
+        body, index = locate(self, stmt)
+        expected_body, expected_index = walk_locate(self.program, stmt)
+        assert body is expected_body and index == expected_index
+        located.append(stmt)
+        if any(stmt is block for block in self._goto_blocks.values()):
+            landing_pads.append(stmt)
+        return body, index
+
+    monkeypatch.setattr(Annotator, "_locate", checked)
+    sources = [FIG1_SOURCE, FIG3_SOURCE, FIG11_SOURCE] + jumpy_sources()
+    for text in sources:
+        ANNOTATING_PIPELINES[pipeline](text)
+    assert located
+    if pipeline == "commgen":
+        assert landing_pads

@@ -1,8 +1,10 @@
 """Per-version analysis memos of the control flow graph.
 
-Dominators, the loop forest and order positions are memoized per
-structural version of a :class:`ControlFlowGraph`; every mutation must
-invalidate them, and a compile must share them between passes.
+Dominators, retreating edges, the loop forest and order positions are
+memoized per structural version of a :class:`ControlFlowGraph`; every
+mutation must invalidate them, a pass that keeps one current through
+its own edits must hand on what a fresh build would give, and a compile
+must share them between passes.
 """
 
 import copy
@@ -20,7 +22,9 @@ from repro.graph.intervals import (
     check_reducible,
     compute_dominators,
     dominators,
+    find_retreating_edges,
     loop_forest,
+    retreating_edges,
 )
 from repro.graph.normalize import (
     ensure_unique_latch,
@@ -32,6 +36,7 @@ from repro.lang.printer import format_program
 from repro.testing.generator import ArrayProgramGenerator
 from repro.testing.programs import FIG11_SOURCE
 from repro.util.errors import GraphError
+from tests.integration.test_corpus_digests import corpus_sources
 
 LOOP_WITH_BRANCH = (
     "do i = 1, n\n"
@@ -69,22 +74,29 @@ def outcome(function, cfg):
     if isinstance(value, LoopForest):
         return (
             [h.id for h in value.headers()],
-            {h.id: sorted(m.id for m in value.members(h))
+            {h.id: [m.id for m in value.members(h)]
              for h in value.headers()},
             sorted((u.id, v.id) for u, v in value.back_edges()),
             {node.id: value.level(node) for node in cfg.nodes()},
+            {node.id: getattr(value.innermost(node), "id", None)
+             for node in cfg.nodes()},
         )
     if isinstance(value, dict):
         return {key.id: item.id if hasattr(item, "id") else item
                 for key, item in value.items()}
+    if isinstance(value, list):  # edges, compared in any order
+        return sorted((u.id, v.id) for u, v in value)
     return value
 
 
 def assert_memos_fresh(cfg):
-    """The memoized analyses of ``cfg`` equal those of an unmemoized
-    deep copy."""
+    """The memoized analyses of ``cfg`` equal those built from scratch
+    on a deep copy whose memos are dropped."""
     fresh = copy.deepcopy(cfg)
+    fresh._memo.clear()
     assert outcome(dominators, cfg) == outcome(compute_dominators, fresh)
+    assert (outcome(retreating_edges, cfg)
+            == outcome(find_retreating_edges, fresh))
     assert outcome(loop_forest, cfg) == outcome(LoopForest, fresh)
     assert outcome(lambda g: {n: g.order_index(n) for n in g.nodes()},
                    cfg) == {n.id: i for i, n in enumerate(fresh.nodes())}
@@ -92,6 +104,7 @@ def assert_memos_fresh(cfg):
 
 def prime(cfg):
     dominators(cfg)
+    retreating_edges(cfg)
     loop_forest(cfg)
     cfg.order_map()
 
@@ -174,11 +187,25 @@ def test_latch_pass_dominators_match_a_fresh_tree_on_generated_programs(seed):
     assert_memos_fresh(cfg)
 
 
+def test_normalize_hands_on_fresh_analyses_over_the_digest_corpora():
+    """On the 96 programs whose outputs the corpus digests pin, the
+    dominator tree and retreating edges that the latch and critical-edge
+    passes kept current equal fresh ones, and so does the final forest."""
+    edited = 0
+    for _, _, text in corpus_sources():
+        cfg = build_cfg(parse(text))
+        size = len(cfg)
+        normalize(cfg)
+        edited += len(cfg) > size
+        assert_memos_fresh(cfg)
+    assert edited > 48
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of dominator trees, loop forests and topological orders
-    built while the fixture is active."""
-    counts = {"dominators": 0, "forests": 0, "orders": 0}
+    """Counts of dominator trees, retreating-edge DFS passes, loop
+    forests and topological orders built while the fixture is active."""
+    counts = {"dominators": 0, "retreating": 0, "forests": 0, "orders": 0}
 
     def counting(key, function):
         def wrapper(*args, **kwargs):
@@ -188,6 +215,9 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(intervals, "compute_dominators",
                         counting("dominators", intervals.compute_dominators))
+    monkeypatch.setattr(intervals, "find_retreating_edges",
+                        counting("retreating",
+                                 intervals.find_retreating_edges))
     monkeypatch.setattr(LoopForest, "__init__",
                         counting("forests", LoopForest.__init__))
     monkeypatch.setattr(traversal, "_topological_order",
@@ -207,13 +237,14 @@ def jumpy_programs(count=6):
 
 
 @pytest.mark.parametrize("index", range(-1, 6))
-def test_a_compile_analyzes_its_graph_at_most_twice(builds, index):
+def test_a_compile_builds_one_dominator_tree_and_one_dfs(builds, index):
     source = FIG11_SOURCE if index < 0 else jumpy_programs()[index]
     for key in builds:
         builds[key] = 0
     compiled = compile_one("program", source)
     assert compiled.ok, compiled.error
-    assert builds["dominators"] <= 2, builds
+    assert builds["dominators"] <= 1, builds
+    assert builds["retreating"] <= 1, builds
     assert builds["forests"] <= 2, builds
     assert builds["orders"] <= 2, builds
 

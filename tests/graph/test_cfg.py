@@ -62,9 +62,12 @@ def test_new_node_order_before_and_after():
 def test_reachable_from_entry():
     cfg, nodes = chain(3)
     orphan = cfg.new_node(NodeKind.STMT, name="orphan")
+    side = cfg.new_node(NodeKind.STMT, name="side", order_before=nodes[1])
+    cfg.add_edge(nodes[2], side)  # found last, ordered second
     reachable = cfg.reachable_from_entry()
     assert orphan not in reachable
     assert all(n in reachable for n in nodes)
+    assert reachable == [nodes[0], side, nodes[1], nodes[2]]
 
 
 def test_remove_node_cleans_edges():

@@ -32,20 +32,24 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def corpus_digests():
-    """``{corpus: [[source sha256, output sha256 or error], ...]}``."""
-    digests = {}
+def corpus_sources():
+    """Yield ``(corpus, name, text)`` for every program, in order."""
     for corpus, (goto_probability, count) in CORPORA.items():
         gen = ArrayProgramGenerator(seed=SEED, max_depth=MAX_DEPTH,
                                     goto_probability=goto_probability)
-        rows = []
         for index in range(count):
-            text = format_program(gen.program(size=SIZE))
-            compiled = compile_one(f"{corpus}{index:03d}", text)
-            output = (_sha256(compiled.annotated_source) if compiled.ok
-                      else f"{compiled.error_type}: {compiled.error}")
-            rows.append([_sha256(text), output])
-        digests[corpus] = rows
+            yield corpus, f"{corpus}{index:03d}", format_program(
+                gen.program(size=SIZE))
+
+
+def corpus_digests():
+    """``{corpus: [[source sha256, output sha256 or error], ...]}``."""
+    digests = {corpus: [] for corpus in CORPORA}
+    for corpus, name, text in corpus_sources():
+        compiled = compile_one(name, text)
+        output = (_sha256(compiled.annotated_source) if compiled.ok
+                  else f"{compiled.error_type}: {compiled.error}")
+        digests[corpus].append([_sha256(text), output])
     return digests
 
 

@@ -137,3 +137,40 @@ def test_tokens_are_named_tuples_with_positions():
     assert token == (TokenKind.DO, "do", 1, 1)
     assert (token.kind, token.text, token.line, token.column) == tuple(token)
     assert repr(token) == "Token(DO, 'do', 1:1)"
+
+
+def test_positions_around_comments_blank_lines_and_carriage_returns():
+    """A column-1 comment line and a blank line give no token; a line
+    with tokens ends with a NEWLINE at one past its last character, a
+    ``!`` comment and a ``\\r`` included; EOF sits at column 1 of the
+    last line."""
+    source = ("c comment\n  x = 1 ! note\n* star\r\nDO i = 1, n\r\n\nc\n"
+              "c(2) = a != b ! c\n*")
+    assert [tuple(token) for token in tokenize(source)] == [
+        (TokenKind.NAME, "x", 2, 3), (TokenKind.ASSIGN, "=", 2, 5),
+        (TokenKind.INT, "1", 2, 7), (TokenKind.NEWLINE, "\n", 2, 15),
+        (TokenKind.DO, "do", 4, 1), (TokenKind.NAME, "i", 4, 4),
+        (TokenKind.ASSIGN, "=", 4, 6), (TokenKind.INT, "1", 4, 8),
+        (TokenKind.COMMA, ",", 4, 9), (TokenKind.NAME, "n", 4, 11),
+        (TokenKind.NEWLINE, "\n", 4, 13),
+        (TokenKind.NAME, "c", 7, 1), (TokenKind.LPAREN, "(", 7, 2),
+        (TokenKind.INT, "2", 7, 3), (TokenKind.RPAREN, ")", 7, 4),
+        (TokenKind.ASSIGN, "=", 7, 6), (TokenKind.NAME, "a", 7, 8),
+        (TokenKind.NE, "!=", 7, 10), (TokenKind.NAME, "b", 7, 13),
+        (TokenKind.NEWLINE, "\n", 7, 18), (TokenKind.EOF, "", 8, 1),
+    ]
+
+
+@pytest.mark.parametrize("source, char, line, column", [
+    ("x = 1 ! note\ny = $", "$", 2, 5),          # after a ! comment
+    ("x = 1 ! $ @ fine\ny = 2 @", "@", 2, 7),    # not inside a comment
+    ("c $ comment\n* $\n  $", "$", 3, 3),        # after column-1 comments
+    ("x = 1\r\n\t$", "$", 2, 2),                 # after \r and a tab
+])
+def test_unexpected_character_position_after_comments(source, char, line,
+                                                      column):
+    with pytest.raises(ParseError) as excinfo:
+        tokenize(source)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    assert str(excinfo.value) == (
+        f"line {line}, column {column}: unexpected character {char!r}")

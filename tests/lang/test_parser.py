@@ -162,3 +162,127 @@ def test_multi_subscript_arrays():
 def test_source_lines_recorded():
     program = parse("x = 1\n\ny = 2")
     assert [s.line for s in program.body] == [1, 3]
+
+
+# -- the grammar, pinned case by case ----------------------------------------
+
+A, B, C = ast.Var("a"), ast.Var("b"), ast.Var("c")
+
+
+def neg(operand):
+    """Unary minus as the parser builds it: ``0 - operand``."""
+    return ast.BinOp("-", ast.Num(0), operand)
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("a - b - c", ast.BinOp("-", ast.BinOp("-", A, B), C)),
+    ("a / b * c", ast.BinOp("*", ast.BinOp("/", A, B), C)),
+    ("a < b < c", ast.BinOp("<", ast.BinOp("<", A, B), C)),
+    ("a + b - c", ast.BinOp("-", ast.BinOp("+", A, B), C)),
+    ("a * b + c", ast.BinOp("+", ast.BinOp("*", A, B), C)),
+    ("a + b < c * a", ast.BinOp("<", ast.BinOp("+", A, B),
+                                ast.BinOp("*", C, A))),
+    ("a == b + c", ast.BinOp("==", A, ast.BinOp("+", B, C))),
+    ("a /= b", ast.BinOp("!=", A, B)),
+    ("a != b", ast.BinOp("!=", A, B)),
+    ("a <= b", ast.BinOp("<=", A, B)),
+    ("a >= b", ast.BinOp(">=", A, B)),
+    ("a > b", ast.BinOp(">", A, B)),
+    ("-a * b", ast.BinOp("*", neg(A), B)),
+    ("a * -b", ast.BinOp("*", A, neg(B))),
+    ("- -a", neg(neg(A))),
+    ("a - -b", ast.BinOp("-", A, neg(B))),
+    ("-a + b", ast.BinOp("+", neg(A), B)),
+    ("-(a + b)", neg(ast.BinOp("+", A, B))),
+    ("-1", neg(ast.Num(1))),
+    ("a < -b", ast.BinOp("<", A, neg(B))),
+    ("007", ast.Num(7)),
+    ("... + a(...)", ast.BinOp("+", ast.Opaque(),
+                               ast.ArrayRef("a", (ast.Opaque(),)))),
+    ("((a))", A),
+])
+def test_expression_grammar(text, tree):
+    stmt = first(f"x = {text}")
+    assert stmt.value == tree
+    assert repr(stmt.value) == repr(tree)
+
+
+def test_range_inside_nested_subscripts():
+    stmt = first("x = y(a(1:n), 2:m + 1, i - 1:i)")
+    assert stmt.value == ast.ArrayRef("y", (
+        ast.ArrayRef("a", (ast.RangeExpr(ast.Num(1), ast.Var("n")),)),
+        ast.RangeExpr(ast.Num(2), ast.BinOp("+", ast.Var("m"), ast.Num(1))),
+        ast.RangeExpr(ast.BinOp("-", ast.Var("i"), ast.Num(1)),
+                      ast.Var("i")),
+    ))
+
+
+def test_opaque_assignment_target_and_logical_if_condition():
+    program = parse("... = x\nif (a < b) goto 5\n5 continue")
+    assert program.body[0].target == ast.Opaque()
+    assert program.body[1].cond == ast.BinOp("<", A, B)
+
+
+#: One case per :class:`ParseError` the parser raises on some input:
+#: ``(source, message, line, column)``.  Two raise sites cannot fail:
+#: ``invalid assignment target`` (an assignment starts at a name or
+#: ``...``, which always parse to a target) and ``end of program`` (the
+#: top-level body stops only at the end of input).
+PARSE_ERRORS = [
+    ("do 5 = 1, n\nenddo", "expected loop variable, found '5'", 1, 4),
+    ("do i 1, n\nenddo", "expected '=', found '1'", 1, 6),
+    ("do i = 1 n\nenddo", "expected ',', found 'n'", 1, 10),
+    ("do i = 1, n\nx = 1\n", "expected 'enddo', found ''", 3, 1),
+    ("do i = 1, n\nx = 1", "expected 'enddo', found ''", 2, 1),
+    ("do i = 1, n, 2, 3\nenddo", "unexpected trailing input ','", 1, 15),
+    ("do i = 1, n\nenddo x", "unexpected trailing input 'x'", 2, 7),
+    ("do i = 1, n\nelse\nenddo", "unexpected token 'else'", 2, 1),
+    ("if t goto x", "expected label, found 'x'", 1, 11),
+    ("if t x = 1", "expected 'then' or 'goto', found 'x'", 1, 6),
+    ("if t then x = 1\nendif", "unexpected trailing input 'x'", 1, 11),
+    ("if t then\nx = 1\n", "expected 'endif', found ''", 3, 1),
+    ("if t then\nelse y\nendif", "unexpected trailing input 'y'", 2, 6),
+    ("if t then\nelse\nelse\nendif", "unexpected token 'else'", 3, 1),
+    ("if t then\nenddo", "unexpected token 'enddo'", 2, 1),
+    ("if t then\nendif 5", "unexpected trailing input '5'", 2, 7),
+    ("goto x", "expected label, found 'x'", 1, 6),
+    ("continue 5", "unexpected trailing input '5'", 1, 10),
+    ("real 5", "expected variable name, found '5'", 1, 6),
+    ("real x(10", "expected ')', found '\\n'", 1, 10),
+    ("real x(10) y", "unexpected trailing input 'y'", 1, 12),
+    ("parameter 5 = 1", "expected parameter name, found '5'", 1, 11),
+    ("parameter n 1", "expected '=', found '1'", 1, 13),
+    ("distribute 5(block)", "expected array name, found '5'", 1, 12),
+    ("distribute x block", "expected '(', found 'block'", 1, 14),
+    ("distribute x(foo)", "expected distribution scheme "
+     "(block/cyclic/replicated), found 'foo'", 1, 14),
+    ("distribute x(block", "expected ')', found '\\n'", 1, 19),
+    ("x 1", "expected '=', found '1'", 1, 3),
+    ("x(1 = 2", "expected ')', found '='", 1, 5),
+    ("x = (1 + 2", "expected ')', found '\\n'", 1, 11),
+    ("x = (1:2)", "expected ')', found ':'", 1, 7),
+    ("x = a(1, 2", "expected ')', found '\\n'", 1, 11),
+    ("x = ,", "expected expression, found ','", 1, 5),
+    ("x = a(1:)", "expected expression, found ')'", 1, 9),
+    ("x =", "expected expression, found '\\n'", 1, 4),
+    ("x = ! a comment", "expected expression, found '\\n'", 1, 16),
+    ("x =\r\n", "expected expression, found '\\n'", 1, 5),
+    ("y = 2\nx = -", "expected expression, found '\\n'", 2, 6),
+    ("x = 1 y", "unexpected trailing input 'y'", 1, 7),
+    ("x = 1)", "unexpected trailing input ')'", 1, 6),
+    ("x = 1:n", "unexpected trailing input ':'", 1, 6),
+    ("enddo", "unexpected token 'enddo'", 1, 1),
+    ("= 1", "unexpected token '='", 1, 1),
+    ("77", "unexpected token '\\n'", 1, 3),
+    ("x = 1\n\n   77\n", "unexpected token '\\n'", 3, 6),
+    ("10 ! label only\n x = 1", "unexpected token '\\n'", 1, 16),
+]
+
+
+@pytest.mark.parametrize("source, message, line, column", PARSE_ERRORS)
+def test_parse_error_message_and_position(source, message, line, column):
+    with pytest.raises(ParseError) as excinfo:
+        parse(source)
+    error = excinfo.value
+    assert (error.line, error.column) == (line, column)
+    assert str(error) == f"line {line}, column {column}: {message}"

@@ -281,8 +281,8 @@ DEFERRED_FROM_THE_COMPILE_PATH = (
 )
 
 #: What the exact checker brings when a compile certifies: the checker
-#: itself, and ``dataclasses`` for its ``Violation``.
-LOADED_TO_CERTIFY = ("repro.core.checker", "dataclasses", "inspect")
+#: itself, and no ``dataclasses`` (its ``Violation`` is a record).
+LOADED_TO_CERTIFY = ("repro.core.checker",)
 
 
 @pytest.mark.parametrize("figure, allowed", [
@@ -309,15 +309,16 @@ def test_compile_loads_only_what_it_runs(figure, allowed):
 def test_annotate_command_loads_no_service_or_machine(tmp_path):
     """``repro annotate`` imports its subcommand's modules only: no
     asyncio, no compile service (not even its config), no machine
-    simulator, no hardened ladder and no naive rung; and for Figure 1,
-    which has no jumps and so never certifies, no ``dataclasses``."""
+    simulator, no hardened ladder, no naive rung and no
+    ``dataclasses``, whether the program never certifies (Figure 1)
+    or its jumps make it certify (Figure 11)."""
     from repro.testing.programs import FIG1_SOURCE, FIG11_SOURCE
 
     unexpected = ("asyncio", "repro.service.server", "repro.service.runner",
                   "repro.service.config", "repro.machine",
-                  "repro.commgen.hardened", "repro.commgen.naive")
-    for name, text, also in (("fig1", FIG1_SOURCE, ("dataclasses",)),
-                             ("fig11", FIG11_SOURCE, ())):
+                  "repro.commgen.hardened", "repro.commgen.naive",
+                  "dataclasses")
+    for name, text in (("fig1", FIG1_SOURCE), ("fig11", FIG11_SOURCE)):
         source = tmp_path / f"{name}.f"
         source.write_text(text)
         _run_fresh(
@@ -325,7 +326,7 @@ def test_annotate_command_loads_no_service_or_machine(tmp_path):
             "from repro.cli import main\n"
             f"assert main(['annotate', {str(source)!r}], "
             "out=io.StringIO()) == 0\n"
-            f"loaded = [m for m in {unexpected + also!r} "
+            f"loaded = [m for m in {unexpected!r} "
             "if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )

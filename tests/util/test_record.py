@@ -26,6 +26,7 @@ from repro.analysis.sections import (
 )
 from repro.analysis.value_numbering import LoopContext
 from repro.batch.driver import BatchOptions, CompiledProgram
+from repro.core.checker import Violation
 from repro.core.placement import Position, Production
 from repro.core.problem import Timing
 from repro.graph.cfg import Node, NodeKind
@@ -85,6 +86,8 @@ SAMPLES = {
                      None),
     "CompiledProgram": (CompiledProgram("p", True, "a = 1\n", reads=2,
                                         rung="balanced"), None),
+    "Violation": (Violation("balance", "C1", "x", "s3", "forced"),
+                  ("kind", "criterion", "element", "node", "message")),
 }
 
 #: ``repr()`` of each sample as its dataclass printed it.
@@ -142,6 +145,8 @@ DATACLASS_REPR = {
                        "cache_hit=False, duration_s=0.0, error=None, "
                        "error_type=None, rung='balanced', degraded=False, "
                        "trace=None, incremental=None)",
+    "Violation": "Violation(kind='balance', criterion='C1', element='x', "
+                 "node='s3', message='forced')",
 }
 
 
@@ -204,6 +209,28 @@ def test_sections_compare_without_subs_or_origin():
         assert first == second and hash(first) == hash(second)
         assert repr(first) != repr(second)
     assert AffineSection("x", RANGE) != AffineSection("y", RANGE)
+
+
+def test_violation_compares_and_prints_without_its_witness_finder():
+    """``find_witness`` is no field, as under the dataclass's
+    ``field(compare=False, repr=False)``: two violations that differ
+    only in it are equal, hash alike and print alike, and a copy keeps
+    it and the witness path it found.  (A deep copy would copy the
+    node, which compares by identity; :data:`SAMPLES` round-trips a
+    violation without one.)"""
+    path = (NODE,)
+    found = Violation(kind="safety", criterion="C2", element="x", node=NODE,
+                      message="unused", find_witness=lambda: path)
+    plain = Violation("safety", "C2", "x", NODE, "unused")
+    assert found == plain and hash(found) == hash(plain)
+    assert repr(found) == repr(plain) == (
+        "Violation(kind='safety', criterion='C2', element='x', "
+        "node=<Node 3 s3>, message='unused')")
+    assert plain.witness is None and found.witness == path
+    assert str(found).endswith("(witness: 3)")
+    twin = copy.copy(found)
+    assert twin == found and twin.find_witness is found.find_witness
+    assert twin.witness == path
 
 
 def test_statement_signatures_keep_label_and_line_keyword_only():
