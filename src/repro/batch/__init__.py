@@ -4,8 +4,7 @@ The plain pipeline recompiles everything from scratch on every call;
 this package makes corpus-scale compilation cheap (``docs/scaling.md``):
 
 * :class:`PipelineCache` — a content-addressed cache of compile
-  results (annotated source, placement counts, stable trace) and of
-  per-program interval records for :func:`compile_delta`;
+  results (annotated source, placement counts, stable trace);
 * :func:`compile_many` / :func:`compile_one` — the drivers that fan a
   corpus across a process pool and merge per-program results, errors,
   cache statistics, traces, and degradation reports;
@@ -22,11 +21,9 @@ _EXPORTS = {
                           "source_fingerprint"),
     "repro.batch.driver": (
         "COMPILED_NAMESPACE",
-        "MERKLE_NAMESPACE",
         "BatchOptions",
         "BatchResult",
         "CompiledProgram",
-        "compile_delta",
         "compile_many",
         "compile_one",
         "resolve_jobs",

@@ -2,11 +2,9 @@
 
 The :class:`PipelineCache` stores what
 :func:`~repro.batch.driver.compile_one` returns — annotated source,
-placement counts and stable trace (namespace ``"compiled"``) — and the
-per-program Merkle interval records
-:func:`~repro.batch.driver.compile_delta` diffs against (namespace
-``"interval-merkle"``), keyed by a SHA-256 fingerprint of the source
-text plus every option that shapes the output.
+placement counts and stable trace (namespace ``"compiled"``) — keyed by
+a SHA-256 fingerprint of the source text plus every option that shapes
+the output.
 
 Three properties are load-bearing:
 

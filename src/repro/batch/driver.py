@@ -38,7 +38,6 @@ from functools import partial
 
 from repro.commgen.pipeline import generate_communication
 from repro.graph.pipeline import analyzed_program_for
-from repro.lang.printer import format_first_line
 from repro.obs.collector import tracing
 from repro.obs.trace import stable_form, trace_payload
 from repro.util.errors import ReproError
@@ -47,11 +46,6 @@ from repro.util.record import Record
 #: Cache namespace for compile results: the :data:`ENTRY_FIELDS` of a
 #: :class:`CompiledProgram`.
 COMPILED_NAMESPACE = "compiled"
-
-#: Cache namespace for per-program Merkle interval fingerprints, keyed
-#: by the plain :func:`source_fingerprint` of the text — the digest a
-#: ``compile_delta`` request names as its ``base``.
-MERKLE_NAMESPACE = "interval-merkle"
 
 #: generate_communication keyword defaults — with ``hardened``,
 #: ``split_messages`` and ``trace``, the options that participate in the
@@ -130,20 +124,16 @@ class CompiledProgram(Record):
     """The outcome of compiling one program of the corpus.
 
     ``rung`` and ``degraded`` are set by hardened compiles only (the
-    rung that produced the placement), ``trace`` holds the stable-form
-    trace payload of a ``trace=True`` compile, and ``incremental`` is
-    set by :func:`compile_delta` only: the edited and base digests and,
-    when the base's interval record is cached, the changed-interval
-    counts."""
+    rung that produced the placement), and ``trace`` holds the
+    stable-form trace payload of a ``trace=True`` compile."""
 
     _fields = ("name", "ok", "annotated_source", "reads", "writes",
                "cache_hit", "duration_s", "error", "error_type", "rung",
-               "degraded", "trace", "incremental")
+               "degraded", "trace")
 
     def __init__(self, name, ok, annotated_source=None, reads=0, writes=0,
                  cache_hit=False, duration_s=0.0, error=None,
-                 error_type=None, rung=None, degraded=False, trace=None,
-                 incremental=None):
+                 error_type=None, rung=None, degraded=False, trace=None):
         self.name = name
         self.ok = ok
         self.annotated_source = annotated_source
@@ -156,7 +146,6 @@ class CompiledProgram(Record):
         self.rung = rung
         self.degraded = degraded
         self.trace = trace
-        self.incremental = incremental
 
     def as_dict(self):
         return {
@@ -170,7 +159,6 @@ class CompiledProgram(Record):
             "error_type": self.error_type,
             "rung": self.rung,
             "degraded": self.degraded,
-            "incremental": self.incremental,
             "annotated_source": self.annotated_source,
         }
 
@@ -253,9 +241,8 @@ def compile_one(name, text, cache=None, options=None):
     start = time.perf_counter()
     compiled = lookup_compiled(cache, name, text, options)
     if compiled is None:
-        compiled, intervals = compile_uncached(
-            name, text, options, record_intervals=cache is not None)
-        store_compiled(cache, text, options, compiled, intervals)
+        compiled = compile_uncached(name, text, options)
+        store_compiled(cache, text, options, compiled)
     compiled.duration_s = time.perf_counter() - start
     return compiled
 
@@ -280,43 +267,33 @@ def lookup_compiled(cache, name, text, options):
                            duration_s=time.perf_counter() - start, **entry)
 
 
-def compile_uncached(name, text, options, record_intervals=False):
+def compile_uncached(name, text, options):
     """Compile one program without touching a cache: the step a pool
-    worker runs.  Returns ``(compiled, intervals)``, where
-    ``intervals`` is the program's Merkle interval record when
-    ``record_intervals`` asks for it and a plain compile succeeded
-    (``None`` otherwise); never raises for per-program
+    worker runs.  Never raises for per-program
     :class:`~repro.util.errors.ReproError` failures."""
     start = time.perf_counter()
-    intervals = None
     try:
         if options.hardened:
             compiled = _compile_hardened(name, text, options)
         else:
-            compiled, intervals = _compile_plain(name, text, options,
-                                                 record_intervals)
+            compiled = _compile_plain(name, text, options)
     except ReproError as error:
         compiled = CompiledProgram(name=name, ok=False, error=str(error),
                                    error_type=type(error).__name__)
     compiled.duration_s = time.perf_counter() - start
-    return compiled, intervals
+    return compiled
 
 
-def store_compiled(cache, text, options, compiled, intervals=None):
-    """Store a successful compile's result, and its interval record
-    when there is one; a failed compile (or ``cache=None``) stores
-    nothing."""
+def store_compiled(cache, text, options, compiled):
+    """Store a successful compile's result; a failed compile (or
+    ``cache=None``) stores nothing."""
     if cache is None or not compiled.ok:
         return
     cache.put(COMPILED_NAMESPACE, _result_key(cache, text, options),
               {key: getattr(compiled, key) for key in ENTRY_FIELDS})
-    if intervals is not None:
-        from repro.batch.cache import source_fingerprint
-
-        cache.put(MERKLE_NAMESPACE, source_fingerprint(text), intervals)
 
 
-def _compile_plain(name, text, options, record_intervals):
+def _compile_plain(name, text, options):
     kwargs = options.pipeline_kwargs()
     # The frontend is built outside the trace scope, so a traced compile
     # records only what follows it.  It consumes the two frontend
@@ -324,8 +301,6 @@ def _compile_plain(name, text, options, record_intervals):
     analyzed = analyzed_program_for(
         text, split_irreducible=kwargs.pop("split_irreducible"),
         max_splits=kwargs.pop("max_splits"))
-    # Fingerprint the intervals before annotation moves labels around.
-    intervals = _interval_record(analyzed) if record_intervals else None
     with tracing() if options.trace else nullcontext() as collector:
         result = generate_communication(
             analyzed, split_messages=options.split_messages, **kwargs)
@@ -333,63 +308,7 @@ def _compile_plain(name, text, options, record_intervals):
     reads, writes = result.communication_count()
     return CompiledProgram(name=name, ok=True,
                            annotated_source=result.annotated_source(),
-                           reads=reads, writes=writes, trace=trace), intervals
-
-
-def _render_interval_node(node):
-    """A node's own-level text for interval fingerprinting: the first
-    rendered line of its statement (a loop header's body lines belong to
-    the nested interval's fingerprint, not its own), or a kind tag for
-    synthetic nodes."""
-    if node.stmt is None:
-        return f"<{node.kind.value}:{node.name}>"
-    return format_first_line(node.stmt)
-
-
-def _interval_record(analyzed):
-    """The program's sorted Merkle interval fingerprints: stored under
-    its plain source digest, so a later ``compile_delta`` naming this
-    text as its base can report which intervals the edit changed."""
-    forest = analyzed.ifg.forest
-    return sorted(forest.interval_fingerprints(_render_interval_node).values())
-
-
-def compile_delta(name, text, cache, options=None, base_digest=None):
-    """Recompile an edited program and report which intervals the edit
-    changed.
-
-    ``text`` is the *edited* source; ``base_digest`` (optional) is the
-    plain :func:`~repro.batch.cache.source_fingerprint` of the base text
-    a previous compile through ``cache`` stored.  The compile itself is
-    :func:`compile_one`, so the result is byte-identical to a cold
-    compile of the same text; the base digest adds the diagnostics
-    (:func:`interval_diff`).
-    """
-    if cache is None:
-        raise ValueError("compile_delta requires a PipelineCache to read "
-                         "interval records from")
-    return interval_diff(cache, compile_one(name, text, cache, options),
-                         text, base_digest)
-
-
-def interval_diff(cache, compiled, text, base_digest):
-    """Set ``compiled.incremental`` for a delta compile of ``text``:
-    its digest, the base digest and, when ``cache`` holds both interval
-    records, how many of the edited program's intervals are missing
-    from the base's.  Returns ``compiled``."""
-    from repro.batch.cache import source_fingerprint
-
-    incremental = {"digest": source_fingerprint(text), "base": base_digest}
-    if compiled.ok and base_digest:
-        base_fps = cache.get(MERKLE_NAMESPACE, base_digest)
-        edited_fps = cache.get(MERKLE_NAMESPACE, incremental["digest"])
-        if isinstance(base_fps, list) and isinstance(edited_fps, list):
-            known = set(base_fps)
-            incremental["intervals_total"] = len(edited_fps)
-            incremental["intervals_changed"] = sum(
-                1 for fp in edited_fps if fp not in known)
-    compiled.incremental = incremental
-    return compiled
+                           reads=reads, writes=writes, trace=trace)
 
 
 def _compile_hardened(name, text, options):
@@ -448,8 +367,7 @@ def compile_many(sources, jobs=1, cache=None, options=None):
                     for name, text in items]
         misses = [index for index, program in enumerate(programs)
                   if program is None]
-        work = partial(compile_uncached, options=options,
-                       record_intervals=cache is not None)
+        work = partial(compile_uncached, options=options)
         try:
             outcomes = _pool_map(work, [items[i] for i in misses], jobs)
         except (OSError, ImportError):
@@ -457,9 +375,8 @@ def compile_many(sources, jobs=1, cache=None, options=None):
             # degrade to a serial run rather than failing the corpus.
             outcomes = [work(*items[i]) for i in misses]
             jobs = 1
-        for index, (compiled, intervals) in zip(misses, outcomes):
-            store_compiled(cache, items[index][1], options, compiled,
-                           intervals)
+        for index, compiled in zip(misses, outcomes):
+            store_compiled(cache, items[index][1], options, compiled)
             programs[index] = compiled
     elapsed = time.perf_counter() - start
     stats = cache.stats() if cache is not None else None

@@ -183,20 +183,6 @@ def build_parser():
     batch.add_argument("--quiet", action="store_true",
                        help="summary line only, no per-program lines")
 
-    delta = commands.add_parser(
-        "delta", help="recompile an edited program and report which "
-                      "intervals the edit changed (docs/scaling.md)")
-    delta.add_argument("base", help="base source file (the previously "
-                                    "compiled version)")
-    delta.add_argument("edited", help="edited source file ('-' for stdin)")
-    delta.add_argument("--cache", metavar="DIR", default=None,
-                       help="persist the pipeline cache in DIR (warm "
-                            "across runs); default is an in-memory "
-                            "cache warmed by compiling BASE first")
-    delta.add_argument("--json", action="store_true",
-                       help="machine-readable result (the full compile "
-                            "payload including the interval diff)")
-
     serve = commands.add_parser(
         "serve", help="run the resident compile service "
                       "(docs/serving.md)")
@@ -535,45 +521,6 @@ def command_batch(args, out):
     return 1 if result.error_count else 0
 
 
-def command_delta(args, out):
-    import json
-
-    from repro.batch import (
-        BatchOptions,
-        PipelineCache,
-        compile_delta,
-        compile_one,
-        source_fingerprint,
-    )
-
-    base_text = read_source(args.base)
-    edited_text = read_source(args.edited)
-    cache = PipelineCache(directory=args.cache)
-    options = BatchOptions()
-    base = compile_one(args.base, base_text, cache=cache, options=options)
-    if not base.ok:
-        out.write(f"{args.base}: error: {base.error}\n")
-        return 1
-    compiled = compile_delta(args.edited, edited_text, cache,
-                             options=options,
-                             base_digest=source_fingerprint(base_text))
-    if args.json:
-        out.write(json.dumps(compiled.as_dict(), indent=2, sort_keys=True))
-        out.write("\n")
-        return 1 if not compiled.ok else 0
-    if not compiled.ok:
-        out.write(f"{args.edited}: error: {compiled.error}\n")
-        return 1
-    out.write(compiled.annotated_source)
-    incr = compiled.incremental or {}
-    changed = incr.get("intervals_changed")
-    total = incr.get("intervals_total")
-    scope = (f"{changed}/{total} intervals changed"
-             if changed is not None else "interval diff unavailable")
-    out.write(f"! delta: {scope}\n")
-    return 0
-
-
 def command_serve(args, out):
     from repro.service import ServiceConfig, run_service
 
@@ -788,7 +735,6 @@ COMMANDS = {
     "profile": command_profile,
     "pre": command_pre,
     "batch": command_batch,
-    "delta": command_delta,
     "serve": command_serve,
     "fleet": command_fleet,
     "request": command_request,

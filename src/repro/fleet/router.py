@@ -7,14 +7,11 @@ newline-delimited JSON protocol as a single
 against a fleet unchanged.  What it adds is placement and fault
 tolerance (``docs/serving.md``):
 
-* **cache affinity** — requests are consistent-hashed by source digest
+* **cache affinity** — every compile (and each program of a batch)
+  is consistent-hashed by its own source digest
   (:class:`~repro.fleet.health.HashRing`), so a resubmitted program
   lands on the shard whose :class:`~repro.batch.cache.PipelineCache`
-  already holds its compile result; a ``compile_delta`` request
-  carrying a ``base`` digest routes by that digest *verbatim* — the
-  edited text misses the result cache on every shard, but the base's
-  interval record the delta diffs against lives on the shard that
-  compiled the **base**;
+  already holds its compile result;
 * **health** — a heartbeat ping per shard feeds a per-shard
   :class:`~repro.fleet.health.CircuitBreaker`; an open breaker takes
   the shard out of rotation until a half-open probe succeeds;
@@ -245,13 +242,7 @@ class FleetRouter(LineServer):
 
     def home_shard(self, source):
         """The shard a compile of ``source`` has affinity with."""
-        return self._by_name[self._ring.home(source_fingerprint(source))]
-
-    def delta_home_shard(self, base_digest):
-        """The shard a ``compile_delta`` against ``base_digest`` routes
-        to — the base digest enters the ring verbatim (it already *is*
-        the fingerprint the base compile was routed by)."""
-        return self._by_name[self._ring.home(base_digest)]
+        return self._preference(source)[0]
 
     def _ping_fields(self):
         return {"protocol": PROTOCOL, "role": "fleet-router",
@@ -348,31 +339,17 @@ class FleetRouter(LineServer):
 
     # -- routing -------------------------------------------------------------
 
-    def _affinity_digest(self, request, source):
-        """The digest a request enters the hash ring under.
-
-        Plain compiles hash their own source.  A ``compile_delta``
-        carrying a ``base`` digest routes by it **verbatim** — ``base``
-        already is the :func:`~repro.batch.cache.source_fingerprint` of
-        the base text, so re-hashing it would send the delta anywhere
-        *but* the shard whose cache holds the base's interval record."""
-        if request.get("type") == "compile_delta":
-            base = request.get("base")
-            if isinstance(base, str) and base:
-                return base
-        return source_fingerprint(source)
-
-    def _preference(self, digest):
-        """Shards in failover order for an affinity digest (home
+    def _preference(self, source):
+        """Shards in failover order for a compile of ``source`` (home
         first)."""
-        order = self._ring.preference(digest)
+        order = self._ring.preference(source_fingerprint(source))
         return [self._by_name[name] for name in order]
 
-    async def _route(self, request, digest):
-        """Forward ``request`` with failover, spill, and hedging; always
-        returns a response dict (never raises for shard trouble).
-        ``digest`` is the affinity digest (:meth:`_affinity_digest`)."""
-        candidates = self._preference(digest)
+    async def _route(self, request):
+        """Forward a compile ``request`` with failover, spill, and
+        hedging; always returns a response dict (never raises for shard
+        trouble)."""
+        candidates = self._preference(request["source"])
         refusal = None
         attempts = 0
         rerouting = False
@@ -463,8 +440,7 @@ class FleetRouter(LineServer):
                 request, E_BAD_REQUEST,
                 "compile requests need a string 'source' field"))
             return
-        await send(await self._route(
-            request, self._affinity_digest(request, source)))
+        await send(await self._route(request))
 
     async def _handle_batch(self, request, send):
         """Split a batch across the fleet: each program routes by its
@@ -489,9 +465,7 @@ class FleetRouter(LineServer):
                     sub[key] = request[key]
             subrequests.append(sub)
         replies = await asyncio.gather(*[
-            self._route(sub, source_fingerprint(sub["source"]))
-            for sub in subrequests
-        ])
+            self._route(sub) for sub in subrequests])
         for reply in replies:
             if not reply.get("ok"):
                 error = dict(reply)

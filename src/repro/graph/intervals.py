@@ -318,46 +318,3 @@ class LoopForest:
 
     def back_edges(self):
         return list(self._back_edges)
-
-    def interval_fingerprints(self, render):
-        """Merkle-style content fingerprints over the interval tree.
-
-        Each interval's fingerprint hashes the header's own rendering,
-        the renderings of its direct (same-level) members in program
-        order, and — in place of each nested loop's members — the
-        *fingerprint* of that child interval.  An edit therefore changes
-        exactly the fingerprints of the intervals on the path from the
-        edited statement to the root, which is how
-        :func:`~repro.batch.driver.compile_delta` reports which
-        intervals an edit touched (``docs/scaling.md``).
-
-        ``render`` maps a node to stable text (e.g. its formatted
-        statement).  Returns ``{header: hexdigest}`` with ``None`` keying
-        the virtual top-level interval, whose fingerprint covers the
-        whole program.
-        """
-        import hashlib  # only a cached compile records intervals
-
-        order = self._cfg.order_map()
-        fingerprints = {}
-
-        def fingerprint(header):
-            digest = hashlib.sha256()
-            digest.update(b"interval")
-            if header is not None:
-                digest.update(b"\x00h\x00" + render(header).encode())
-                members = self.children(header)
-            else:
-                members = [n for n in self._cfg.nodes()
-                           if self._innermost.get(n) is None]
-            for member in sorted(members, key=lambda n: order[n]):
-                if self.is_header(member):
-                    digest.update(b"\x00i\x00" + fingerprint(member).encode())
-                else:
-                    digest.update(b"\x00s\x00" + render(member).encode())
-            value = digest.hexdigest()
-            fingerprints[header] = value
-            return value
-
-        fingerprint(None)
-        return fingerprints

@@ -87,15 +87,15 @@ execute — the artifact is the proof that the scripted failures really
 happened *and* nothing was lost to them.
 
 **Edit streams through the cache** — what a cache miss costs and
-that deltas stay exact (``docs/scaling.md``)::
+that edited programs stay exact (``docs/scaling.md``)::
 
     python -m repro.obs.bench --incr --check
 
 compiles each corpus program through one shared in-memory cache, drives
 a seeded sequence of mixed edits (scalar-RHS bumps, distributed-array
 subscript changes, inserts, deletes) through
-:func:`~repro.batch.driver.compile_delta`, then probes 1-statement
-scalar-RHS edits of each base the same way.  Every compile is checked
+:func:`~repro.batch.driver.compile_one` and the same cache, then probes
+1-statement scalar-RHS edits of each base the same way.  Every compile is checked
 byte-identical against a cacheless compile of the same text, and both
 are timed.  ``--check`` exits nonzero when any output differs, or when
 the compiles that missed the cache, summed, cost more than 1.2x the
@@ -143,7 +143,7 @@ BATCH_SCHEMA = "repro-bench-batch/1"
 KERNEL_SCHEMA = "repro-bench-kernel/4"
 SERVICE_SCHEMA = "repro-bench-service/1"
 FLEET_SCHEMA = "repro-bench-fleet/1"
-INCR_SCHEMA = "repro-bench-incr/2"
+INCR_SCHEMA = "repro-bench-incr/3"
 OVERLAP_SCHEMA = "repro-bench-overlap/1"
 
 #: The --check gate on the geomean speedup over latency-bound rows.
@@ -388,25 +388,22 @@ def incremental_bench(n_programs=4, size=30, seed=0, n_edits=5, repeats=3):
     twice — without a cache and through the cache, in alternating order
     — timed, and compared byte for byte:
 
-    1. the **base**, with :func:`~repro.batch.driver.compile_one`;
+    1. the **base**;
     2. an **edit sequence** — ``n_edits`` cumulative seeded edits of
        mixed kinds (:class:`~repro.testing.edits.EditModel`: scalar-RHS
-       bump, distributed-array subscript, insert, delete), each with
-       :func:`~repro.batch.driver.compile_delta` against the previous
-       version;
+       bump, distributed-array subscript, insert, delete), each of the
+       previous version;
     3. ``repeats`` **probes** — distinct 1-statement scalar-RHS edits of
-       the base, each a delta against the base.
+       the base.
+
+    Every cached compile is :func:`~repro.batch.driver.compile_one`
+    through the shared cache.
 
     The two ``--check`` gates: every cached compile byte-identical to its
     cacheless compile, and the cached compiles that missed, summed, at
     most :data:`MISS_OVERHEAD_LIMIT` times their cacheless compiles.
     """
-    from repro.batch import (
-        PipelineCache,
-        compile_delta,
-        compile_one,
-        source_fingerprint,
-    )
+    from repro.batch import PipelineCache, compile_one
     from repro.lang.printer import format_program
     from repro.testing.edits import EditModel
     from repro.testing.generator import ArrayProgramGenerator
@@ -417,25 +414,22 @@ def incremental_bench(n_programs=4, size=30, seed=0, n_edits=5, repeats=3):
     totals = {"mismatches": 0, "misses": 0, "miss_s": 0.0,
               "cacheless_s": 0.0}
 
-    def timed(compile_text):
+    def timed(name, text, through):
         start = time.perf_counter()
-        compiled = compile_text()
+        compiled = compile_one(name, text, cache=through)
         return compiled, time.perf_counter() - start
 
-    def measure(name, text, cached_compile):
-        """Compile ``text`` cacheless and through ``cached_compile``, in
+    def measure(name, text):
+        """Compile ``text`` cacheless and through the shared cache, in
         alternating order (a second compile of the same text runs a
         little faster); returns the cached result and whether the
         outputs match."""
-        def cacheless():
-            return compile_one(name, text, cache=None)
-
         if totals["misses"] % 2:
-            cached, cached_s = timed(cached_compile)
-            cold, cold_s = timed(cacheless)
+            cached, cached_s = timed(name, text, cache)
+            cold, cold_s = timed(name, text, None)
         else:
-            cold, cold_s = timed(cacheless)
-            cached, cached_s = timed(cached_compile)
+            cold, cold_s = timed(name, text, None)
+            cached, cached_s = timed(name, text, cache)
         identical = (cached.ok and cold.ok
                      and cached.annotated_source == cold.annotated_source)
         totals["mismatches"] += not identical
@@ -449,38 +443,24 @@ def incremental_bench(n_programs=4, size=30, seed=0, n_edits=5, repeats=3):
         name = f"incr-{seed + index:03}"
         base = format_program(
             ArrayProgramGenerator(seed=seed + index).program(size=size))
-        compiled, _ = measure(
-            name, base, lambda: compile_one(name, base, cache=cache))
+        compiled, _ = measure(name, base)
         if not compiled.ok:
             raise RuntimeError(f"bench corpus program {name} failed: "
                                f"{compiled.error}")
 
         steps = []
-        current = base
         for kind, edited in model.edit_sequence(base, n_edits):
-            delta, identical = measure(
-                name, edited, lambda: compile_delta(
-                    name, edited, cache,
-                    base_digest=source_fingerprint(current)))
-            steps.append({
-                "kind": kind,
-                "identical": identical,
-                "cache_hit": delta.cache_hit,
-                "intervals_changed": delta.incremental.get(
-                    "intervals_changed"),
-                "intervals_total": delta.incremental.get("intervals_total"),
-            })
-            current = edited
+            compiled, identical = measure(name, edited)
+            steps.append({"kind": kind, "identical": identical,
+                          "cache_hit": compiled.cache_hit})
 
         probes = 0
-        base_digest = source_fingerprint(base)
         for _ in range(repeats):
             edited = model.scalar_rhs(base)
             if edited is None or edited == base:
                 continue
             probes += 1
-            measure(name, edited, lambda: compile_delta(
-                name, edited, cache, base_digest=base_digest))
+            measure(name, edited)
         rows.append({
             "name": name,
             "program_size": size,

@@ -140,23 +140,13 @@ class ServiceClient:
 
     def compile_delta(self, source, base_digest=None, name="<client>",
                       deadline_s=None, options=None):
-        """Recompile an edited program (``compile_delta``).
-
-        ``source`` is the full *edited* text; ``base_digest`` (optional)
-        is the :func:`~repro.batch.cache.source_fingerprint` of the base
-        text a previous compile through the server's cache stored — with it
-        the result's ``incremental`` dict reports how many intervals the
-        edit changed, and a fleet router uses it for cache affinity.
-        The result dict is byte-identical to :meth:`compile` of the same
-        text."""
-        body = {"type": "compile_delta", "name": name, "source": source}
-        if base_digest:
-            body["base"] = base_digest
-        if deadline_s is not None:
-            body["deadline_s"] = deadline_s
-        if options:
-            body["options"] = options
-        return self.request(body)["result"]
+        """Deprecated alias of :meth:`compile`: an edited program is an
+        ordinary compile of its full text, and ``base_digest`` is
+        ignored.  It stays only because the repository benchmark
+        (``perfbench/fleet.py``) still calls it; the change that
+        switches that client to :meth:`compile` deletes it."""
+        return self.compile(source, name=name, deadline_s=deadline_s,
+                            options=options)
 
     def batch(self, programs, deadline_s=None, options=None):
         """Compile ``programs`` (``(name, source)`` pairs or a mapping)

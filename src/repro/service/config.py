@@ -45,8 +45,7 @@ class ServiceConfig:
     * ``cache_dir`` — persist the warm
       :class:`~repro.batch.cache.PipelineCache` here (kept across
       restarts, never evicted); ``None`` keeps it in the service's
-      memory, an LRU of 1,024 entries (a plain miss stores its result
-      and its interval record, so about 512 programs stay warm).
+      memory, an LRU of 1,024 entries (a miss stores one, its result).
       Either way the event loop owns it and pool workers never see it.
       ``use_cache=False`` disables caching.
     """

@@ -1,6 +1,6 @@
 """The line-protocol server core of the compile service and the fleet router.
 
-:class:`LineServer` owns what both servers of ``repro-service/1``
+:class:`LineServer` owns what both servers of the wire protocol
 (:mod:`repro.service.protocol`) do alike: the listening socket, the
 per-connection read loop (line cap, blank lines, parsing, one write
 lock), the dispatch (``ping`` and ``status`` inline, every other request

@@ -13,21 +13,10 @@ Request shapes::
     {"type": "ping"}
     {"type": "compile", "name": "...", "source": "...",
      "deadline_s": 2.0, "options": {"hardened": true, "pipeline": {...}}}
-    {"type": "compile_delta", "name": "...", "source": "...",
-     "base": "<sha256 source_fingerprint of the base text>",
-     "deadline_s": 2.0, "options": {...}}
     {"type": "batch", "programs": [{"name": "...", "source": "..."}, ...],
      "deadline_s": 10.0, "options": {...}}
     {"type": "status"}
     {"type": "drain"}
-
-``compile_delta`` carries the *edited* source in full and compiles it
-exactly like ``compile``; ``base`` (optional) names the previously
-compiled text.  With it the response's ``result["incremental"]``
-additionally reports how many intervals the edit changed against the
-base's cached interval record (``docs/scaling.md``), and the fleet
-router routes the delta to the shard that compiled the base, where that
-record lives (the edited text misses the result cache on every shard).
 
 A compile response wraps one
 :meth:`~repro.batch.driver.CompiledProgram.as_dict` payload under
@@ -43,14 +32,15 @@ import json
 from repro.batch.driver import HARDENED_FIXED, BatchOptions
 from repro.util.errors import ReproError
 
-#: Protocol identifier, echoed by ``ping`` (bump on breaking changes).
-PROTOCOL = "repro-service/1"
+#: Protocol identifier, echoed by ``ping`` (bump on breaking changes;
+#: ``/2`` dropped the delta request type: an edited program is a plain
+#: ``compile``).
+PROTOCOL = "repro-service/2"
 
 #: Hard cap on one message line (requests and responses both).
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
-REQUEST_TYPES = ("ping", "compile", "compile_delta", "batch", "status",
-                 "drain")
+REQUEST_TYPES = ("ping", "compile", "batch", "status", "drain")
 
 #: Stable error codes.
 E_BAD_REQUEST = "bad_request"

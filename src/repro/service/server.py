@@ -70,7 +70,6 @@ import repro.commgen.hardened  # noqa: F401
 from repro.batch.cache import PipelineCache
 from repro.batch.driver import (
     compile_uncached,
-    interval_diff,
     lookup_compiled,
     resolve_jobs,
     store_compiled,
@@ -85,7 +84,6 @@ from repro.service.protocol import (
     E_DEADLINE,
     E_DRAINING,
     E_INTERNAL,
-    E_UNAVAILABLE,
     PROTOCOL,
     ProtocolError,
     error_response,
@@ -244,7 +242,7 @@ class CompileService(LineServer):
 
     def _submit(self, name, source, options):
         """Schedule one uncached compile on the pool; returns an asyncio
-        future of its ``(compiled, intervals)`` pair.
+        future of its :class:`~repro.batch.driver.CompiledProgram`.
 
         Whenever the work truly ends — done, failed, or cancelled before
         it started — :meth:`_settle` runs on the loop, even for a request
@@ -253,7 +251,7 @@ class CompileService(LineServer):
         exactly one slot no matter how it dies."""
         try:
             work = self._executor.submit(compile_uncached, name, source,
-                                         options, self.cache is not None)
+                                         options)
         except BrokenExecutor:
             self._release()
             raise
@@ -276,14 +274,14 @@ class CompileService(LineServer):
         result, so even a deadline-expired miss warms the cache."""
         self._release()
         if not work.cancelled() and work.exception() is None:
-            store_compiled(self.cache, source, options, *work.result())
+            store_compiled(self.cache, source, options, work.result())
 
     async def _run_supervised(self, name, source, options):
         """One compile under worker-pool supervision: a broken executor
         (a worker crashed mid-compile) is rebuilt and the request
         requeued once instead of failing the connection."""
         try:
-            compiled, _ = await self._submit(name, source, options)
+            return await self._submit(name, source, options)
         except BrokenExecutor:
             if self._closing:
                 raise
@@ -294,8 +292,7 @@ class CompileService(LineServer):
             self.metrics.admit(1)
             self._idle.clear()
             self.metrics.requeue(1)
-            compiled, _ = await self._submit(name, source, options)
-        return compiled
+            return await self._submit(name, source, options)
 
     async def _supervise_pool_failure(self):
         """Replace a broken executor exactly once per failure: every
@@ -378,23 +375,10 @@ class CompileService(LineServer):
     async def _handle_compile(self, request, send):
         received = time.monotonic()
         source = request.get("source")
-        delta = request.get("type") == "compile_delta"
         if not isinstance(source, str):
             await self._refuse(request, send, E_BAD_REQUEST,
-                               f"{request.get('type')} requests need a "
-                               f"string 'source' field")
-            return
-        # No base digest: still a delta compile, just without
-        # changed-interval diagnostics.
-        base = request.get("base") or None
-        if delta and base is not None and not isinstance(base, str):
-            await self._refuse(request, send, E_BAD_REQUEST,
-                               "compile_delta 'base' must be a string digest")
-            return
-        if delta and self.cache is None:
-            await self._refuse(request, send, E_UNAVAILABLE,
-                               "compile_delta needs the service cache; this "
-                               "service runs with use_cache=False")
+                               "compile requests need a string 'source' "
+                               "field")
             return
         results = await self._run_admitted(
             request, send, "compile",
@@ -402,8 +386,6 @@ class CompileService(LineServer):
         if results is None:
             return
         compiled, = results
-        if delta:
-            interval_diff(self.cache, compiled, source, base)
         self.metrics.observe(compiled, time.monotonic() - received)
         await send(ok_response(request, result=compiled.as_dict()))
 

@@ -1,10 +1,10 @@
 """Seeded source-level edits for edit-stream testing.
 
-A ``compile_delta`` of an edited program (``docs/scaling.md``) must be
-*byte-identical* to a cold compile of the same text and report which
-intervals the edit touched.  Exercising that promise needs a stream of
-realistic edits over the generator corpus; :class:`EditModel` produces
-them, seeded and deterministic:
+An edited program compiled through a warm cache (``docs/scaling.md``)
+must be *byte-identical* to a cacheless compile of the same text.
+Exercising that promise needs a stream of realistic edits over the
+generator corpus; :class:`EditModel` produces them, seeded and
+deterministic:
 
 * ``scalar_rhs`` — bump the trailing constant addend of an assignment
   (``xb(3) = xb(3) + 1`` → ``+ 8``): the statement text changes but no

@@ -190,11 +190,9 @@ def test_as_dict_is_json_shaped():
     json.dumps(payload)  # must be serializable as-is
     assert payload["ok"] == 1
     assert payload["programs"][0]["name"] == "fig11"
-    # a cold compile misses its one result entry and stores it next to
-    # the program's interval record
+    # a cold compile misses its one result entry and stores it
     assert payload["cache"]["misses"] == 1
-    assert payload["cache"]["stores"] == 2
-    assert payload["programs"][0]["incremental"] is None
+    assert payload["cache"]["stores"] == 1
 
 
 @pytest.mark.parametrize("option", ["split_messages", "trace"])
@@ -225,8 +223,8 @@ def test_parallel_runs_store_in_the_parent_cache():
     second = compile_many(small_corpus(), jobs=2, cache=cache)
     assert first.cache_hits == 0
     assert second.cache_hits == len(small_corpus())
-    # each miss stores its result and its interval record
-    assert cache.stats()["stores"] == 2 * len(small_corpus())
+    # each miss stores its result, and nothing else
+    assert cache.stats()["stores"] == len(small_corpus())
     assert second.cache_stats["hits"] == len(small_corpus())
     for fresh, cached in zip(first.programs, second.programs):
         assert cached.annotated_source == fresh.annotated_source
@@ -265,7 +263,7 @@ def test_hardened_repeat_is_a_cache_hit(monkeypatch, degrade):
     options = BatchOptions(hardened=True, trace=True)
     cache = PipelineCache()
     fresh = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
-    # a hardened miss stores its result but no interval record
+    # a hardened miss stores its result, like a plain one
     assert cache.stats()["stores"] == 1
     again = compile_one("fig11", FIG11_SOURCE, cache=cache, options=options)
     assert [fresh.cache_hit, again.cache_hit] == [False, True]

@@ -138,42 +138,36 @@ def test_home_shard_is_stable(fleet):
             == router.home_shard(FIG11_SOURCE).name)
 
 
-# -- incremental recompiles ---------------------------------------------------
+# -- one affinity rule --------------------------------------------------------
 
-def test_compile_delta_routes_to_the_base_digest_home(fleet, client):
+def test_an_edited_program_routes_by_its_own_digest(fleet, client):
+    """A compile of an edited text, and the ``compile_delta`` client
+    alias with a base digest (which it ignores), are both served by the
+    home shard of the edited text."""
     from repro.batch import source_fingerprint
     base = generated_source(30, seed=91)
     edited = base.replace("+ 1", "+ 2", 1)
     assert edited != base
-    digest = source_fingerprint(base)
-    router = fleet.router.router
-    # delta affinity targets the *base* shard, not the edited text's
-    assert router.delta_home_shard(digest) is router.home_shard(base)
-    assert client.compile(base, name="delta")["ok"]
-    delta = client.compile_delta(edited, name="delta", base_digest=digest)
-    assert delta["ok"]
-    direct = generate_communication(edited)
-    assert delta["annotated_source"] == direct.annotated_source()
-    # the base's interval record really was on the routed shard
-    assert "intervals_changed" in delta["incremental"]
+    home = fleet.router.router.home_shard(edited).port
 
+    def completed():
+        counts = {}
+        for shard in fleet.shards:
+            with ServiceClient(port=shard.port) as connection:
+                counts[shard.port] = (
+                    connection.status()["requests"]["completed"])
+        return counts
 
-def test_delta_affinity_uses_the_base_digest_verbatim(fleet):
-    from repro.batch import source_fingerprint
-    router = fleet.router.router
-    digest = source_fingerprint(generated_source(12, seed=92))
-    request = {"type": "compile_delta", "source": "edited", "base": digest}
-    assert router._affinity_digest(request, "edited") == digest
-    # no base (or the empty marker) falls back to the source digest
-    for request in ({"type": "compile_delta", "source": "edited"},
-                    {"type": "compile_delta", "source": "edited",
-                     "base": ""}):
-        assert (router._affinity_digest(request, "edited")
-                == source_fingerprint("edited"))
-    # plain compiles never consult the base key
-    request = {"type": "compile", "source": "edited", "base": digest}
-    assert (router._affinity_digest(request, "edited")
-            == source_fingerprint("edited"))
+    before = completed()
+    plain = client.compile(edited, name="edited")
+    alias = client.compile_delta(edited, name="edited",
+                                 base_digest=source_fingerprint(base))
+    after = completed()
+    assert {port: after[port] - before[port] for port in after} == {
+        port: 2 if port == home else 0 for port in after}
+    direct = generate_communication(edited).annotated_source()
+    assert plain["annotated_source"] == alias["annotated_source"] == direct
+    assert alias["cache_hit"]  # the home shard's cache answered the repeat
 
 
 # -- failover -----------------------------------------------------------------

@@ -56,6 +56,19 @@ def test_parse_request_validates_type():
         parse_request(b'{"source": "..."}\n')  # missing type entirely
 
 
+def test_a_delta_request_is_refused_naming_the_request_types():
+    """An edited program is a plain ``compile``: the delta request type
+    is gone, and the refusal (a ``bad_request`` on the wire) lists the
+    types there are."""
+    line = encode_message({"type": "compile_delta", "name": "p",
+                           "source": "a = 1\n", "base": "0" * 64})
+    with pytest.raises(ProtocolError) as excinfo:
+        parse_request(line)
+    message = str(excinfo.value)
+    assert "'compile_delta'" in message
+    assert all(rtype in message for rtype in REQUEST_TYPES)
+
+
 # -- responses ----------------------------------------------------------------
 
 def test_ok_and_error_responses_echo_request_identity():
@@ -88,8 +101,8 @@ def test_service_errors_are_repro_errors():
     assert issubclass(ServiceError, ReproError)
     assert issubclass(ProtocolError, ReproError)
     assert all(isinstance(code, str) for code in ERROR_CODES)
-    assert set(REQUEST_TYPES) == {"ping", "compile", "compile_delta",
-                                  "batch", "status", "drain"}
+    assert set(REQUEST_TYPES) == {"ping", "compile", "batch", "status",
+                                  "drain"}
 
 
 # -- per-request options ------------------------------------------------------

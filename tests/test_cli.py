@@ -442,72 +442,6 @@ def test_batch_empty_directory_error_hygiene(capsys, tmp_path):
     assert_clean_failure(capsys, ["batch", str(empty)])
 
 
-# -- incremental recompilation ------------------------------------------------
-
-@pytest.fixture
-def edited_pair(tmp_path):
-    from repro.lang.printer import format_program
-    from repro.testing.generator import ArrayProgramGenerator
-
-    base = format_program(ArrayProgramGenerator(seed=7).program(size=30))
-    edited = base.replace("+ 1", "+ 2", 1)
-    assert edited != base
-    base_path = tmp_path / "base.f"
-    edited_path = tmp_path / "edited.f"
-    base_path.write_text(base)
-    edited_path.write_text(edited)
-    return str(base_path), str(edited_path)
-
-
-def test_delta_prints_annotation_and_summary(edited_pair):
-    from repro.commgen.pipeline import generate_communication
-
-    base_path, edited_path = edited_pair
-    code, output = run(["delta", base_path, edited_path])
-    assert code == 0
-    with open(edited_path) as handle:
-        direct = generate_communication(handle.read()).annotated_source()
-    assert output.startswith(direct)
-    trailer = output[len(direct):]
-    assert trailer.startswith("! delta: ")
-    assert "intervals changed" in trailer
-
-
-def test_delta_json(edited_pair):
-    import json
-
-    base_path, edited_path = edited_pair
-    code, output = run(["delta", base_path, edited_path, "--json"])
-    assert code == 0
-    payload = json.loads(output)
-    assert payload["ok"] is True
-    incr = payload["incremental"]
-    assert 0 < incr["intervals_changed"] <= incr["intervals_total"]
-
-
-def test_delta_with_persistent_cache(tmp_path, edited_pair):
-    base_path, edited_path = edited_pair
-    cache_dir = str(tmp_path / "cache")
-    code, _ = run(["delta", base_path, edited_path, "--cache", cache_dir])
-    assert code == 0
-    code, output = run(["delta", base_path, edited_path,
-                        "--cache", cache_dir])
-    assert code == 0
-    assert "! delta: " in output
-
-
-def test_delta_base_parse_error_is_per_program(tmp_path, bad_file,
-                                               fig11_file):
-    code, output = run(["delta", bad_file, fig11_file])
-    assert code == 1
-    assert "error:" in output and "Traceback" not in output
-
-
-def test_delta_error_hygiene(capsys, tmp_path, fig11_file):
-    assert_clean_failure(
-        capsys, ["delta", str(tmp_path / "missing.f"), fig11_file])
-
-
 def test_annotate_solver_backend_is_bit_identical(fig11_file):
     """annotate solves on the planned kernel; the reference kernel
     annotates the same bytes."""
@@ -566,7 +500,7 @@ def test_request_ping(service):
     code, output = run(request_argv(service, "ping"))
     assert code == 0
     assert output.startswith("pong from 127.0.0.1:")
-    assert "repro-service/1" in output
+    assert "repro-service/2" in output
 
 
 def test_request_compile_prints_annotated_source(service, fig11_file):

@@ -54,9 +54,8 @@ PACKAGE_EXPORTS = {
     }),
     "repro.batch": frozenset({
         "BatchOptions", "BatchResult", "CACHE_SCHEMA", "COMPILED_NAMESPACE",
-        "CompiledProgram", "MERKLE_NAMESPACE", "PipelineCache",
-        "compile_delta", "compile_many", "compile_one", "resolve_jobs",
-        "source_fingerprint"
+        "CompiledProgram", "PipelineCache", "compile_many", "compile_one",
+        "resolve_jobs", "source_fingerprint"
     }),
     "repro.commgen": frozenset({
         "Annotator", "CommunicationResult", "DegradationReport",

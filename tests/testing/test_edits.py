@@ -1,4 +1,4 @@
-"""EditModel: seeded, validated source edits for incremental testing."""
+"""EditModel: seeded, validated source edits for edit-stream testing."""
 
 import pytest
 
@@ -10,6 +10,10 @@ from repro.testing.programs import analyze_source
 
 def generated(seed=7, size=30):
     return format_program(ArrayProgramGenerator(seed=seed).program(size=size))
+
+
+def test_all_edit_kinds_covered_by_the_model():
+    assert set(EDIT_KINDS) == {"scalar_rhs", "subscript", "insert", "delete"}
 
 
 @pytest.mark.parametrize("kind", EDIT_KINDS)

@@ -144,7 +144,7 @@ DATACLASS_REPR = {
                        "annotated_source='a = 1\\n', reads=2, writes=0, "
                        "cache_hit=False, duration_s=0.0, error=None, "
                        "error_type=None, rung='balanced', degraded=False, "
-                       "trace=None, incremental=None)",
+                       "trace=None)",
     "Violation": "Violation(kind='balance', criterion='C1', element='x', "
                  "node='s3', message='forced')",
 }
