@@ -133,15 +133,22 @@ def observability_table():
 
     print("## Solver observability — BENCH_solver.json\n")
     report = solver_scaling()
-    print("| size | nodes | time/node | sweeps | each-equation-once |")
-    print("|------|-------|-----------|--------|--------------------|")
+    print("| size | direction | nodes | time/node | planned vs reference "
+          "(with plan build) | sweeps | each-equation-once | identical |")
+    print("|------|-----------|-------|-----------|"
+          "------------------------------------|--------|"
+          "--------------------|-----------|")
     for row in report["rows"]:
-        print(f"| {row['size']} | {row['nodes']} | "
+        print(f"| {row['size']} | {row['direction']} | {row['nodes']} | "
               f"{row['time_per_node_s'] * 1e6:.1f}us | "
+              f"{row['speedup_s']:.1f}x ({row['speedup_with_plan_s']:.1f}x) | "
               f"{row['consumption_sweeps']} | "
-              f"{'yes' if row['each_equation_once'] else 'NO'} |")
+              f"{'yes' if row['each_equation_once'] else 'NO'} | "
+              f"{'yes' if row['identical'] else 'NO'} |")
     print(f"\nlinear within {report['tolerance']:.0f}x tolerance: "
-          f"{report['linear_within_tolerance']}")
+          f"{report['linear_within_tolerance']}; planned overall "
+          f"{report['overall_with_plan_speedup_s']:.1f}x with plan build "
+          f"(meets 2x: {report['meets_2x_target']})")
     print()
 
 

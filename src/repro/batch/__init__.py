@@ -20,7 +20,6 @@ _EXPORTS = {
     "repro.batch.cache": ("CACHE_SCHEMA", "PipelineCache",
                           "source_fingerprint"),
     "repro.batch.driver": (
-        "COMPILED_NAMESPACE",
         "BatchOptions",
         "BatchResult",
         "CompiledProgram",

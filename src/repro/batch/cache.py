@@ -2,9 +2,8 @@
 
 The :class:`PipelineCache` stores what
 :func:`~repro.batch.driver.compile_one` returns — annotated source,
-placement counts and stable trace (namespace ``"compiled"``) — keyed by
-a SHA-256 fingerprint of the source text plus every option that shapes
-the output.
+placement counts and stable trace — keyed by a SHA-256 fingerprint of
+the source text plus every option that shapes the output.
 
 Three properties are load-bearing:
 
@@ -22,7 +21,8 @@ Three properties are load-bearing:
   ``directory``), so a warm disk cache survives restarts.
 
 The cache is in-memory by default; give it a ``directory`` to persist
-entries (one file per entry, written atomically via rename so a crashed
+entries (one ``<key>.pickle`` file per entry, written atomically via
+rename so a crashed
 writer never leaves a torn entry behind; the ``*.tmp`` staging file a
 writer killed mid-write leaks is swept the next time a cache opens the
 directory).
@@ -114,7 +114,7 @@ def _digest(body):
 
 
 class PipelineCache:
-    """Content-addressed, namespaced pickle store with hit/miss stats.
+    """Content-addressed pickle store with hit/miss stats.
 
     Not thread-safe: a cache has one owner, and only the owner's thread
     calls it — :func:`~repro.batch.driver.compile_one`'s caller,
@@ -131,7 +131,7 @@ class PipelineCache:
     def __init__(self, directory=None, max_memory_entries=1024):
         self.directory = directory
         self.max_memory_entries = max_memory_entries
-        # (namespace, key) -> pickle bytes, ordered cold -> hot
+        # key -> pickle bytes, ordered cold -> hot
         self._memory = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -178,22 +178,21 @@ class PipelineCache:
 
     # -- storage -------------------------------------------------------------
 
-    def get(self, namespace, key):
-        """The entry for ``(namespace, key)`` as a *fresh* object graph,
-        or ``None`` on a miss.
+    def get(self, key):
+        """The entry for ``key`` as a *fresh* object graph, or ``None``
+        on a miss.
 
         An entry whose bytes fail their digest or fail to unpickle — a
         torn disk, a flipped bit, a copied cache directory — is treated
         as a miss, not a crash: the bad entry is evicted (so the next
         :meth:`put` heals it) and counted under ``stats()["corrupt"]``."""
-        location = (namespace, key)
-        payload = self._memory.get(location)
+        payload = self._memory.get(key)
         if payload is not None:
-            self._memory.move_to_end(location)
+            self._memory.move_to_end(key)
         from_disk = False
         if payload is None and self.directory is not None:
             try:
-                with open(self._path(namespace, key), "rb") as handle:
+                with open(self._path(key), "rb") as handle:
                     payload = handle.read()
             except OSError:
                 payload = None
@@ -208,34 +207,34 @@ class PipelineCache:
                 raise ValueError("payload digest mismatch")
             state = pickle.loads(body)
         except Exception:
-            self._evict_corrupt(location)
+            self._evict_corrupt(key)
             self.corrupt += 1
             self.misses += 1
             return None
         if from_disk:
-            self._remember(namespace, key, payload)
+            self._remember(key, payload)
         self.hits += 1
         return state
 
-    def _evict_corrupt(self, location):
+    def _evict_corrupt(self, key):
         """Drop an entry that failed its digest or unpickling from both
         layers."""
-        self._memory.pop(location, None)
+        self._memory.pop(key, None)
         if self.directory is not None:
             try:
-                os.unlink(self._path(*location))
+                os.unlink(self._path(key))
             except OSError:
                 pass
 
-    def put(self, namespace, key, state):
+    def put(self, key, state):
         """Snapshot ``state`` (pickle now, so later mutation of the live
         object cannot leak into the cache) and store it behind its
         digest; returns the stored bytes."""
         body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         payload = _digest(body) + body
-        self._remember(namespace, key, payload)
+        self._remember(key, payload)
         if self.directory is not None:
-            path = self._path(namespace, key)
+            path = self._path(key)
             handle, temp_path = tempfile.mkstemp(dir=self.directory,
                                                  suffix=".tmp")
             try:
@@ -251,16 +250,15 @@ class PipelineCache:
         self.stores += 1
         return payload
 
-    def _remember(self, namespace, key, payload):
+    def _remember(self, key, payload):
         memory = self._memory
-        memory[(namespace, key)] = payload
-        memory.move_to_end((namespace, key))
+        memory[key] = payload
+        memory.move_to_end(key)
         while len(memory) > self.max_memory_entries:
             memory.popitem(last=False)
 
-    def _path(self, namespace, key):
-        safe = namespace.replace(os.sep, "_")
-        return os.path.join(self.directory, f"{safe}-{key}.pickle")
+    def _path(self, key):
+        return os.path.join(self.directory, f"{key}.pickle")
 
     # -- introspection -------------------------------------------------------
 

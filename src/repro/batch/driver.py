@@ -43,13 +43,9 @@ from repro.obs.trace import stable_form, trace_payload
 from repro.util.errors import ReproError
 from repro.util.record import Record
 
-#: Cache namespace for compile results: the :data:`ENTRY_FIELDS` of a
-#: :class:`CompiledProgram`.
-COMPILED_NAMESPACE = "compiled"
-
 #: generate_communication keyword defaults — with ``hardened``,
 #: ``split_messages`` and ``trace``, the options that participate in the
-#: content address of a "compiled" entry.
+#: content address of a cache entry.
 PIPELINE_DEFAULTS = {
     "owner_computes": False,
     "postpass": True,
@@ -223,7 +219,7 @@ class BatchResult:
 
 # ---------------------------------------------------------------------------
 
-#: The :class:`CompiledProgram` fields a "compiled" entry holds: a hit
+#: The :class:`CompiledProgram` fields a cache entry holds: a hit
 #: rebuilds the program from them, named after the caller's request.
 ENTRY_FIELDS = ("annotated_source", "reads", "writes", "trace", "rung",
                 "degraded")
@@ -260,7 +256,7 @@ def lookup_compiled(cache, name, text, options):
     if cache is None:
         return None
     start = time.perf_counter()
-    entry = cache.get(COMPILED_NAMESPACE, _result_key(cache, text, options))
+    entry = cache.get(_result_key(cache, text, options))
     if entry is None:
         return None
     return CompiledProgram(name=name, ok=True, cache_hit=True,
@@ -289,7 +285,7 @@ def store_compiled(cache, text, options, compiled):
     ``cache=None``) stores nothing."""
     if cache is None or not compiled.ok:
         return
-    cache.put(COMPILED_NAMESPACE, _result_key(cache, text, options),
+    cache.put(_result_key(cache, text, options),
               {key: getattr(compiled, key) for key in ENTRY_FIELDS})
 
 

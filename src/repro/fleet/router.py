@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from repro.batch.cache import source_fingerprint
 from repro.fleet.health import CLOSED, CircuitBreaker, HashRing
 from repro.obs.collector import current_collector
-from repro.service.lineserver import LineServer
+from repro.service.lineserver import LineServer, retrieve_outcome
 from repro.service.protocol import (
     E_BAD_REQUEST,
     E_BUSY,
@@ -178,12 +178,6 @@ class _ForwardError(Exception):
     """One forwarded attempt died at the connection level."""
 
 
-def _retrieve(task):
-    """Done callback: mark a finished task's exception as retrieved."""
-    if not task.cancelled():
-        task.exception()
-
-
 async def _within(awaitable, timeout):
     """``asyncio.wait_for`` that never leaves an exception unretrieved.
 
@@ -195,7 +189,7 @@ async def _within(awaitable, timeout):
     "Task exception was never retrieved".  Reading it from a done
     callback keeps every outcome accounted for."""
     task = asyncio.ensure_future(awaitable)
-    task.add_done_callback(_retrieve)
+    task.add_done_callback(retrieve_outcome)
     return await asyncio.wait_for(task, timeout)
 
 

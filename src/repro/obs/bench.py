@@ -1,57 +1,48 @@
 """Machine-readable benchmark artifacts: one ``BENCH_<scenario>.json``
-per scenario of :data:`SCENARIOS` (``solver``, ``batch``, ``kernel``,
-``incr``, ``service``, ``fleet`` and ``overlap``)::
+per scenario of :data:`SCENARIOS` (``solver``, ``batch``, ``service``,
+``fleet`` and ``overlap``)::
 
-    python -m repro.obs.bench [--batch | --kernel | --incr | --service
-                               | --fleet | --overlap] [--output PATH] [--check]
+    python -m repro.obs.bench [--batch | --service | --fleet | --overlap]
+                              [--output PATH] [--check]
 
 Without a scenario flag it measures ``solver``.  The scenario's measure
 function runs with its own defaults and its payload is written to
 ``--output`` (default ``BENCH_<scenario>.json``).  ``--check`` exits 1
 when any of the scenario's gates — the boolean payload keys its
 registry entry lists — is false, and names the false ones on stderr.
+Each claim has one gate (``docs/observability.md`` lists them).
 
 **Solver scaling** — the paper's §5.2 complexity claim (every equation
-evaluated exactly once per node, O(E) total) is asserted by
-``benchmarks/test_bench_scaling_linear.py``; this module *measures* it
-into an artifact CI uploads on every run, so future PRs have a
-trajectory to regress against::
+evaluated exactly once per node, O(E) total) and the planned solver
+backend's reason to exist (``docs/scaling.md``)::
 
     python -m repro.obs.bench --check
 
-For each size on the ladder it records the node count, the best
-wall-clock solve (instrumentation disabled — the production fast path),
-time per node, and — from one additional traced run — the per-equation
+solves each ladder instance in both directions with the reference and
+the planned backend (views prebuilt; median of repeats), timing the
+planned backend twice — with its plan warm, and with the plan built
+inside each timed solve as a cold compile builds it — and records per
+row the speedups, time per node, a bit-identity verdict against the
+reference solution and, from one traced run, the per-equation
 evaluation counts, consumption-sweep count and fixpoint rounds.
-``--check`` exits nonzero when time per node grows beyond the same 4x
-tolerance the pytest benchmark enforces.
+``--check`` exits nonzero when the planned BEFORE solve's time per node
+grows more than 4x between ladder steps, or when planned, plan build
+included, is slower than the reference anywhere or below 2x overall.
 
 **Batch throughput** — the ``repro.batch`` layer's reason to exist
 (``docs/scaling.md``)::
 
     python -m repro.obs.bench --batch --check
 
-compiles a generator corpus three ways — serially with no cache,
-parallel with a cold content-addressed cache, and parallel again with
-the warm cache — and records programs/second, the warm cache hit rate,
-and the speedups between modes.  ``--check`` exits nonzero when the
-parallel warm run is no faster than the serial uncached one, or when a
-full-hit warm cache fails to beat the cold run (i.e. cache hits give no
-speedup).
-
-**Kernel speedup** — the planned solver backend's reason to exist
-(``docs/scaling.md``)::
-
-    python -m repro.obs.bench --kernel --check
-
-solves each ladder instance in both directions with the reference and
-the planned backend (views prebuilt; median of repeats), timing the
-planned backend twice — with its plan warm, and with the plan built
-inside each timed solve as a cold compile builds it — and records the
-per-instance and overall speedups of both plus a bit-identity verdict
-against the reference solution.  ``--check`` exits nonzero when
-planned, plan build included, is slower than the reference anywhere or
-below 2x overall, or when any solution differs by a single bit.
+compiles a generator corpus four ways — serially with no cache,
+serially through a fresh in-memory cache, parallel with a cold
+content-addressed cache, and parallel again with the warm cache — and
+records programs/second, the warm cache hit rate, and the ratios
+between modes.  ``--check`` exits nonzero when the parallel warm run is
+no faster than the serial uncached one, when a full-hit warm cache
+fails to beat the cold run (i.e. cache hits give no speedup), or when
+the serial misses through the fresh cache cost more than 1.2x the
+uncached pass.
 
 **Service throughput** — the resident compile service's reason to exist
 (``docs/serving.md``)::
@@ -86,21 +77,6 @@ corrupted, or failed, or when any scripted chaos event failed to
 execute — the artifact is the proof that the scripted failures really
 happened *and* nothing was lost to them.
 
-**Edit streams through the cache** — what a cache miss costs and
-that edited programs stay exact (``docs/scaling.md``)::
-
-    python -m repro.obs.bench --incr --check
-
-compiles each corpus program through one shared in-memory cache, drives
-a seeded sequence of mixed edits (scalar-RHS bumps, distributed-array
-subscript changes, inserts, deletes) through
-:func:`~repro.batch.driver.compile_one` and the same cache, then probes
-1-statement scalar-RHS edits of each base the same way.  Every compile is checked
-byte-identical against a cacheless compile of the same text, and both
-are timed.  ``--check`` exits nonzero when any output differs, or when
-the compiles that missed the cache, summed, cost more than 1.2x the
-cacheless compiles of the same texts.
-
 **Overlap scheduling** — the ``repro.sched`` scheduler's reason to
 exist (``docs/scheduling.md``)::
 
@@ -128,22 +104,22 @@ import argparse
 import dataclasses
 import json
 import math
+import statistics
 import sys
 import tempfile
 import time
 from typing import Callable, Iterable, NamedTuple, Tuple
 
+from repro.core.problem import Direction
 from repro.core.solver import solve
 from repro.obs.collector import tracing
 from repro.obs.profile import run_satisfies_each_equation_once
 from repro.testing.generator import random_analyzed_program, random_problem
 
-SCHEMA = "repro-bench-solver/1"
-BATCH_SCHEMA = "repro-bench-batch/1"
-KERNEL_SCHEMA = "repro-bench-kernel/4"
+SCHEMA = "repro-bench-solver/2"
+BATCH_SCHEMA = "repro-bench-batch/2"
 SERVICE_SCHEMA = "repro-bench-service/1"
 FLEET_SCHEMA = "repro-bench-fleet/1"
-INCR_SCHEMA = "repro-bench-incr/3"
 OVERLAP_SCHEMA = "repro-bench-overlap/1"
 
 #: The --check gate on the geomean speedup over latency-bound rows.
@@ -152,118 +128,71 @@ OVERLAP_TARGET = 1.5
 #: The size ladder, shared with benchmarks/test_bench_scaling_linear.py.
 SIZES = (40, 160, 640)
 
-#: Allowed time-per-node growth between consecutive ladder steps (the
-#: pytest benchmark's tolerance; generous because small runs are noisy).
+#: Allowed time-per-node growth between consecutive ladder steps
+#: (generous because small runs are noisy).
 TOLERANCE = 4.0
 
 
-def build_instance(size, seed=11, n_elements=8):
+def build_instance(size, seed=11, n_elements=8, direction=Direction.BEFORE):
     """One rung of the ladder: a random structured program of ``size``
-    statements and a random problem over it."""
+    statements and a random ``direction`` problem over it."""
     analyzed = random_analyzed_program(seed, size=size, max_depth=3)
-    problem = random_problem(analyzed, seed=seed, n_elements=n_elements)
+    problem = random_problem(analyzed, seed=seed, n_elements=n_elements,
+                             direction=direction)
     return analyzed, problem
 
 
-def solver_scaling(sizes=SIZES, seed=11, n_elements=8, repeats=3):
-    """Measure the ladder; return the ``BENCH_solver.json`` payload."""
-    rows = []
-    for size in sizes:
-        analyzed, problem = build_instance(size, seed, n_elements)
-        nodes = len(analyzed.ifg.real_nodes())
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            solve(analyzed.ifg, problem)
-            best = min(best, time.perf_counter() - start)
-        with tracing() as collector:
-            solve(analyzed.ifg, problem)
-        run = collector.events("solver", "run")[-1]
-        rows.append({
-            "size": size,
-            "nodes": nodes,
-            "best_solve_s": best,
-            "time_per_node_s": best / nodes,
-            "consumption_sweeps": run["consumption_sweeps"],
-            "fixpoint_rounds": run["rounds"],
-            "converged": run["converged"],
-            "equation_evaluations": run["equation_evaluations"],
-            "each_equation_once": run_satisfies_each_equation_once(run),
-        })
-    ratios = [
-        larger["time_per_node_s"] / smaller["time_per_node_s"]
-        for smaller, larger in zip(rows, rows[1:])
-    ]
-    return {
-        "schema": SCHEMA,
-        "seed": seed,
-        "n_elements": n_elements,
-        "repeats": repeats,
-        "tolerance": TOLERANCE,
-        "rows": rows,
-        "per_node_growth_ratios_s": ratios,
-        "linear_within_tolerance": all(r < TOLERANCE for r in ratios),
-        "each_equation_once": all(row["each_equation_once"] for row in rows),
-    }
+def solver_scaling(sizes=SIZES, seed=11, n_elements=8, repeats=5):
+    """Measure the ladder in both directions; return the
+    ``BENCH_solver.json`` payload (schema ``repro-bench-solver/2``).
 
+    One row per (size, direction): one untimed solve per backend first —
+    it compiles and caches the :class:`~repro.core.kernel.plan.SolverPlan`
+    and the view's order/children memos — then ``repeats`` timed solves
+    per backend with the view prebuilt, keeping the median.  The planned
+    backend is timed twice: warm (``planned_median_s``, the plan reused
+    as a resident service reuses it) and with the graph's plan cache
+    cleared before each repeat (``planned_with_plan_median_s``, what a
+    cold compile pays), so work moved between plan building and solving
+    shows.  A last, traced planned solve records the per-equation
+    evaluation counts, consumption sweeps and fixpoint rounds.
 
-def kernel_scaling(sizes=SIZES, seed=11, n_elements=8, repeats=5):
-    """Planned-vs-reference solve timing; the ``BENCH_kernel.json``
-    payload (schema ``repro-bench-kernel/4``).
-
-    One row per (size, direction) of the usual random-program ladder:
-    one untimed solve per backend first — it compiles and caches the
-    :class:`~repro.core.kernel.plan.SolverPlan` and the view's
-    order/children memos — then ``repeats`` timed solves per backend
-    with the view prebuilt, keeping the median.  The planned backend is
-    timed twice: warm (``planned_median_s``, the plan reused as a
-    resident service reuses it) and with the graph's plan cache cleared
-    before each repeat (``planned_with_plan_median_s``, what a cold
-    compile pays), so work moved between plan building and solving
-    shows.  Every planned solution is checked bit-identical to the
-    reference one over all nodes.
-
-    The ``--check`` gates: bit-identity on every row, and — plan build
-    included — planned ≥ 1x the reference solver on every row and ≥ 2x
-    overall.
+    The ``--check`` gates: the warm planned BEFORE solve's time per node
+    grows less than :data:`TOLERANCE` between consecutive sizes, and —
+    plan build included — planned is ≥ 1x the reference solver on every
+    row and ≥ 2x overall.  Each row's ``identical`` (the planned
+    solution bit-identical to the reference one over all nodes) and
+    ``each_equation_once`` are recorded, not gated: tier-1 asserts both.
     """
-    import statistics
-
-    from repro.core.problem import Direction
     from repro.core.reference import solutions_equal
-    from repro.graph.views import cached_view
 
-    def median_solve(analyzed, problem, view, backend, cold_plan=False):
+    def median_solve(analyzed, problem, backend, cold_plan=False):
         plans = analyzed.ifg.solver_cache("plans")
         times = []
         for _ in range(repeats):
             if cold_plan:
                 plans.clear()
             start = time.perf_counter()
-            solve(analyzed.ifg, problem, view=view, backend=backend)
+            solve(analyzed.ifg, problem, backend=backend)
             times.append(time.perf_counter() - start)
         return statistics.median(times)
 
     rows = []
     for size in sizes:
-        analyzed = random_analyzed_program(seed, size=size, max_depth=3)
-        nodes = len(analyzed.ifg.real_nodes())
         for direction in (Direction.BEFORE, Direction.AFTER):
-            problem = random_problem(analyzed, seed=seed,
-                                     n_elements=n_elements,
-                                     direction=direction)
-            view = cached_view(
-                analyzed.ifg,
-                "before" if direction is Direction.BEFORE else "after")
+            analyzed, problem = build_instance(size, seed, n_elements,
+                                               direction)
+            nodes = len(analyzed.ifg.real_nodes())
             # untimed warm-up solves, kept for the identity check
-            reference = solve(analyzed.ifg, problem, view=view,
-                              backend="reference")
-            planned = solve(analyzed.ifg, problem, view=view,
-                            backend="planned")
-            reference_s = median_solve(analyzed, problem, view, "reference")
-            planned_s = median_solve(analyzed, problem, view, "planned")
-            with_plan_s = median_solve(analyzed, problem, view, "planned",
+            reference = solve(analyzed.ifg, problem, backend="reference")
+            planned = solve(analyzed.ifg, problem, backend="planned")
+            reference_s = median_solve(analyzed, problem, "reference")
+            planned_s = median_solve(analyzed, problem, "planned")
+            with_plan_s = median_solve(analyzed, problem, "planned",
                                        cold_plan=True)
+            with tracing() as collector:
+                solve(analyzed.ifg, problem, backend="planned")
+            run = collector.events("solver", "run")[-1]
             rows.append({
                 "size": size,
                 "nodes": nodes,
@@ -273,9 +202,21 @@ def kernel_scaling(sizes=SIZES, seed=11, n_elements=8, repeats=5):
                 "speedup_s": reference_s / planned_s,
                 "planned_with_plan_median_s": with_plan_s,
                 "speedup_with_plan_s": reference_s / with_plan_s,
+                "time_per_node_s": planned_s / nodes,
                 "identical": solutions_equal(reference, planned,
                                              analyzed.ifg.nodes()),
+                "consumption_sweeps": run["consumption_sweeps"],
+                "fixpoint_rounds": run["rounds"],
+                "converged": run["converged"],
+                "equation_evaluations": run["equation_evaluations"],
+                "each_equation_once": run_satisfies_each_equation_once(run),
             })
+
+    before = [row for row in rows if row["direction"] == "BEFORE"]
+    ratios = [
+        larger["time_per_node_s"] / smaller["time_per_node_s"]
+        for smaller, larger in zip(before, before[1:])
+    ]
 
     def overall(column):
         return (sum(row["reference_median_s"] for row in rows)
@@ -283,17 +224,21 @@ def kernel_scaling(sizes=SIZES, seed=11, n_elements=8, repeats=5):
 
     overall_with_plan = overall("planned_with_plan_median_s")
     return {
-        "schema": KERNEL_SCHEMA,
+        "schema": SCHEMA,
         "seed": seed,
         "n_elements": n_elements,
         "repeats": repeats,
+        "tolerance": TOLERANCE,
         "rows": rows,
+        "per_node_growth_ratios_s": ratios,
         "overall_speedup_s": overall("planned_median_s"),
         "overall_with_plan_speedup_s": overall_with_plan,
         "min_speedup_s": min(row["speedup_s"] for row in rows),
         "all_identical": all(row["identical"] for row in rows),
-        # the --check gates, plan build included: never slower than the
-        # oracle, 2x overall, and never a single bit away from it
+        "each_equation_once": all(row["each_equation_once"] for row in rows),
+        # the --check gates: linear growth, and — plan build included —
+        # never slower than the oracle and 2x overall
+        "linear_within_tolerance": all(r < TOLERANCE for r in ratios),
         "planned_beats_reference": all(row["speedup_with_plan_s"] >= 1.0
                                        for row in rows),
         "meets_2x_target": overall_with_plan >= 2.0,
@@ -325,32 +270,48 @@ def _batch_mode_row(result):
     }
 
 
-def batch_throughput(n_programs=32, jobs=4, size=14, seed=0, repeats=2):
+#: The ``--batch`` miss gate: a serial pass through a fresh cache may
+#: cost at most this much more than the same pass without a cache.
+MISS_OVERHEAD_LIMIT = 1.2
+
+
+def batch_throughput(n_programs=32, jobs=4, size=14, seed=0, repeats=3):
     """Measure batch compilation throughput; return the
     ``BENCH_batch.json`` payload.
 
-    Three modes over the same corpus: ``serial_uncached`` (the
-    pre-batch-layer baseline), ``parallel_cold`` (worker pool, empty
-    disk cache), ``parallel_warm`` (same cache, now fully populated).
-    ``repeats`` re-runs the serial and warm modes and keeps the fastest,
-    since both are side-effect-free once the cache is warm.
+    Four modes over the same corpus: ``serial_uncached`` (the
+    pre-batch-layer baseline), ``serial_cold`` (the same serial pass
+    through a fresh in-memory cache, so every program misses and is
+    stored), ``parallel_cold`` (worker pool, empty disk cache) and
+    ``parallel_warm`` (same cache, now fully populated).  The two serial
+    modes run ``repeats`` times in alternating order (a second pass over
+    the same texts runs a little faster) and the warm mode ``repeats``
+    times; each keeps its fastest run.
     """
     from repro.batch import PipelineCache, compile_many
 
     corpus = batch_corpus(n_programs=n_programs, size=size, seed=seed)
 
-    serial = min((compile_many(corpus, jobs=1, cache=None)
-                  for _ in range(repeats)), key=lambda r: r.elapsed_s)
+    def fastest(runs):
+        return min(runs, key=lambda result: result.elapsed_s)
+
+    serial_runs = {False: [], True: []}  # keyed by "through a cache"
+    for index in range(repeats):
+        for cached in (index % 2 == 1, index % 2 == 0):
+            serial_runs[cached].append(compile_many(
+                corpus, jobs=1, cache=PipelineCache() if cached else None))
+    serial, serial_cold = fastest(serial_runs[False]), fastest(serial_runs[True])
     with tempfile.TemporaryDirectory(prefix="repro-bench-batch-") as directory:
         cache = PipelineCache(directory=directory)
         cold = compile_many(corpus, jobs=jobs, cache=cache)
-        warm = min((compile_many(corpus, jobs=jobs, cache=cache)
-                    for _ in range(repeats)), key=lambda r: r.elapsed_s)
+        warm = fastest(compile_many(corpus, jobs=jobs, cache=cache)
+                       for _ in range(repeats))
 
-    all_ok = not (serial.error_count or cold.error_count or warm.error_count)
+    runs = (serial, serial_cold, cold, warm)
     hit_rate = warm.cache_hits / len(corpus) if corpus else 0.0
     speedup_vs_serial = serial.elapsed_s / warm.elapsed_s
     speedup_vs_cold = cold.elapsed_s / warm.elapsed_s
+    miss_overhead = serial_cold.elapsed_s / serial.elapsed_s
     return {
         "schema": BATCH_SCHEMA,
         "n_programs": n_programs,
@@ -360,130 +321,21 @@ def batch_throughput(n_programs=32, jobs=4, size=14, seed=0, repeats=2):
         "repeats": repeats,
         "modes": {
             "serial_uncached": _batch_mode_row(serial),
+            "serial_cold": _batch_mode_row(serial_cold),
             "parallel_cold": _batch_mode_row(cold),
             "parallel_warm": _batch_mode_row(warm),
         },
         "warm_cache_hit_rate": hit_rate,
         "speedup_warm_vs_serial_s": speedup_vs_serial,
         "speedup_warm_vs_cold_s": speedup_vs_cold,
-        "all_ok": all_ok,
-        # the two --check gates: parallel must not lose to serial, and a
-        # fully warm cache must beat the cold run
+        "miss_overhead_s": miss_overhead,
+        "miss_overhead_limit": MISS_OVERHEAD_LIMIT,
+        "all_ok": not any(run.error_count for run in runs),
+        # the --check gates: parallel must not lose to serial, a fully
+        # warm cache must beat the cold run, and misses stay cheap
         "parallel_beats_serial": speedup_vs_serial >= 1.0,
         "cache_gives_speedup": speedup_vs_cold > 1.0 and hit_rate > 0.0,
-    }
-
-
-#: The ``--incr`` gate: compiles that miss the cache may cost at most
-#: this much more than cacheless compiles of the same texts.
-MISS_OVERHEAD_LIMIT = 1.2
-
-
-def incremental_bench(n_programs=4, size=30, seed=0, n_edits=5, repeats=3):
-    """Measure edit streams through a shared cache; return the
-    ``BENCH_incr.json`` payload (``docs/scaling.md``).
-
-    Per corpus program (jumpy generator programs, one shared in-memory
-    :class:`~repro.batch.cache.PipelineCache`), every text is compiled
-    twice — without a cache and through the cache, in alternating order
-    — timed, and compared byte for byte:
-
-    1. the **base**;
-    2. an **edit sequence** — ``n_edits`` cumulative seeded edits of
-       mixed kinds (:class:`~repro.testing.edits.EditModel`: scalar-RHS
-       bump, distributed-array subscript, insert, delete), each of the
-       previous version;
-    3. ``repeats`` **probes** — distinct 1-statement scalar-RHS edits of
-       the base.
-
-    Every cached compile is :func:`~repro.batch.driver.compile_one`
-    through the shared cache.
-
-    The two ``--check`` gates: every cached compile byte-identical to its
-    cacheless compile, and the cached compiles that missed, summed, at
-    most :data:`MISS_OVERHEAD_LIMIT` times their cacheless compiles.
-    """
-    from repro.batch import PipelineCache, compile_one
-    from repro.lang.printer import format_program
-    from repro.testing.edits import EditModel
-    from repro.testing.generator import ArrayProgramGenerator
-
-    cache = PipelineCache()
-    model = EditModel(seed=seed)
-    rows = []
-    totals = {"mismatches": 0, "misses": 0, "miss_s": 0.0,
-              "cacheless_s": 0.0}
-
-    def timed(name, text, through):
-        start = time.perf_counter()
-        compiled = compile_one(name, text, cache=through)
-        return compiled, time.perf_counter() - start
-
-    def measure(name, text):
-        """Compile ``text`` cacheless and through the shared cache, in
-        alternating order (a second compile of the same text runs a
-        little faster); returns the cached result and whether the
-        outputs match."""
-        if totals["misses"] % 2:
-            cached, cached_s = timed(name, text, cache)
-            cold, cold_s = timed(name, text, None)
-        else:
-            cold, cold_s = timed(name, text, None)
-            cached, cached_s = timed(name, text, cache)
-        identical = (cached.ok and cold.ok
-                     and cached.annotated_source == cold.annotated_source)
-        totals["mismatches"] += not identical
-        if not cached.cache_hit:
-            totals["misses"] += 1
-            totals["miss_s"] += cached_s
-            totals["cacheless_s"] += cold_s
-        return cached, identical
-
-    for index in range(n_programs):
-        name = f"incr-{seed + index:03}"
-        base = format_program(
-            ArrayProgramGenerator(seed=seed + index).program(size=size))
-        compiled, _ = measure(name, base)
-        if not compiled.ok:
-            raise RuntimeError(f"bench corpus program {name} failed: "
-                               f"{compiled.error}")
-
-        steps = []
-        for kind, edited in model.edit_sequence(base, n_edits):
-            compiled, identical = measure(name, edited)
-            steps.append({"kind": kind, "identical": identical,
-                          "cache_hit": compiled.cache_hit})
-
-        probes = 0
-        for _ in range(repeats):
-            edited = model.scalar_rhs(base)
-            if edited is None or edited == base:
-                continue
-            probes += 1
-            measure(name, edited)
-        rows.append({
-            "name": name,
-            "program_size": size,
-            "steps": steps,
-            "probes": probes,
-        })
-    miss_s, cacheless_s = totals["miss_s"], totals["cacheless_s"]
-    ratio = miss_s / cacheless_s if cacheless_s > 0 else 0.0
-    return {
-        "schema": INCR_SCHEMA,
-        "n_programs": n_programs,
-        "program_size": size,
-        "seed": seed,
-        "n_edits": n_edits,
-        "repeats": repeats,
-        "rows": rows,
-        "cache_misses": totals["misses"],
-        "miss_total_s": miss_s,
-        "cacheless_total_s": cacheless_s,
-        "miss_overhead_s": ratio,
-        # the two --check gates
-        "all_identical": totals["mismatches"] == 0,
-        "miss_overhead_ok": ratio <= MISS_OVERHEAD_LIMIT,
+        "miss_overhead_ok": miss_overhead <= MISS_OVERHEAD_LIMIT,
     }
 
 
@@ -881,10 +733,23 @@ def write_bench_json(path, report):
 
 def _solver_rows(report):
     for row in report["rows"]:
-        yield (f"size={row['size']} nodes={row['nodes']} "
+        yield (f"size={row['size']} {row['direction']:6s} "
+               f"nodes={row['nodes']} "
                f"per_node={row['time_per_node_s'] * 1e6:.1f}us "
+               f"reference={row['reference_median_s'] * 1e3:.2f}ms "
+               f"planned={row['planned_median_s'] * 1e3:.2f}ms "
+               f"({row['speedup_s']:.2f}x) "
+               f"with plan={row['planned_with_plan_median_s'] * 1e3:.2f}ms "
+               f"({row['speedup_with_plan_s']:.2f}x) "
                f"sweeps={row['consumption_sweeps']} "
-               f"each_equation_once={row['each_equation_once']}")
+               f"each_equation_once={row['each_equation_once']} "
+               f"identical={row['identical']}")
+    growth = ", ".join(f"{ratio:.2f}x"
+                       for ratio in report["per_node_growth_ratios_s"])
+    yield (f"planned overall {report['overall_speedup_s']:.2f}x warm, "
+           f"{report['overall_with_plan_speedup_s']:.2f}x with plan build; "
+           f"BEFORE per-node growth [{growth}] "
+           f"(tolerance {report['tolerance']:g}x)")
 
 
 def _batch_rows(report):
@@ -894,30 +759,9 @@ def _batch_rows(report):
                f"errors={row['errors']})")
     yield (f"speedup warm vs serial uncached: "
            f"{report['speedup_warm_vs_serial_s']:.2f}x, warm hit rate: "
-           f"{report['warm_cache_hit_rate']:.0%}")
-
-
-def _kernel_rows(report):
-    for row in report["rows"]:
-        yield (f"size={row['size']} direction={row['direction']} "
-               f"reference={row['reference_median_s'] * 1e3:.2f}ms "
-               f"planned={row['planned_median_s'] * 1e3:.2f}ms "
-               f"({row['speedup_s']:.2f}x) "
-               f"with plan={row['planned_with_plan_median_s'] * 1e3:.2f}ms "
-               f"({row['speedup_with_plan_s']:.2f}x) "
-               f"identical={row['identical']}")
-    yield (f"planned overall {report['overall_speedup_s']:.2f}x warm, "
-           f"{report['overall_with_plan_speedup_s']:.2f}x with plan build")
-
-
-def _incr_rows(report):
-    for row in report["rows"]:
-        kinds = ",".join(step["kind"] for step in row["steps"])
-        yield (f"{row['name']}: edits=[{kinds}] "
-               f"identical={all(s['identical'] for s in row['steps'])}")
-    yield (f"{report['cache_misses']} misses cost "
-           f"{report['miss_overhead_s']:.2f}x their cacheless compiles "
-           f"(limit {MISS_OVERHEAD_LIMIT}x)")
+           f"{report['warm_cache_hit_rate']:.0%}; serial misses cost "
+           f"{report['miss_overhead_s']:.2f}x uncached "
+           f"(limit {report['miss_overhead_limit']:g}x)")
 
 
 def _latency_row(latency):
@@ -992,23 +836,19 @@ class Scenario(NamedTuple):
 #: Every scenario by name; each writes ``BENCH_<name>.json``.
 SCENARIOS = {
     "solver": Scenario(
-        "the solver's O(E) size ladder, each equation once per node",
-        solver_scaling, ("linear_within_tolerance", "each_equation_once"),
+        "the solver ladder in both directions: O(E) growth, and the "
+        "planned backend against the reference solver",
+        solver_scaling,
+        ("linear_within_tolerance", "planned_beats_reference",
+         "meets_2x_target"),
         _solver_rows),
     "batch": Scenario(
-        "batch compilation throughput: serial, parallel cold, parallel warm",
+        "batch compilation throughput: serial uncached, serial through a "
+        "fresh cache, parallel cold, parallel warm",
         batch_throughput,
-        ("all_ok", "parallel_beats_serial", "cache_gives_speedup"),
+        ("all_ok", "parallel_beats_serial", "cache_gives_speedup",
+         "miss_overhead_ok"),
         _batch_rows),
-    "kernel": Scenario(
-        "the planned solver backend against the reference solver",
-        kernel_scaling,
-        ("all_identical", "planned_beats_reference", "meets_2x_target"),
-        _kernel_rows),
-    "incr": Scenario(
-        "edit streams through a shared cache against cacheless compiles",
-        incremental_bench, ("all_identical", "miss_overhead_ok"),
-        _incr_rows),
     "service": Scenario(
         "a resident compile service under load against one-shot compiles",
         service_throughput,

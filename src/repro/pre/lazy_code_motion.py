@@ -37,10 +37,6 @@ class LCMResult:
             bin(bits).count("1") for bits in self.insert_edges.values()
         )
 
-    def insertions_for(self, element):
-        bit = self.universe.bit(element)
-        return [edge for edge, bits in self.insert_edges.items() if bits & bit]
-
     def node_insertions_for(self, element):
         bit = self.universe.bit(element)
         return [node for node, bits in self.insert_nodes.items() if bits & bit]

@@ -26,10 +26,6 @@ class CSEResult:
         self.placement = placement
         self.temporaries = temporaries  # expression text -> temp name
 
-    @property
-    def transformed_program(self):
-        return self.analyzed.program
-
     def transformed_source(self):
         return format_program(self.analyzed.program)
 

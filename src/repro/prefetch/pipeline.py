@@ -43,11 +43,6 @@ class PrefetchResult:
     def annotated_source(self):
         return format_program(self.analyzed.program)
 
-    def prefetch_count(self):
-        from repro.core.problem import Timing
-
-        return len(self.placement.productions(Timing.EAGER))
-
 
 def build_prefetch_problem(accesses, symbols, write_allocate=True):
     """The prefetch instance: loads take, stores steal (and give with

@@ -31,6 +31,14 @@ from repro.service.protocol import (
 )
 
 
+def retrieve_outcome(future):
+    """Done callback: mark a finished future's exception as retrieved,
+    so asyncio does not log it as never retrieved when no one awaits
+    the future."""
+    if not future.cancelled():
+        future.exception()
+
+
 class LineServer:
     """One newline-JSON server (see the module docstring).
 

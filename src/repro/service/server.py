@@ -76,7 +76,7 @@ from repro.batch.driver import (
 )
 from repro.obs.collector import current_collector
 from repro.service.config import ServiceConfig
-from repro.service.lineserver import LineServer
+from repro.service.lineserver import LineServer, retrieve_outcome
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     E_BAD_REQUEST,
@@ -355,10 +355,14 @@ class CompileService(LineServer):
             return None
         futures = [self._loop.create_task(self._compile(name, source, options))
                    for name, source in programs]
+        gathered = asyncio.gather(*futures)
         try:
-            return await self._await_with_deadline(asyncio.gather(*futures),
-                                                   deadline)
+            return await self._await_with_deadline(gathered, deadline)
         except asyncio.TimeoutError:
+            # No one awaits the shielded gather past the expiry; read its
+            # outcome (the cancellation below, or a late failure) when it
+            # settles.
+            gathered.add_done_callback(retrieve_outcome)
             for future in futures:
                 future.cancel()  # lands only if the pool has not started it
             self.metrics.expire_deadline(units=units)

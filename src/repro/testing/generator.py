@@ -178,12 +178,6 @@ class ArrayProgramGenerator(ProgramGenerator):
         return ast.ArrayRef(array, (ast.ArrayRef("ind", (var,)),))
 
 
-def random_array_program(seed, size=12, max_depth=3, goto_probability=0.2):
-    """Generate and analyze a random program with array traffic."""
-    generator = ArrayProgramGenerator(seed, max_depth, goto_probability)
-    return AnalyzedProgram(generator.program(size))
-
-
 def random_problem(analyzed, seed=0, n_elements=3, direction=Direction.BEFORE,
                    take_probability=0.3, steal_probability=0.15,
                    give_probability=0.1):

@@ -48,20 +48,12 @@ def test_fingerprint_includes_schema():
 def test_get_put_roundtrip_and_stats():
     cache = PipelineCache()
     key = cache.key(SOURCE, option=1)
-    assert cache.get("ns", key) is None
-    cache.put("ns", key, {"value": [1, 2, 3]})
-    assert cache.get("ns", key) == {"value": [1, 2, 3]}
+    assert cache.get(key) is None
+    cache.put(key, {"value": [1, 2, 3]})
+    assert cache.get(key) == {"value": [1, 2, 3]}
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1 and stats["stores"] == 1
     assert cache.hit_rate == 0.5
-
-
-def test_namespaces_are_isolated():
-    cache = PipelineCache()
-    key = cache.key(SOURCE)
-    cache.put("analyzed", key, "frontend")
-    assert cache.get("prepared", key) is None
-    assert cache.get("analyzed", key) == "frontend"
 
 
 def test_hits_return_fresh_copies():
@@ -70,13 +62,13 @@ def test_hits_return_fresh_copies():
     cache = PipelineCache()
     key = cache.key(SOURCE)
     state = {"body": ["stmt"]}
-    cache.put("ns", key, state)
+    cache.put(key, state)
     state["body"].append("mutated-after-put")
 
-    first = cache.get("ns", key)
+    first = cache.get(key)
     assert first == {"body": ["stmt"]}  # put-time snapshot, not live object
     first["body"].append("mutated-after-get")
-    second = cache.get("ns", key)
+    second = cache.get(key)
     assert second == {"body": ["stmt"]}
     assert second is not first
 
@@ -85,11 +77,11 @@ def test_disk_persistence_across_instances(tmp_path):
     directory = str(tmp_path / "cache")
     writer = PipelineCache(directory=directory)
     key = writer.key(SOURCE, size=3)
-    writer.put("ns", key, ("solved", 42))
+    writer.put(key, ("solved", 42))
 
     reader = PipelineCache(directory=directory)  # fresh process stand-in
     assert len(reader) == 0
-    assert reader.get("ns", key) == ("solved", 42)
+    assert reader.get(key) == ("solved", 42)
     assert reader.hits == 1
 
 
@@ -97,10 +89,10 @@ def test_memory_eviction_keeps_disk_entries(tmp_path):
     cache = PipelineCache(directory=str(tmp_path), max_memory_entries=2)
     keys = [cache.key(f"{SOURCE}{i}") for i in range(4)]
     for i, key in enumerate(keys):
-        cache.put("ns", key, i)
+        cache.put(key, i)
     assert len(cache) == 2  # LRU-evicted down to the bound
     # evicted entries still hit through the disk layer
-    assert cache.get("ns", keys[0]) == 0
+    assert cache.get(keys[0]) == 0
 
 
 def test_corrupt_disk_entry_is_a_miss_not_a_crash(tmp_path):
@@ -109,31 +101,31 @@ def test_corrupt_disk_entry_is_a_miss_not_a_crash(tmp_path):
     directory = str(tmp_path)
     writer = PipelineCache(directory=directory)
     key = writer.key(SOURCE)
-    writer.put("ns", key, {"value": 1})
-    path = writer._path("ns", key)
+    writer.put(key, {"value": 1})
+    path = writer._path(key)
     with open(path, "wb") as handle:
         handle.write(b"\x80\x05 not a pickle")
 
     reader = PipelineCache(directory=directory)
-    assert reader.get("ns", key) is None  # miss, not UnpicklingError
+    assert reader.get(key) is None  # miss, not UnpicklingError
     stats = reader.stats()
     assert stats["corrupt"] == 1 and stats["misses"] == 1
     assert not tmp_path.joinpath(os.path.basename(path)).exists()  # evicted
     # the next put heals the slot
-    reader.put("ns", key, {"value": 2})
-    assert reader.get("ns", key) == {"value": 2}
+    reader.put(key, {"value": 2})
+    assert reader.get(key) == {"value": 2}
 
 
 def test_truncated_disk_entry_counts_as_corrupt(tmp_path):
     cache = PipelineCache(directory=str(tmp_path))
     key = cache.key(SOURCE)
-    payload = cache.put("ns", key, ("solved", 42))
-    path = cache._path("ns", key)
+    payload = cache.put(key, ("solved", 42))
+    path = cache._path(key)
     with open(path, "wb") as handle:
         handle.write(payload[: len(payload) // 2])  # torn write
 
     fresh = PipelineCache(directory=str(tmp_path))
-    assert fresh.get("ns", key) is None
+    assert fresh.get(key) is None
     assert fresh.corrupt == 1
     assert not os.path.exists(path)
 
@@ -141,19 +133,19 @@ def test_truncated_disk_entry_counts_as_corrupt(tmp_path):
 def test_corrupt_memory_entry_is_evicted():
     cache = PipelineCache()
     key = cache.key(SOURCE)
-    cache.put("ns", key, 1)
-    cache._memory[("ns", key)] = b"garbage"
-    assert cache.get("ns", key) is None
-    assert ("ns", key) not in cache._memory
+    cache.put(key, 1)
+    cache._memory[key] = b"garbage"
+    assert cache.get(key) is None
+    assert key not in cache._memory
     assert cache.stats()["corrupt"] == 1
 
 
 def test_clear_resets_corrupt_counter(tmp_path):
     cache = PipelineCache(directory=str(tmp_path))
     key = cache.key(SOURCE)
-    cache.put("ns", key, 1)
-    cache._memory[("ns", key)] = b"garbage"
-    cache.get("ns", key)
+    cache.put(key, 1)
+    cache._memory[key] = b"garbage"
+    cache.get(key)
     assert cache.corrupt == 1
     cache.clear()
     assert cache.stats()["corrupt"] == 0
@@ -175,27 +167,25 @@ def test_a_flipped_bit_anywhere_in_a_disk_entry_is_a_counted_miss(tmp_path):
     cold = compile_one("fig11", FIG11_SOURCE)
     expected = (cold.annotated_source, cold.reads, cold.writes)
     compile_one("fig11", FIG11_SOURCE, cache=PipelineCache(directory))
-    names = sorted(os.listdir(directory))
-    for name in names:
-        path = tmp_path / name
-        good = path.read_bytes()
-        namespace, key = name[:-len(".pickle")].rsplit("-", 1)
-        for offset in range(len(good)):
-            path.write_bytes(_flip(good, offset))
-            cache = PipelineCache(directory)
-            assert cache.get(namespace, key) is None, (name, offset)
-            assert (cache.corrupt, cache.misses) == (1, 1), (name, offset)
-            assert not path.exists()  # evicted
-        for offset in range(len(good)):
-            path.write_bytes(_flip(good, offset))
-            cache = PipelineCache(directory)
-            compiled = compile_one("fig11", FIG11_SOURCE, cache=cache)
-            assert not compiled.cache_hit, offset
-            assert (compiled.annotated_source, compiled.reads,
-                    compiled.writes) == expected, (name, offset)
-            assert cache.corrupt == 1
-        path.write_bytes(good)
-    assert [name.rsplit("-", 1)[0] for name in names] == ["compiled"]
+    name, = os.listdir(directory)  # the one entry: <key>.pickle
+    assert name.endswith(".pickle")
+    key = name[:-len(".pickle")]
+    path = tmp_path / name
+    good = path.read_bytes()
+    for offset in range(len(good)):
+        path.write_bytes(_flip(good, offset))
+        cache = PipelineCache(directory)
+        assert cache.get(key) is None, offset
+        assert (cache.corrupt, cache.misses) == (1, 1), offset
+        assert not path.exists()  # evicted
+    for offset in range(len(good)):
+        path.write_bytes(_flip(good, offset))
+        cache = PipelineCache(directory)
+        compiled = compile_one("fig11", FIG11_SOURCE, cache=cache)
+        assert not compiled.cache_hit, offset
+        assert (compiled.annotated_source, compiled.reads,
+                compiled.writes) == expected, offset
+        assert cache.corrupt == 1
 
 
 def _orphan_tmp(tmp_path, name="deadbeef.tmp", age_s=2 * TMP_SWEEP_AGE_S):
@@ -213,14 +203,14 @@ def test_open_sweeps_orphaned_tmp_files(tmp_path):
     # on the directory must heal it
     seeder = PipelineCache(directory=str(tmp_path))
     key = seeder.key(SOURCE)
-    seeder.put("ns", key, 1)
+    seeder.put(key, 1)
     orphan = _orphan_tmp(tmp_path)
 
     cache = PipelineCache(directory=str(tmp_path))
     assert not orphan.exists()
     assert cache.swept_tmp == 1
     assert cache.stats()["swept_tmp"] == cache.swept_tmp
-    assert cache.get("ns", key) == 1  # real entries untouched
+    assert cache.get(key) == 1  # real entries untouched
 
 
 def test_sweep_spares_fresh_tmp_from_live_writers(tmp_path):
@@ -246,23 +236,23 @@ def test_crashed_writer_then_reopen_round_trips(tmp_path):
     _orphan_tmp(tmp_path)
     cache = PipelineCache(directory=str(tmp_path))
     key = cache.key(SOURCE, run=2)
-    cache.put("ns", key, {"solved": True})
+    cache.put(key, {"solved": True})
     assert [name for name in os.listdir(tmp_path)
             if name.endswith(".tmp")] == []
     fresh = PipelineCache(directory=str(tmp_path))
-    assert fresh.get("ns", key) == {"solved": True}
+    assert fresh.get(key) == {"solved": True}
 
 
 def test_clear_resets_memory_and_counters(tmp_path):
     cache = PipelineCache(directory=str(tmp_path))
     key = cache.key(SOURCE)
-    cache.put("ns", key, 1)
-    cache.get("ns", key)
+    cache.put(key, 1)
+    cache.get(key)
     cache.clear()
     assert len(cache) == 0
     assert cache.stats()["hits"] == 0 and cache.stats()["stores"] == 0
     # on-disk entries survive clear()
-    assert cache.get("ns", key) == 1
+    assert cache.get(key) == 1
 
 
 def test_clear_resets_swept_tmp_counter(tmp_path):
@@ -281,13 +271,13 @@ def test_lru_hot_entry_survives_eviction():
     # so the hottest entry died first once the cache filled up
     cache = PipelineCache(max_memory_entries=2)
     hot, cold, new = (cache.key(f"{SOURCE}{i}") for i in range(3))
-    cache.put("ns", hot, "hot")
-    cache.put("ns", cold, "cold")
-    assert cache.get("ns", hot) == "hot"  # touch: hot is now most recent
-    cache.put("ns", new, "new")  # evicts cold, not hot
-    assert cache.get("ns", hot) == "hot"
-    assert cache.get("ns", new) == "new"
-    assert cache.get("ns", cold) is None  # memory-only: evicted for good
+    cache.put(hot, "hot")
+    cache.put(cold, "cold")
+    assert cache.get(hot) == "hot"  # touch: hot is now most recent
+    cache.put(new, "new")  # evicts cold, not hot
+    assert cache.get(hot) == "hot"
+    assert cache.get(new) == "new"
+    assert cache.get(cold) is None  # memory-only: evicted for good
 
 
 def test_fingerprint_rejects_non_primitive_options():

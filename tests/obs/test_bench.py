@@ -3,12 +3,15 @@
 import itertools
 import json
 import threading
+import time
 
 import pytest
 
+from repro.batch import PipelineCache
 from repro.obs.bench import (
     OVERLAP_SCHEMA,
     SCENARIOS,
+    batch_throughput,
     main,
     service_throughput,
     solver_scaling,
@@ -18,8 +21,6 @@ from repro.obs.bench import (
 SMALL = {
     "solver": {"sizes": (12, 24), "repeats": 1},
     "batch": {"n_programs": 2, "jobs": 1, "size": 6, "repeats": 1},
-    "kernel": {"sizes": (12,), "repeats": 1},
-    "incr": {"n_programs": 1, "size": 10, "n_edits": 1, "repeats": 1},
     "service": {"n_clients": 1, "requests_per_client": 1, "corpus_size": 1,
                 "size": 6, "workers": 1},
     "fleet": {"n_shards": 2, "n_requests": 5, "corpus_size": 2, "size": 6,
@@ -52,16 +53,18 @@ def test_overlap_check_passes_and_writes_its_payload(tmp_path, capsys):
 def test_check_exits_1_and_names_the_false_gate(tmp_path, monkeypatch,
                                                 capsys):
     payload = solver_scaling(sizes=(12, 24), repeats=1)
-    payload.update(linear_within_tolerance=True, each_equation_once=False)
+    payload.update(linear_within_tolerance=True, planned_beats_reference=True,
+                   meets_2x_target=False)
     monkeypatch.setitem(SCENARIOS, "solver", SCENARIOS["solver"]._replace(
         measure=lambda: payload))
     monkeypatch.chdir(tmp_path)
 
     assert main(["--check"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: solver gate(s) false: each_equation_once\n"
+    assert captured.err == "error: solver gate(s) false: meets_2x_target\n"
     assert ("wrote BENCH_solver.json (linear_within_tolerance=True, "
-            "each_equation_once=False)") in captured.out
+            "planned_beats_reference=True, meets_2x_target=False)"
+            ) in captured.out
     assert json.loads((tmp_path / "BENCH_solver.json").read_text()) == payload
 
     assert main([]) == 0  # without --check a false gate is only reported
@@ -71,10 +74,24 @@ def test_check_exits_1_and_names_the_false_gate(tmp_path, monkeypatch,
 def test_two_scenario_flags_are_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
-        main(["--kernel", "--batch", "--check"])
+        main(["--overlap", "--batch", "--check"])
     assert exit_info.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_slow_cache_stores_fail_the_miss_overhead_gate(monkeypatch):
+    put = PipelineCache.put
+
+    def slow_put(self, *args):
+        time.sleep(0.05)  # far above a small program's compile
+        return put(self, *args)
+
+    monkeypatch.setattr(PipelineCache, "put", slow_put)
+    report = batch_throughput(**SMALL["batch"])
+    assert report["miss_overhead_s"] > report["miss_overhead_limit"]
+    assert report["miss_overhead_ok"] is False
+    assert report["modes"]["serial_cold"]["cache_hits"] == 0
 
 
 def test_service_bench_returns_when_a_load_client_cannot_connect(

@@ -110,10 +110,18 @@ def test_format_profile_event_stream():
 def test_bench_report_shape(tmp_path):
     report = solver_scaling(sizes=(12, 24), repeats=1)
     assert report["schema"] == SCHEMA
-    assert [row["size"] for row in report["rows"]] == [12, 24]
+    # one row per size x direction
+    assert [(row["size"], row["direction"]) for row in report["rows"]] == [
+        (12, "BEFORE"), (12, "AFTER"), (24, "BEFORE"), (24, "AFTER")]
     assert report["each_equation_once"] is True
-    assert all(row["converged"] for row in report["rows"])
-    assert len(report["per_node_growth_ratios_s"]) == 1
+    assert report["all_identical"] is True
+    for row in report["rows"]:
+        assert row["converged"] and row["identical"]
+        assert row["reference_median_s"] > 0 and row["planned_median_s"] > 0
+        assert row["speedup_s"] == (row["reference_median_s"]
+                                    / row["planned_median_s"])
+        assert row["time_per_node_s"] == row["planned_median_s"] / row["nodes"]
+    assert len(report["per_node_growth_ratios_s"]) == 1  # BEFORE rows only
 
     path = tmp_path / "BENCH_solver.json"
     written = write_bench_json(str(path), report)
@@ -176,20 +184,3 @@ def test_format_profile_shows_backend_and_sparse_stats():
     assert "backend=reference" in text
     assert "each-equation-once (all runs): yes" in text
 
-
-def test_kernel_bench_report_shape(tmp_path):
-    from repro.obs.bench import KERNEL_SCHEMA, kernel_scaling
-
-    report = kernel_scaling(sizes=(12, 24), repeats=1)
-    assert report["schema"] == KERNEL_SCHEMA
-    assert len(report["rows"]) == 4  # two sizes x two directions
-    assert report["all_identical"] is True
-    for row in report["rows"]:
-        assert row["direction"] in ("BEFORE", "AFTER")
-        assert row["reference_median_s"] > 0
-        assert row["planned_median_s"] > 0
-        assert row["speedup_s"] == (row["reference_median_s"]
-                                    / row["planned_median_s"])
-    path = tmp_path / "BENCH_kernel.json"
-    write_bench_json(str(path), report)
-    assert json.loads(path.read_text())["schema"] == KERNEL_SCHEMA

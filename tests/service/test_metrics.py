@@ -100,7 +100,7 @@ def test_snapshot_merges_cache_store_stats():
     from repro.batch import PipelineCache
 
     cache = PipelineCache()
-    cache.put("ns", cache.key("x"), 1)
+    cache.put(cache.key("x"), 1)
     snap = ServiceMetrics().snapshot(cache=cache)
     assert snap["cache"]["store"]["stores"] == 1
     assert "corrupt" in snap["cache"]["store"]

@@ -8,6 +8,7 @@ pool.  Either way the event loop owns the cache.
 
 import asyncio
 import gc
+import logging
 import socket
 import threading
 import time
@@ -232,7 +233,9 @@ def test_deadline_expires_before_slow_compile_finishes():
 
 
 @pytest.mark.parametrize("what", ["compile", "batch"])
-def test_deadline_reply_names_the_request_and_counts_each_program(what):
+def test_deadline_reply_names_the_request_and_counts_each_program(what,
+                                                                 caplog):
+    caplog.set_level(logging.ERROR, logger="asyncio")
     config = ServiceConfig(port=0, workers=1, pool="thread")
     with ThreadedServer(config) as threaded:
         with ServiceClient(port=threaded.port) as connection:
@@ -249,6 +252,11 @@ def test_deadline_reply_names_the_request_and_counts_each_program(what):
                 f"finished")
             expired = connection.status()["admission"]["deadline_expired"]
             assert expired == (1 if what == "compile" else 2)
+    # every outcome of the abandoned compile was read: asyncio logs an
+    # unretrieved future's exception when the future is collected
+    gc.collect()
+    assert [record.getMessage() for record in caplog.records
+            if record.name == "asyncio"] == []
 
 
 def test_backpressure_rejects_with_retry_hint(monkeypatch):
@@ -597,7 +605,7 @@ def test_a_cache_lookup_that_raises_frees_its_admission_slot():
     config = ServiceConfig(port=0, workers=1, pool="thread", queue_limit=2)
     with ThreadedServer(config) as threaded:
 
-        def get(namespace, key):
+        def get(key):
             raise OSError("cache unreadable")
 
         threaded.service.cache.get = get

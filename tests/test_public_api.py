@@ -53,9 +53,9 @@ PACKAGE_EXPORTS = {
         "SymRange", "ValueNumbering", "collect_accesses", "section_conflicts"
     }),
     "repro.batch": frozenset({
-        "BatchOptions", "BatchResult", "CACHE_SCHEMA", "COMPILED_NAMESPACE",
-        "CompiledProgram", "PipelineCache", "compile_many", "compile_one",
-        "resolve_jobs", "source_fingerprint"
+        "BatchOptions", "BatchResult", "CACHE_SCHEMA", "CompiledProgram",
+        "PipelineCache", "compile_many", "compile_one", "resolve_jobs",
+        "source_fingerprint"
     }),
     "repro.commgen": frozenset({
         "Annotator", "CommunicationResult", "DegradationReport",
