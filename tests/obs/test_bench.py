@@ -28,13 +28,21 @@ SMALL = {
     "overlap": {},
 }
 
+#: Every case of the gate test, as (scenario, parameters): each scenario
+#: at :data:`SMALL`, and ``kernel``, the solver scenario on the one-size
+#: ladder the planned-against-reference bench ran before it was folded
+#: into ``solver`` — no growth ratio, yet every gate must be a bool.
+CASES = {**{name: (name, SMALL[name]) for name in SCENARIOS},
+         "kernel": ("solver", {"sizes": (12,), "repeats": 1})}
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_every_gate_is_a_bool_of_its_payload(name):
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_gate_is_a_bool_of_its_payload(case):
     # Timing gates may read either way on a small run; only their
     # presence and type are checked here.
+    name, params = CASES[case]
     scenario = SCENARIOS[name]
-    report = scenario.measure(**SMALL[name])
+    report = scenario.measure(**params)
     for gate in scenario.gates:
         assert isinstance(report[gate], bool), gate
     assert list(scenario.rows(report))

@@ -114,12 +114,8 @@ def test_bench_report_shape(tmp_path):
     assert [(row["size"], row["direction"]) for row in report["rows"]] == [
         (12, "BEFORE"), (12, "AFTER"), (24, "BEFORE"), (24, "AFTER")]
     assert report["each_equation_once"] is True
-    assert report["all_identical"] is True
     for row in report["rows"]:
-        assert row["converged"] and row["identical"]
-        assert row["reference_median_s"] > 0 and row["planned_median_s"] > 0
-        assert row["speedup_s"] == (row["reference_median_s"]
-                                    / row["planned_median_s"])
+        assert row["converged"]
         assert row["time_per_node_s"] == row["planned_median_s"] / row["nodes"]
     assert len(report["per_node_growth_ratios_s"]) == 1  # BEFORE rows only
 
@@ -127,6 +123,24 @@ def test_bench_report_shape(tmp_path):
     written = write_bench_json(str(path), report)
     assert written is report
     assert json.loads(path.read_text()) == report
+
+
+def test_kernel_bench_report_shape():
+    """The planned backend against the reference solver, measured on the
+    same rows as the ladder (the former ``BENCH_kernel.json``)."""
+    report = solver_scaling(sizes=(12, 24), repeats=1)
+    assert len(report["rows"]) == 4  # two sizes x two directions
+    assert report["all_identical"] is True
+    for row in report["rows"]:
+        assert row["direction"] in ("BEFORE", "AFTER")
+        assert row["identical"]
+        assert row["reference_median_s"] > 0 and row["planned_median_s"] > 0
+        assert row["speedup_s"] == (row["reference_median_s"]
+                                    / row["planned_median_s"])
+        assert row["speedup_with_plan_s"] == (
+            row["reference_median_s"] / row["planned_with_plan_median_s"])
+    assert report["min_speedup_s"] == min(row["speedup_s"]
+                                          for row in report["rows"])
 
 
 def test_bench_rows_increase_in_nodes():
